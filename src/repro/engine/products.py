@@ -1,8 +1,12 @@
 """Profiling products: compute, summarize, serialize.
 
 The engine's unit of work is one workload profiled under every scheme at
-one scale (:func:`profile_workload`).  Its result, :class:`WorkloadRun`,
-is consumed by every figure and table in the evaluation layer.
+one scale on one machine (:func:`profile_workload`).  A bare
+:class:`~repro.sim.config.MachineConfig` is the single-type machine
+built from it; a heterogeneous machine's profiles come from recording
+the matrix once and replaying it through the machine's per-type cache
+hierarchy.  The result, :class:`WorkloadRun`, is consumed by every
+figure and table in the evaluation layer.
 
 Because runs must cross process boundaries (the pool) and sessions (the
 on-disk cache), this module also defines the *slim* representation: a
@@ -22,6 +26,7 @@ from typing import Optional, Sequence, Union
 
 from ..interp.fast import resolve_interp
 from ..interp.trace import TraceStore
+from ..machines import MachineModel, homogeneous_machine, machine_stream
 from ..runtime.profiler import StreamProfile, TaskStreamProfiler
 from ..runtime.task import Scheme, TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, LEVELS
@@ -98,7 +103,7 @@ def profile_workload(workload: Workload, scale: int = 1,
                      schemes: Sequence[Union[Scheme, str]] = ALL_SCHEMES,
                      interp: Optional[str] = None,
                      trace_store: Optional[TraceStore] = None,
-                     machine=None,
+                     machine: Optional[MachineModel] = None,
                      ) -> WorkloadRun:
     """Compile ``workload`` once and profile it under every scheme.
 
@@ -122,32 +127,28 @@ def profile_workload(workload: Workload, scale: int = 1,
     ablation sweeps and the profiling benchmark read them); passing one
     forces recording even for a single-scheme matrix.
 
-    ``machine`` is an optional
-    :class:`~repro.machines.model.MachineModel`.  A homogeneous model
-    simply substitutes its config.  A heterogeneous one forces the
-    record-and-replay path: the matrix is interpreted once (recording
-    every phase), then each scheme is re-simulated through the
-    machine's per-type cache hierarchy
-    (:func:`repro.machines.replay.machine_stream`) so access phases
-    meet the access cluster's caches and execute phases the execute
-    cluster's.  A workload that records a non-replayable phase cannot
-    be profiled on a heterogeneous machine and raises
+    ``machine`` is the :class:`~repro.machines.model.MachineModel` to
+    profile on; without one, ``config`` is wrapped as a single-type
+    machine.  A heterogeneous machine forces the record-and-replay
+    path: the matrix is interpreted once (recording every phase), then
+    each scheme is re-simulated through the machine's per-type cache
+    hierarchy (:func:`repro.machines.replay.machine_stream`) so access
+    phases meet the access cluster's caches and execute phases the
+    execute cluster's.  A workload that records a non-replayable phase
+    cannot be profiled on a heterogeneous machine and raises
     :class:`EngineError`.
     """
-    config = config or MachineConfig()
+    if machine is None:
+        machine = homogeneous_machine(
+            "homogeneous", config or MachineConfig()
+        )
+    heterogeneous = machine.heterogeneous
     resolved_interp = resolve_interp(interp)
+    if heterogeneous:
+        resolved_interp = "replay"
     store = trace_store
-    machine_store: Optional[TraceStore] = None
-    if machine is not None:
-        if machine.heterogeneous:
-            resolved_interp = "replay"
-            if store is None:
-                store = TraceStore()
-            machine_store = store
-        else:
-            config = machine.config
-    if (store is None and resolved_interp == "replay"
-            and len(tuple(schemes)) > 1):
+    if store is None and (heterogeneous or (
+            resolved_interp == "replay" and len(tuple(schemes)) > 1)):
         store = TraceStore()
     compiled = workload.compile(options)
     profiles: dict[str, StreamProfile] = {}
@@ -155,7 +156,9 @@ def profile_workload(workload: Workload, scale: int = 1,
     for scheme in schemes:
         scheme = Scheme.coerce(scheme, context="profile_workload")
         memory, tasks, _ = workload.instantiate(scale=scale, compiled=compiled)
-        profiler = TaskStreamProfiler(memory, config, interp=resolved_interp)
+        profiler = TaskStreamProfiler(
+            memory, machine.config, interp=resolved_interp,
+        )
         profiles[scheme.value] = profiler.profile(
             tasks, scheme, trace_store=store,
         )
@@ -168,18 +171,15 @@ def profile_workload(workload: Workload, scale: int = 1,
                 "deterministic across schemes"
                 % (workload.name, len(tasks), scheme.value, task_count)
             )
-    if machine_store is not None:
-        if not machine_store.fully_replayable():
+    if heterogeneous:
+        if not store.fully_replayable():
             raise EngineError(
                 "workload %r recorded a non-replayable phase; "
                 "heterogeneous machine %r requires full trace replay"
                 % (workload.name, machine.name)
             )
-        from ..machines.replay import machine_stream
         profiles = {
-            scheme: machine_stream(
-                machine_store.schemes[scheme], scheme, machine
-            )
+            scheme: machine_stream(store.schemes[scheme], scheme, machine)
             for scheme in profiles
         }
     return WorkloadRun(

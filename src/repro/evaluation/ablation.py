@@ -3,12 +3,15 @@
 The record/replay engine makes "what if the machine were different?"
 questions cheap: interpretation depends only on program semantics and
 memory contents — never on the cache model — so one recorded profiling
-run yields event traces that are valid under *any* machine
-configuration.  :func:`ablate_workload` records the full scheme matrix
-once, then re-simulates it under each config variant by replaying the
-traces through a fresh cache hierarchy
-(:func:`~repro.runtime.profiler.replay_stream`) — no re-interpretation
-— and schedules each variant to report time/energy/EDP.
+run yields event traces that are valid under *any* machine.  A
+config ablation is therefore a machine comparison: each swept value
+becomes a single-type machine (:func:`~repro.machines.homogeneous_machine`,
+which validates it before anything is recorded), and
+:func:`ablate_workload` hands those machines to the ``machines`` verb's
+:class:`~repro.evaluation.machines.MachineSweep` — record the full
+scheme matrix once, replay it through each variant's cache hierarchy,
+no re-interpretation — then schedules each variant to report
+time/energy/EDP.
 
 Sweepable parameters (:data:`SWEEP_PARAMS`) cover cache capacities and
 latencies, DRAM latency, and the memory-level-parallelism knobs.  When
@@ -22,14 +25,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from ..engine.products import ALL_SCHEMES, WorkloadRun, profile_workload
-from ..interp.trace import TraceStore
+from ..machines import homogeneous_machine
 from ..power.frequency import FrequencyPolicy
-from ..runtime.profiler import replay_stream
 from ..runtime.task import Scheme
-from ..sim.config import MachineConfig
+from ..sim.config import MachineConfig, MachineConfigError
 from ..workloads import Workload
 from .experiments import relative_metrics, schedule
+from .machines import MachineSweep
 
 
 def _cache_field(level: str, field_name: str, cast):
@@ -94,10 +96,14 @@ def ablate_workload(workload: Workload, param: str, values: Sequence,
                     config: Optional[MachineConfig] = None) -> dict:
     """Sweep ``param`` over ``values`` for one workload.
 
-    Records the three-scheme profile matrix once under the base
-    ``config``, then replays the recorded traces through each variant's
-    cache hierarchy and schedules the result.  Returns a JSON-able
-    report dict (render with :func:`render_ablation_report`).
+    Builds (and validates) every variant first, records the
+    three-scheme profile matrix once under the base ``config``, then
+    replays the recorded traces through each variant's cache
+    hierarchy and schedules the result.  Returns a JSON-able report
+    dict (render with :func:`render_ablation_report`).
+
+    Raises :class:`~repro.sim.config.MachineConfigError` naming the
+    parameter and value when a variant is not a valid machine.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(
@@ -106,34 +112,25 @@ def ablate_workload(workload: Workload, param: str, values: Sequence,
         )
     _, build = SWEEP_PARAMS[param]
     base = config or MachineConfig()
-    store = TraceStore()
-    run = profile_workload(
-        workload, scale, base, schemes=ALL_SCHEMES,
-        interp="replay", trace_store=store,
-    )
-    replayed = store.fully_replayable()
-    rows = []
+    variants = []
     for value in values:
-        variant = build(base, value)
-        if replayed:
-            profiles = {
-                scheme: replay_stream(store.schemes[scheme], scheme, variant)
-                for scheme in run.profiles
-            }
-            variant_run = WorkloadRun(
-                workload=workload, compiled=run.compiled,
-                profiles=profiles, task_count=run.task_count,
-            )
-        else:
-            variant_run = profile_workload(
-                workload, scale, variant, schemes=ALL_SCHEMES,
-            )
+        name = "%s=%g" % (param, value)
+        try:
+            variants.append(homogeneous_machine(name, build(base, value)))
+        except MachineConfigError as exc:
+            raise MachineConfigError(
+                "%s is not a valid machine: %s" % (name, exc)
+            ) from None
+    sweep = MachineSweep(workload, scale, base)
+    rows = []
+    for value, machine, run in zip(values, variants, sweep.runs(variants)):
+        variant = machine.config
         baseline = None
         configs = {}
         for label, scheme, policy in ABLATE_CONFIGS:
             result = schedule(
-                variant_run, scheme,
-                FrequencyPolicy.from_name(policy, variant), variant,
+                run, scheme, FrequencyPolicy.from_name(policy, variant),
+                variant,
             )
             if baseline is None:
                 baseline = result
@@ -148,9 +145,9 @@ def ablate_workload(workload: Workload, param: str, values: Sequence,
         "param": param,
         "description": SWEEP_PARAMS[param][0],
         "values": list(values),
-        "replayed": replayed,
-        "recorded_phases": store.recorded_phases,
-        "recorded_events": store.recorded_events,
+        "replayed": sweep.replayed,
+        "recorded_phases": sweep.store.recorded_phases,
+        "recorded_events": sweep.store.recorded_events,
         "rows": rows,
     }
 

@@ -3,13 +3,14 @@
 ``python -m repro.evaluation machines <app...> --machines a,b,c``
 records each workload's three-scheme profile matrix exactly once, then
 re-simulates it under every requested
-:class:`~repro.machines.model.MachineModel` by trace replay — the
-homogeneous ones through :func:`~repro.runtime.profiler.replay_stream`,
-the heterogeneous ones through
-:func:`~repro.machines.replay.machine_stream` — and schedules the
+:class:`~repro.machines.model.MachineModel` by trace replay
+(:func:`~repro.machines.replay.machine_stream`, the one replay path
+for single-type and heterogeneous machines alike) and schedules the
 run-ledger configurations on each.  On a fully-replayable workload not
 a single instruction is re-interpreted per machine (the report carries
 the :class:`~repro.interp.trace.TraceStore` counters that prove it).
+:class:`MachineSweep` is that record-once, re-simulate-per-machine
+loop; the ``ablate`` verb runs its config variants through it too.
 
 Every scheduled result records a timeline and passes both timeline
 validation and the exact energy roll-up check, so migration charges on
@@ -23,18 +24,69 @@ manifest document, which is how CI's ``machines-smoke`` job holds the
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..engine.products import ALL_SCHEMES, WorkloadRun, profile_workload
 from ..interp.trace import TraceStore
 from ..machines import MachineModel, machine_profiles
 from ..obs.ledger import RunManifest, _utc_now
 from ..power.frequency import FrequencyPolicy
-from ..runtime.profiler import replay_stream
 from ..runtime.scheduler import DAEScheduler
 from ..sim.config import MachineConfig
 from ..workloads import Workload
 from .experiments import MANIFEST_CONFIGS, relative_metrics
+
+
+class MachineSweep:
+    """One workload recorded once, re-simulated per machine.
+
+    The constructor profiles the three-scheme matrix under ``config``
+    (default :class:`MachineConfig`) with every phase recorded;
+    :meth:`runs` then yields each machine's profiles.
+    """
+
+    def __init__(self, workload: Workload, scale: int = 1,
+                 config: Optional[MachineConfig] = None):
+        self.workload = workload
+        self.scale = scale
+        self.store = TraceStore()
+        self.run = profile_workload(
+            workload, scale, config, schemes=ALL_SCHEMES,
+            interp="replay", trace_store=self.store,
+        )
+        self.replayed = self.store.fully_replayable()
+
+    def runs(self, machines: Sequence[MachineModel],
+             ) -> Iterator[Optional[WorkloadRun]]:
+        """One :class:`WorkloadRun` per machine, in order.
+
+        Profiles come from trace replay when every recorded phase is
+        replayable, else from re-profiling on the machine.  ``None``
+        marks a heterogeneous machine on a non-replayable workload:
+        its per-phase cache placement exists only on the replay path.
+        """
+        recorded = self.store.recorded_phases
+        for machine in machines:
+            if self.replayed:
+                profiles = machine_profiles(self.store, machine)
+                # Replay must never touch the recorder: a drifted
+                # counter means a machine was silently re-interpreted.
+                assert self.store.recorded_phases == recorded, (
+                    "machine %r re-interpreted %r"
+                    % (machine.name, self.workload.name)
+                )
+            elif machine.heterogeneous:
+                yield None
+                continue
+            else:
+                profiles = profile_workload(
+                    self.workload, self.scale, schemes=ALL_SCHEMES,
+                    machine=machine,
+                ).profiles
+            yield WorkloadRun(
+                workload=self.workload, compiled=self.run.compiled,
+                profiles=profiles, task_count=self.run.task_count,
+            )
 
 
 def compare_machines(workloads: Sequence[Workload],
@@ -45,13 +97,11 @@ def compare_machines(workloads: Sequence[Workload],
     Returns a JSON-able report (render with
     :func:`render_machines_report`).  A workload that records a
     non-replayable phase falls back to re-profiling for homogeneous
-    machines and marks heterogeneous columns as skipped (their
-    per-phase cache placement exists only on the replay path).
+    machines and marks heterogeneous columns as skipped.
     """
     names = [n.lower() for n in (machine_names
                                  or MachineModel.registered_names())]
-    machines = [(name, MachineModel.from_name(name)) for name in names]
-    base = MachineConfig()
+    machines = [MachineModel.from_name(name) for name in names]
     report = {
         "kind": "machines",
         "scale": scale,
@@ -59,63 +109,29 @@ def compare_machines(workloads: Sequence[Workload],
         "workloads": {},
     }
     for workload in workloads:
-        store = TraceStore()
-        run = profile_workload(
-            workload, scale, base, schemes=ALL_SCHEMES,
-            interp="replay", trace_store=store,
-        )
-        replayed = store.fully_replayable()
-        recorded_phases = store.recorded_phases
-        doc = {
-            "task_count": run.task_count,
-            "replayed": replayed,
-            "recorded_phases": recorded_phases,
-            "recorded_events": store.recorded_events,
-            "machines": {},
-        }
-        for name, machine in machines:
-            if replayed:
-                if machine.heterogeneous:
-                    profiles = machine_profiles(store, machine)
-                elif machine.config == base:
-                    profiles = run.profiles
-                else:
-                    profiles = {
-                        scheme: replay_stream(
-                            store.schemes[scheme], scheme, machine.config
-                        )
-                        for scheme in run.profiles
-                    }
-                source = "replay"
-            elif machine.heterogeneous:
-                doc["machines"][name] = {
+        sweep = MachineSweep(workload, scale)
+        columns = {}
+        for name, machine, run in zip(names, machines,
+                                      sweep.runs(machines)):
+            if run is None:
+                columns[name] = {
                     "skipped": (
                         "workload recorded a non-replayable phase; "
                         "heterogeneous machines require trace replay"
                     ),
                 }
                 continue
-            else:
-                mrun = profile_workload(
-                    workload, scale, machine.config, schemes=ALL_SCHEMES,
-                )
-                profiles = mrun.profiles
-                source = "reprofile"
-            machine_run = WorkloadRun(
-                workload=workload, compiled=run.compiled,
-                profiles=profiles, task_count=run.task_count,
-            )
-            doc["machines"][name] = {
-                "source": source,
-                "schedules": _schedule_machine(machine_run, machine),
+            columns[name] = {
+                "source": "replay" if sweep.replayed else "reprofile",
+                "schedules": _schedule_machine(run, machine),
             }
-        # The replay sweeps above must never have touched the recorder:
-        # a drifted counter means a machine was silently re-interpreted.
-        assert store.recorded_phases == recorded_phases, (
-            "machine comparison re-interpreted %r"
-            % workload.name
-        )
-        report["workloads"][workload.name] = doc
+        report["workloads"][workload.name] = {
+            "task_count": sweep.run.task_count,
+            "replayed": sweep.replayed,
+            "recorded_phases": sweep.store.recorded_phases,
+            "recorded_events": sweep.store.recorded_events,
+            "machines": columns,
+        }
     return report
 
 

@@ -38,7 +38,8 @@ them on *every* generated program:
     the machine-model collapse rule — scheduling on a degenerate
     heterogeneous machine (two clusters with *behaviourally identical*
     configs, migration transition) yields summaries bit-identical to
-    the plain homogeneous scheduler, for every scheme × policy.
+    the single-type machine built from the same config, for every
+    scheme × policy.
 ``engine-pool`` (batch oracle, :func:`check_engine_pool_equivalence`)
     ``run_experiment`` over a batch of programs returns byte-identical
     payloads with ``jobs=1`` and ``jobs=2``.
@@ -417,8 +418,8 @@ def _check_machine_invariance(case: FuzzCase,
     """The collapse rule behind every machine-model guarantee: two
     core types with equal configs are indistinguishable, so a
     migration-based machine built from them must schedule every
-    program bit-identically to the homogeneous scheduler — no
-    migrations, no transition charges, same summary dict."""
+    program bit-identically to the single-type machine of that config
+    — no migrations, no transition charges, same summary dict."""
     from ..machines.model import CoreType, MachineModel, migrate
 
     seed = case.program.seed

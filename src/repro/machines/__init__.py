@@ -6,8 +6,8 @@ Public surface:
   the :func:`dvfs` and :func:`migrate` constructors (``model``);
 * the registered catalog — ``sandybridge``, ``biglittle``, ``ideal`` —
   resolved via :meth:`MachineModel.from_name` (``catalog``);
-* :func:`machine_stream` / :func:`machine_profiles`, the heterogeneous
-  trace-replay path (``replay``).
+* :func:`machine_stream` / :func:`machine_profiles`, the trace-replay
+  path for every machine, single-type or heterogeneous (``replay``).
 
 Importing this package registers the catalog.
 """

@@ -18,12 +18,17 @@ DVFS switch.  A :class:`MachineModel` describes either shape:
   phases under decoupled schemes (coupled schemes pin to the execute
   type).
 
-The scheduler models a heterogeneous machine as *slots* in the style
-of big.LITTLE's in-kernel switcher: a slot pairs one core of each
-placed type, a task's phases hop between the pair, and the inactive
-sibling is power-gated (it burns nothing and keeps no clock).  A
-machine whose placed types are *behaviourally identical* (equal
-configs) therefore collapses to the homogeneous model exactly — the
+The homogeneous multicore is the one-type case:
+:func:`homogeneous_machine` wraps a bare
+:class:`~repro.sim.config.MachineConfig`, and the scheduler, the
+trace replay and the tuner take every machine down one path.
+
+The scheduler models a machine as *slots* in the style of big.LITTLE's
+in-kernel switcher: a slot pairs one core of each placed type, a
+task's phases hop between the pair, and the inactive sibling is
+power-gated (it burns nothing and keeps no clock).  Placed types that
+are *behaviourally identical* (equal configs) collapse to one type, so
+such a machine schedules exactly like the single-type machine — the
 ``machine-invariance`` fuzz oracle pins that collapse bit-for-bit.
 
 Models are named and registered, mirroring
@@ -116,8 +121,8 @@ class MachineModel:
 
         Two types with equal configs are indistinguishable to the
         timing, cache and power models, so a machine built from them
-        collapses to the homogeneous code paths (and the
-        ``machine-invariance`` oracle holds by construction).
+        collapses to one type (and the ``machine-invariance`` oracle
+        holds by construction).
         """
         access = self.type_named(self.access_type)
         execute = self.type_named(self.execute_type)
@@ -283,7 +288,14 @@ class MachineModel:
 
 def homogeneous_machine(name: str, config: MachineConfig,
                         description: str = "") -> MachineModel:
-    """Wrap one :class:`MachineConfig` as a single-type machine."""
+    """Wrap one :class:`MachineConfig` as a single-type machine.
+
+    This is what a bare config becomes wherever a machine is expected
+    (``DAEScheduler(config)``, ``profile_workload(config)``,
+    ``tune_workload(config=...)``, each ``ablate`` variant).
+    ``validate()`` runs on the way, so an inconsistent config fails
+    here rather than mid-simulation.
+    """
     core = CoreType(name="core", count=config.cores, config=config)
     return MachineModel(
         name=name,

@@ -1,12 +1,12 @@
-"""Trace replay through a heterogeneous cache hierarchy.
+"""Trace replay through a machine's cache hierarchy.
 
 The recorded event streams (:mod:`repro.interp.trace`) are
 machine-config-invariant, so one profiling run replays under *any*
-machine — including one whose access and execute phases run on
-different core types with different private caches.
+machine — a variant of the default config (the ``ablate`` verb), a
+registered single-type machine, or one whose access and execute phases
+run on different core types with different private caches.
 
-:func:`machine_stream` is the heterogeneous sibling of
-:func:`repro.runtime.profiler.replay_stream`.  Each scheduling slot
+:func:`machine_stream` is the one replay path.  Each scheduling slot
 pairs one set of private caches per placed core type over a single
 shared LLC; a task's access phase replays through the access type's
 privates and its execute phase through the execute type's, so a
@@ -16,15 +16,15 @@ the *shared* LLC but not the sibling's privates.  With a
 whenever a phase lands on the other cluster, modelling the in-kernel
 switcher's power-cycled inbound cluster.
 
-For a machine whose placed types are behaviourally identical the
-function falls back to :func:`replay_stream` on the single config —
-the same collapse rule the scheduler applies, keeping degenerate
-heterogeneous machines bit-identical to homogeneous ones.
+Placed types with equal configs collapse to one type once per call —
+the same rule the scheduler applies — so a single-type machine (or a
+degenerate two-cluster one) keeps one private hierarchy per slot and
+never flushes: exactly the hierarchy a profiling run builds.
 """
 
 from __future__ import annotations
 
-from ..runtime.profiler import ProfileError, StreamProfile, replay_stream
+from ..runtime.profiler import ProfileError, StreamProfile
 from ..runtime.task import TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, Cache, CoreCaches
 from ..sim.replay import replay_phase
@@ -62,21 +62,25 @@ def machine_stream(records: list, scheme: str,
 
     ``records`` is ``TraceStore.schemes[scheme]``; ``placement``
     optionally overrides the machine's declared (access, execute) core
-    types (the tuner's placement search uses this).  Raises
-    :class:`~repro.runtime.profiler.ProfileError` when a recorded
-    phase is non-replayable, exactly like ``replay_stream``.
+    types (the tuner's placement search uses this).  The result is
+    exactly the :class:`StreamProfile` a full profiling run on the
+    machine would produce, with zero interpretation.
+
+    Raises :class:`~repro.runtime.profiler.ProfileError` when a
+    recorded phase is non-replayable (``PhaseTrace.data is None``);
+    callers fall back to re-profiling
+    (``TraceStore.fully_replayable`` pre-checks this).
     """
     scheme = str(scheme)
     access_type, execute_type = machine.placement(scheme, placement)
     if access_type.config == execute_type.config:
-        return replay_stream(records, scheme, execute_type.config)
-
+        access_type = execute_type
+    placed = ((execute_type,) if access_type is execute_type
+              else (access_type, execute_type))
     flush = machine.transition.kind == "migrate" and machine.transition.flush
     shared_llc = Cache(execute_type.config.llc)
     width = machine.slots(scheme, placement)
-    slots = [
-        _Slot((access_type, execute_type), shared_llc) for _ in range(width)
-    ]
+    slots = [_Slot(placed, shared_llc) for _ in range(width)]
     result = StreamProfile(scheme=scheme)
     for index, task_trace in enumerate(records):
         slot = slots[index % width]

@@ -30,7 +30,7 @@ from ..sim.cache import AccessCounts, MachineCaches
 from ..sim.config import MachineConfig
 from ..sim.replay import replay_phase
 from ..sim.timing import PhaseProfile, issue_slots
-from .task import Scheme, TaskInstance, TaskProfile, TaskRef
+from .task import Scheme, TaskInstance, TaskProfile
 
 
 class ProfileError(Exception):
@@ -391,51 +391,3 @@ class TaskStreamProfiler:
             counts=counts,
         )
 
-
-def replay_stream(records: list[TaskTrace], scheme: str,
-                  config: Optional[MachineConfig] = None) -> StreamProfile:
-    """Re-simulate one recorded scheme under ``config`` — replay only.
-
-    The trace-backed ablation path: every phase of every task is pushed
-    through a *fresh* :class:`MachineCaches` built from ``config``, with
-    zero interpretation.  The event streams are machine-config-invariant
-    (the interpreter never sees the cache model), so this yields exactly
-    the :class:`StreamProfile` a full profiling run under ``config``
-    would — the differential ablation test pins that — in a fraction of
-    the time.
-
-    Raises :class:`ProfileError` if any recorded phase is non-replayable
-    (``PhaseTrace.data is None``); callers should fall back to full
-    re-interpretation (``TraceStore.fully_replayable`` pre-checks this).
-    """
-    config = config or MachineConfig()
-    caches = MachineCaches(config)
-    result = StreamProfile(scheme=scheme)
-    for index, task_trace in enumerate(records):
-        core = caches.cores[index % config.cores]
-        profiles = []
-        for phase_trace in (task_trace.access, task_trace.execute):
-            if phase_trace is None:
-                profiles.append(None)
-                continue
-            if phase_trace.data is None:
-                raise ProfileError(
-                    "task %r under scheme %r recorded a non-replayable "
-                    "phase; re-profile this configuration instead"
-                    % (task_trace.name, scheme)
-                )
-            counts = AccessCounts()
-            replay_phase(core, phase_trace.data, counts)
-            profiles.append(PhaseProfile(
-                instructions=phase_trace.instructions,
-                slots=phase_trace.slots,
-                counts=counts,
-            ))
-        access_profile, execute_profile = profiles
-        result.tasks.append(TaskProfile(
-            instance=TaskRef(name=task_trace.name),
-            execute=execute_profile,
-            access=access_profile,
-        ))
-    result.mru_shortcircuits = sum(core.mru_hits for core in caches.cores)
-    return result

@@ -5,12 +5,15 @@ the runtime handles task scheduling, running the access phase before the
 execute phase, load balancing through work stealing and power saving
 using sleep states and DVFS between each task phase."
 
-The scheduler replays profiled tasks on a discrete-time model of the
-quad core: each core consumes its own deque, steals from the fullest
-victim when empty, switches frequency between phases according to the
-active policy (paying the transition latency with static-only energy),
-and sleeps when no work is left.  The output is the total time/energy
-plus the Prefetch / Task / O.S.I. buckets of Figure 4.
+The scheduler replays profiled tasks on a discrete-time model of a
+:class:`~repro.machines.model.MachineModel` (a bare config is the
+single-type machine): each core consumes its own deque, steals from
+the fullest victim when empty, switches frequency between phases
+according to the active policy (paying the transition latency with
+static-only energy) or, on a heterogeneous placement, migrates a phase
+to the other core type, and sleeps when no work is left.  The output
+is the total time/energy plus the Prefetch / Task / O.S.I. buckets of
+Figure 4.
 
 When the observability collector is enabled (or ``run`` is called with
 ``record_timeline=True``) every clock advance is also recorded on a
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from ..obs.events import get_collector
 from ..obs.timeline import Timeline
@@ -37,11 +40,9 @@ from ..power.model import (
     static_power,
     transition_energy,
 )
+from ..machines.model import CoreType, MachineModel, homogeneous_machine
 from ..sim.config import MachineConfig, OperatingPoint
 from .task import Scheme, TaskProfile
-
-if TYPE_CHECKING:  # avoids a runtime import cycle via machines.replay
-    from ..machines.model import CoreType, MachineModel
 
 
 @dataclass
@@ -131,18 +132,39 @@ class ScheduleResult:
 class _CoreState:
     """One scheduling slot.
 
-    Homogeneous machines leave ``core_type`` as ``None`` — the slot is
-    simply the core.  On a heterogeneous machine the slot pairs one
-    core of each placed type (the in-kernel switcher arrangement):
-    ``core_type`` names the cluster the task currently occupies and
-    the inactive sibling is power-gated.
+    A slot pairs one core of each placed type (the in-kernel switcher
+    arrangement): ``core_type`` names the cluster the task currently
+    occupies (``None`` until its first phase) and the inactive sibling
+    is power-gated.  On a single-type placement the slot is simply
+    the core.
     """
 
     index: int = 0
     clock_ns: float = 0.0
     point: Optional[OperatingPoint] = None
     queue: deque = field(default_factory=deque)
-    core_type: Optional["CoreType"] = None
+    core_type: Optional[CoreType] = None
+
+
+class _OnTable(FrequencyPolicy):
+    """Projects a policy's points onto the target type's table.
+
+    Heterogeneous placements only: a policy may pick a point off the
+    table of the type a phase lands on (a big-core frequency for a
+    LITTLE phase), so each pick snaps with ``point_for(clamp=True)``.
+    Single-type runs use the policy's points as given.
+    """
+
+    def __init__(self, policy: FrequencyPolicy):
+        self.policy = policy
+
+    def access_point(self, profile, config):
+        point = self.policy.access_point(profile, config)
+        return config.point_for(point.freq_ghz, clamp=True)
+
+    def execute_point(self, profile, config):
+        point = self.policy.execute_point(profile, config)
+        return config.point_for(point.freq_ghz, clamp=True)
 
 
 class DAEScheduler:
@@ -156,14 +178,13 @@ class DAEScheduler:
     sleep_power_w: float = 0.15
 
     def __init__(self, config: Optional[MachineConfig] = None,
-                 machine: Optional["MachineModel"] = None,
+                 machine: Optional[MachineModel] = None,
                  placement: Optional[tuple] = None):
-        """``config`` alone reproduces the homogeneous scheduler.
+        """Schedule on ``machine``, a
+        :class:`~repro.machines.model.MachineModel`; a bare ``config``
+        is the single-type machine built from it (``None``: the
+        default :class:`MachineConfig`).
 
-        ``machine`` schedules on a registered
-        :class:`~repro.machines.model.MachineModel` instead; a
-        homogeneous machine runs the exact same code path as its
-        config, a heterogeneous one adds the placement/migration step.
         ``placement`` optionally overrides the machine's declared
         (access, execute) core-type names — the tuner's placement
         search uses it.  Passing both ``config`` and ``machine`` is a
@@ -175,21 +196,16 @@ class DAEScheduler:
             )
         if placement is not None and machine is None:
             raise ValueError("placement requires a machine")
+        if machine is None:
+            machine = homogeneous_machine(
+                "homogeneous", config or MachineConfig()
+            )
         self.machine = machine
         self._placement_override = (
             tuple(placement) if placement is not None else None
         )
-        #: (access CoreType, execute CoreType) of the run in flight;
-        #: ``None`` selects the homogeneous code path.
+        #: (access CoreType, execute CoreType) of the run in flight.
         self._run_placement = None
-        if machine is None:
-            self.config = config or MachineConfig()
-        else:
-            # The execute type anchors the homogeneous-equivalent
-            # config (coupled schemes pin to it anyway).
-            self.config = machine.placement(
-                "dae", self._placement_override
-            )[1].config
 
     def run(self, profiles: list[TaskProfile],
             scheme: Union[Scheme, str],
@@ -210,36 +226,36 @@ class DAEScheduler:
         steal victim.  This pins what ``min``/``max`` previously
         guaranteed only implicitly (first match in list order), so the
         schedule is deterministic by contract, not by accident.
+
+        The collapse rule applies once per run: placed types with
+        equal configs are indistinguishable, so both phases use the
+        execute type and the run is a plain DVFS schedule.  After
+        that, core types compare by identity.
         """
         scheme = Scheme.coerce(scheme, context="DAEScheduler.run").value
-        config = self.config
         collector = get_collector()
         if record_timeline is None:
             record_timeline = collector.enabled
-        placement = None
-        if self.machine is not None:
-            access_type, execute_type = self.machine.placement(
-                scheme, self._placement_override
-            )
-            if access_type.config != execute_type.config:
-                placement = (access_type, execute_type)
-        self._run_placement = placement
-        if placement is not None:
-            width = self.machine.slots(scheme, self._placement_override)
-        else:
-            width = config.cores
+        access_type, execute_type = self.machine.placement(
+            scheme, self._placement_override
+        )
+        if access_type.config == execute_type.config:
+            access_type = execute_type
+        self._run_placement = (access_type, execute_type)
+        width = self.machine.slots(scheme, self._placement_override)
         cores = [_CoreState(index=i) for i in range(width)]
         for i, profile in enumerate(profiles):
             cores[i % width].queue.append(profile)
 
         result = ScheduleResult(scheme=scheme, policy=policy.name)
-        if placement is not None:
+        if access_type is not execute_type:
             result.machine = self.machine.name
             result.placement = {
-                "access": placement[0].name,
-                "execute": placement[1].name,
+                "access": access_type.name,
+                "execute": execute_type.name,
             }
-        timeline = Timeline(scheme=scheme, policy=policy.name) if (
+            policy = _OnTable(policy)
+        timeline = Timeline(scheme=scheme, policy=result.policy) if (
             record_timeline
         ) else None
         result.timeline = timeline
@@ -269,12 +285,7 @@ class DAEScheduler:
                     )
                 result.steals += 1
             profile = core.queue.popleft()
-            if self._run_placement is not None:
-                self._run_task_hetero(core, profile, scheme, policy,
-                                      result, timeline)
-            else:
-                self._run_task(core, profile, scheme, policy, result,
-                               timeline)
+            self._run_task(core, profile, scheme, policy, result, timeline)
             result.tasks_run += 1
 
         result.time_ns = max(c.clock_ns for c in cores) if cores else 0.0
@@ -305,139 +316,16 @@ class DAEScheduler:
     def _run_task(self, core: _CoreState, profile: TaskProfile, scheme: str,
                   policy: FrequencyPolicy, result: ScheduleResult,
                   timeline: Optional[Timeline]) -> None:
-        config = self.config
-        buckets = result.buckets
-        task_name = profile.instance.name
-
-        # Dispatch overhead runs at the core's current point (or fmin).
-        overhead_point = core.point or config.fmin
-        overhead = static_energy(
-            self.task_overhead_ns, static_power(overhead_point, 1, config)
-        )
-        start = core.clock_ns
-        core.clock_ns += self.task_overhead_ns
-        if timeline is not None:
-            timeline.add(
-                core.index, "overhead", start, core.clock_ns,
-                task=task_name, freq_ghz=overhead_point.freq_ghz,
-                energy=overhead,
-            )
-        buckets.osi_ns += self.task_overhead_ns
-        buckets.osi_nj += overhead.energy_nj
-
-        run_access = scheme in ("dae", "manual") and profile.access is not None
-        access_time = 0.0
-        if run_access:
-            access_point = policy.access_point(profile.access, config)
-            # Break-even guard: downclocking for a phase shorter than the
-            # ramp itself can never pay off; stay where the core is (or,
-            # for a cold core, go straight to the execute point).
-            predicted = profile.access.time_ns(access_point, config)
-            if predicted < config.dvfs_transition_ns:
-                if core.point is not None:
-                    access_point = core.point
-                else:
-                    access_point = policy.execute_point(
-                        profile.execute, config
-                    )
-            # The ramp into a (DRAM-bound) access phase overlaps the
-            # phase's own memory time when the hardware keeps clocking
-            # during the transition.
-            time = profile.access.time_ns(access_point, config)
-            hide = profile.access.prefetch_mem_ns(config) + (
-                profile.access.demand_mem_ns(config)
-            )
-            self._maybe_switch(core, access_point, result, timeline,
-                               hide_ns=hide)
-            ipc = profile.access.ipc(access_point, config)
-            breakdown = phase_energy(time, access_point, ipc, config)
-            start = core.clock_ns
-            core.clock_ns += time
-            if timeline is not None:
-                timeline.add(
-                    core.index, "access", start, core.clock_ns,
-                    task=task_name, freq_ghz=access_point.freq_ghz,
-                    energy=breakdown,
-                )
-            access_time = time
-            buckets.prefetch_ns += time
-            buckets.prefetch_nj += breakdown.energy_nj
-
-        execute_point = policy.execute_point(profile.execute, config)
-        # The ramp back up hides behind the tail of the access phase
-        # (prefetches still in flight when the switch is requested).
-        self._maybe_switch(core, execute_point, result, timeline,
-                           hide_ns=access_time)
-        time = profile.execute.time_ns(execute_point, config)
-        ipc = profile.execute.ipc(execute_point, config)
-        breakdown = phase_energy(time, execute_point, ipc, config)
-        start = core.clock_ns
-        core.clock_ns += time
-        if timeline is not None:
-            timeline.add(
-                core.index, "execute", start, core.clock_ns,
-                task=task_name, freq_ghz=execute_point.freq_ghz,
-                energy=breakdown,
-            )
-        buckets.task_ns += time
-        buckets.task_nj += breakdown.energy_nj
-
-    def _maybe_switch(self, core: _CoreState, point: OperatingPoint,
-                      result: ScheduleResult, timeline: Optional[Timeline],
-                      hide_ns: float = 0.0,
-                      config: Optional[MachineConfig] = None) -> None:
-        if core.point is not None and core.point is point:
-            return
-        if core.point is not None and core.point.freq_ghz == point.freq_ghz:
-            core.point = point
-            return
-        config = config or self.config
-        if core.point is not None and config.dvfs_transition_ns > 0:
-            breakdown = transition_energy(config, point)
-            visible_ns = breakdown.time_ns
-            if config.dvfs_overlap:
-                visible_ns = max(0.0, visible_ns - hide_ns)
-            start = core.clock_ns
-            core.clock_ns += visible_ns
-            if timeline is not None:
-                # A fully-hidden switch (visible_ns == 0) still burns
-                # its ramp energy, so it is recorded as a zero-duration
-                # segment: the coverage invariant is unaffected and the
-                # energy roll-up stays exact.
-                timeline.add(
-                    core.index, "switch", start, core.clock_ns,
-                    freq_ghz=point.freq_ghz, energy=breakdown,
-                )
-            result.buckets.osi_ns += visible_ns
-            # Static transition energy is charged in full: the regulator
-            # ramps regardless of whether the core hid the latency.
-            result.buckets.osi_nj += breakdown.energy_nj
-            result.transition_nj += breakdown.energy_nj
-            result.transitions += 1
-        core.point = point
-
-    # -- heterogeneous placement -----------------------------------------------
-
-    def _run_task_hetero(self, core: _CoreState, profile: TaskProfile,
-                         scheme: str, policy: FrequencyPolicy,
-                         result: ScheduleResult,
-                         timeline: Optional[Timeline]) -> None:
-        """One task on a heterogeneous slot.
-
-        Mirrors :meth:`_run_task` with three differences: each phase
-        carries its core type's config (table, power coefficients,
-        timing knobs); a phase landing on the other cluster pays a
-        thread migration instead of a DVFS ramp; and operating points
-        a policy picked off-table are projected onto the target type's
-        table (``point_for(..., clamp=True)``).
-        """
-        machine = self.machine
+        """One task on one slot: dispatch overhead, then the access
+        phase on the access type and the execute phase on the execute
+        type, each under that type's config (table, power
+        coefficients, timing knobs)."""
         access_type, execute_type = self._run_placement
         buckets = result.buckets
         task_name = profile.instance.name
 
         # Dispatch overhead runs wherever the slot currently resides
-        # (the execute cluster when cold), at its current point.
+        # (the execute type when cold), at its current point (or fmin).
         resident = core.core_type or execute_type
         overhead_point = core.point or resident.config.fmin
         overhead = static_energy(
@@ -460,38 +348,33 @@ class DAEScheduler:
         if run_access:
             target = access_type
             config = target.config
-            access_point = config.point_for(
-                policy.access_point(profile.access, config).freq_ghz,
-                clamp=True,
-            )
+            access_point = policy.access_point(profile.access, config)
             predicted = profile.access.time_ns(access_point, config)
-            needs_migration = (
-                core.core_type is not None
-                and core.core_type.config != config
+            migrating = (
+                core.core_type is not None and core.core_type is not target
             )
-            if needs_migration and predicted < machine.transition.latency_ns:
+            if migrating and predicted < self.machine.transition.latency_ns:
                 # Break-even guard, migration flavour: moving clusters
                 # for a phase shorter than the migration itself can
                 # never pay off; run the access phase where the slot
                 # already resides.
                 target = core.core_type
                 config = target.config
-                access_point = config.point_for(
-                    policy.access_point(profile.access, config).freq_ghz,
-                    clamp=True,
-                )
-            elif not needs_migration and predicted < (
-                    config.dvfs_transition_ns):
-                # DVFS flavour, as in the homogeneous path.
+                access_point = policy.access_point(profile.access, config)
+            elif not migrating and predicted < config.dvfs_transition_ns:
+                # DVFS flavour: downclocking for a phase shorter than
+                # the ramp itself can never pay off; stay where the
+                # core is (or, for a cold core, go straight to the
+                # execute point).
                 if core.point is not None:
                     access_point = core.point
                 else:
-                    access_point = config.point_for(
-                        policy.execute_point(
-                            profile.execute, config
-                        ).freq_ghz,
-                        clamp=True,
+                    access_point = policy.execute_point(
+                        profile.execute, config
                     )
+            # The ramp into a (DRAM-bound) access phase overlaps the
+            # phase's own memory time when the hardware keeps clocking
+            # during the transition.
             time = profile.access.time_ns(access_point, config)
             hide = profile.access.prefetch_mem_ns(config) + (
                 profile.access.demand_mem_ns(config)
@@ -513,10 +396,9 @@ class DAEScheduler:
             buckets.prefetch_nj += breakdown.energy_nj
 
         config = execute_type.config
-        execute_point = config.point_for(
-            policy.execute_point(profile.execute, config).freq_ghz,
-            clamp=True,
-        )
+        execute_point = policy.execute_point(profile.execute, config)
+        # The ramp back up hides behind the tail of the access phase
+        # (prefetches still in flight when the switch is requested).
         self._place(core, execute_type, execute_point, result, timeline,
                     hide_ns=access_time)
         time = profile.execute.time_ns(execute_point, config)
@@ -533,30 +415,27 @@ class DAEScheduler:
         buckets.task_ns += time
         buckets.task_nj += breakdown.energy_nj
 
-    def _place(self, core: _CoreState, target: "CoreType",
+    def _place(self, core: _CoreState, target: CoreType,
                point: OperatingPoint, result: ScheduleResult,
                timeline: Optional[Timeline],
                hide_ns: float = 0.0) -> None:
         """Move the slot to ``target`` at ``point``.
 
-        Cold slots start free (like the homogeneous first switch).  A
-        behaviourally different target costs one thread migration —
-        charged as a ``switch`` segment whose latency is never hidden
-        (architectural state moves serially) and whose static-only
-        energy lands in ``transition_nj``; the destination comes up
-        already at the requested point, any ramp overlapping the
-        migration.  A behaviourally *identical* target is a no-op move
-        (nothing to gain from identical silicon) followed by the
-        ordinary DVFS switch under the target's config.
+        Cold slots start free.  Another type costs one thread
+        migration — charged as a ``switch`` segment whose latency is
+        never hidden (architectural state moves serially) and whose
+        static-only energy lands in ``transition_nj``; the destination
+        comes up already at the requested point, any ramp overlapping
+        the migration.  The same type is the ordinary DVFS switch
+        under its config.
         """
         if core.core_type is None:
             core.core_type = target
             core.point = point
             return
-        if core.core_type.config != target.config:
-            machine = self.machine
+        if core.core_type is not target:
             breakdown = migration_energy(
-                machine.transition.latency_ns, point, target.config
+                self.machine.transition.latency_ns, point, target.config
             )
             start = core.clock_ns
             core.clock_ns += breakdown.time_ns
@@ -572,6 +451,32 @@ class DAEScheduler:
             core.core_type = target
             core.point = point
             return
-        core.core_type = target
-        self._maybe_switch(core, point, result, timeline,
-                           hide_ns=hide_ns, config=target.config)
+        if core.point is point:
+            return
+        if core.point.freq_ghz == point.freq_ghz:
+            core.point = point
+            return
+        config = target.config
+        if config.dvfs_transition_ns > 0:
+            breakdown = transition_energy(config, point)
+            visible_ns = breakdown.time_ns
+            if config.dvfs_overlap:
+                visible_ns = max(0.0, visible_ns - hide_ns)
+            start = core.clock_ns
+            core.clock_ns += visible_ns
+            if timeline is not None:
+                # A fully-hidden switch (visible_ns == 0) still burns
+                # its ramp energy, so it is recorded as a zero-duration
+                # segment: the coverage invariant is unaffected and the
+                # energy roll-up stays exact.
+                timeline.add(
+                    core.index, "switch", start, core.clock_ns,
+                    freq_ghz=point.freq_ghz, energy=breakdown,
+                )
+            result.buckets.osi_ns += visible_ns
+            # Static transition energy is charged in full: the regulator
+            # ramps regardless of whether the core hid the latency.
+            result.buckets.osi_nj += breakdown.energy_nj
+            result.transition_nj += breakdown.energy_nj
+            result.transitions += 1
+        core.point = point

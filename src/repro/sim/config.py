@@ -244,6 +244,12 @@ class MachineConfig:
                 "dvfs_transition_ns must be >= 0, got %g"
                 % self.dvfs_transition_ns
             )
+        for name in ("mlp_demand", "mlp_prefetch", "mlp_hw_stream",
+                     "mlp_store"):
+            if getattr(self, name) <= 0:
+                raise MachineConfigError(
+                    "%s must be positive, got %g" % (name, getattr(self, name))
+                )
         for level in ("l1", "l2", "llc"):
             cache = getattr(self, level)
             if cache.latency_cycles <= 0:
@@ -255,6 +261,13 @@ class MachineConfig:
                 raise MachineConfigError(
                     "%s geometry must be positive (size_bytes=%d, ways=%d)"
                     % (level, cache.size_bytes, cache.ways)
+                )
+            if cache.sets < 1:
+                raise MachineConfigError(
+                    "%s needs at least one set; %d bytes cannot hold %d "
+                    "ways of %d-byte lines"
+                    % (level, cache.size_bytes, cache.ways,
+                       cache.line_bytes)
                 )
         return self
 

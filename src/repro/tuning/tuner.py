@@ -26,6 +26,12 @@ queueing, stealing and idle tails — so the phase-local optimum is not
 the schedule optimum (see ``DESIGN.md`` §10).  The tuner reports both,
 and the regression suite holds the tuned pair to *never lose* to the
 phase-local baseline.
+
+Every search runs on a :class:`~repro.machines.model.MachineModel`
+(a bare config is the single-type machine) over its placements × point
+pairs, one :class:`_CandidateEvaluator` per placement.  A single-type
+machine has one placement; a heterogeneous one also tries its
+all-big and all-LITTLE placements (see :func:`tune_workload`).
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from typing import List, Optional, Union
 
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
 from ..engine.cache import _config_material, cache_key, key_material
-from ..engine.products import phase_from_dict, phase_to_dict
+from ..engine.products import phase_from_dict, phase_to_dict, profile_workload
+from ..interp.trace import TraceStore
+from ..machines import MachineModel, homogeneous_machine, machine_stream
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
 from ..runtime.scheduler import DAEScheduler, ScheduleResult
@@ -319,7 +327,7 @@ def _result_payload(result: ScheduleResult) -> dict:
 def _candidate_worker(args: tuple) -> list:
     """Top-level (picklable) pool worker: schedule a chunk of candidate
     pairs over the slim task payload; return one payload per pair."""
-    tasks_doc, scheme_value, config, pair_keys = args
+    tasks_doc, scheme_value, machine, placement, pair_keys = args
     tasks = [
         TaskProfile(
             instance=TaskRef(name=doc["name"]),
@@ -329,7 +337,7 @@ def _candidate_worker(args: tuple) -> list:
         )
         for doc in tasks_doc
     ]
-    scheduler = DAEScheduler(config)
+    scheduler = DAEScheduler(machine=machine, placement=placement)
     out = []
     for access_f, access_v, execute_f, execute_v in pair_keys:
         policy = TunedPolicy(
@@ -344,30 +352,61 @@ def _candidate_worker(args: tuple) -> list:
 
 
 class _CandidateEvaluator:
-    """Schedules candidate pairs with memoization, persistent caching,
-    and optional process-pool fan-out."""
+    """Schedules candidate pairs on one placement of a machine, with
+    memoization, persistent caching, and optional process-pool
+    fan-out.
+
+    ``placement`` is an (access, execute) core-type name pair;
+    ``prefix`` starts every candidate label (heterogeneous machines
+    name the placement there, because the same point pair exists once
+    per placement).
+    """
 
     def __init__(self, tasks: List[TaskProfile], run_scheme: Scheme,
-                 config: MachineConfig, objective: Objective,
-                 workload_name: str, stats: TuningStats,
+                 machine: MachineModel, placement: tuple[str, str],
+                 objective: Objective, workload_name: str,
+                 stats: TuningStats,
                  cache: Optional[ProfileCache] = None,
                  material_base: Optional[dict] = None,
-                 jobs: int = 1):
+                 jobs: int = 1, prefix: str = ""):
         self.tasks = tasks
         self.run_scheme = run_scheme
-        self.config = config
+        self.machine = machine
+        self.placement = placement
+        access_type, execute_type = machine.placement(
+            run_scheme.value, placement
+        )
+        self.access_config = access_type.config
+        self.execute_config = execute_type.config
         self.objective = objective
         self.workload_name = workload_name
         self.stats = stats
         self.cache = cache if material_base is not None else None
         self.material_base = material_base
         self.jobs = jobs
+        self.prefix = prefix
         self.collector = get_collector()
         self._memo: dict = {}
         self._tasks_doc: Optional[list] = None
-        self._scheduler = DAEScheduler(config)
+        self._scheduler = DAEScheduler(machine=machine, placement=placement)
 
     # -- public API ------------------------------------------------------------
+
+    def grid(self) -> List[CandidatePair]:
+        """Every (access, execute) pair over the placed types' tables,
+        ascending by access then execute frequency."""
+        return [
+            CandidatePair(access, execute)
+            for access in sorted_points(self.access_config.operating_points)
+            for execute in sorted_points(
+                self.execute_config.operating_points)
+        ]
+
+    def run(self, policy) -> ScheduleResult:
+        """One schedule of the placement's tasks under ``policy``."""
+        return self._scheduler.run(
+            self.tasks, self.run_scheme, policy, record_timeline=False,
+        )
 
     def value(self, pair: CandidatePair) -> float:
         return self.evaluate(pair).value
@@ -436,11 +475,7 @@ class _CandidateEvaluator:
         return [self._compute_serial(pair) for pair in pairs]
 
     def _compute_serial(self, pair: CandidatePair) -> dict:
-        result = self._scheduler.run(
-            self.tasks, self.run_scheme, TunedPolicy.from_pair(pair),
-            record_timeline=False,
-        )
-        return _result_payload(result)
+        return _result_payload(self.run(TunedPolicy.from_pair(pair)))
 
     def _compute_pool(self, pairs: List[CandidatePair]) -> Optional[list]:
         """Fan ``pairs`` over a process pool in submission-order chunks;
@@ -455,7 +490,7 @@ class _CandidateEvaluator:
                 futures = [
                     executor.submit(_candidate_worker, (
                         self._tasks_payload(), self.run_scheme.value,
-                        self.config,
+                        self.machine, self.placement,
                         [pair.key[:1] + (pair.access.voltage,)
                          + pair.key[1:] + (pair.execute.voltage,)
                          for pair in chunk],
@@ -495,7 +530,7 @@ class _CandidateEvaluator:
         energy_j = payload["energy_nj"] * 1e-9
         value = self.objective.evaluate(time_s, energy_j)
         return TuningCandidate(
-            label=pair_label(pair),
+            label=self.prefix + pair_label(pair),
             pair=pair,
             time_ns=payload["time_ns"],
             energy_nj=payload["energy_nj"],
@@ -537,14 +572,11 @@ class _CandidateEvaluator:
         )
 
 
-def _candidate_material(profile_material: Optional[dict],
-                        workload_name: str, stream: Scheme,
-                        run_scheme: Scheme, config: MachineConfig,
-                        scale: int) -> Optional[dict]:
+def _candidate_material(profile_material: dict, workload_name: str,
+                        stream: Scheme, run_scheme: Scheme,
+                        config: MachineConfig, scale: int) -> dict:
     """Everything a candidate's schedule is a function of except the
-    point pair itself; ``None`` when the profiles are uncacheable."""
-    if profile_material is None:
-        return None
+    point pair itself."""
     return {
         "kind": "tuning-candidate",
         "format": CANDIDATE_FORMAT,
@@ -603,30 +635,29 @@ def tune_workload(workload: Union[Workload, str, type], *,
 
     ``machine`` names a registered
     :class:`~repro.machines.model.MachineModel` (or passes one
-    directly) and excludes ``config``.  A homogeneous machine tunes
-    exactly like its config.  A heterogeneous one switches to the
-    placement search: every (access type, execute type) assignment ×
-    the cross product of the two types' operating-point tables,
-    scheduled on the machine (migrations charged), exhaustively —
-    the continuous strategies assume one table and do not apply.
+    directly) and excludes ``config``; a bare ``config`` is the
+    single-type machine built from it.  The search runs over the
+    machine's placements × point pairs.  A single-type machine has one
+    placement and runs the selected strategies.  A heterogeneous one
+    is recorded once and replayed per placement (a phase's cache
+    profile depends on which cluster's privates it meets); each
+    placement — the declared one, then execute→execute, then
+    access→access — sweeps the cross product of its two types' tables
+    exhaustively, migrations charged.  The continuous strategies
+    assume one table and do not apply there; ``strategy`` is still
+    validated and recorded as requested.  The winner is the lowest
+    (value, placement rank, pair key).
     """
-    if machine is not None:
-        if config is not None:
-            raise ValueError(
-                "pass either config= or machine=, not both"
-            )
-        if isinstance(machine, str):
-            from ..machines import MachineModel
-            machine = MachineModel.from_name(machine)
-        if machine.heterogeneous:
-            return _tune_heterogeneous(
-                machine, workload, objective=objective, scheme=scheme,
-                scale=scale, options=options, interp=interp,
-                install=install, strategy=strategy,
-            )
-        config = machine.config
+    if machine is not None and config is not None:
+        raise ValueError("pass either config= or machine=, not both")
+    if isinstance(machine, str):
+        machine = MachineModel.from_name(machine)
     machine_name = machine.name if machine is not None else None
-    config = config or MachineConfig()
+    if machine is None:
+        machine = homogeneous_machine(
+            "homogeneous", config or MachineConfig()
+        )
+    config = machine.config
     objective = resolve_objective(objective)
     scheme = Scheme.coerce(scheme, context="tune_workload")
     if strategy != "all" and strategy not in STRATEGIES:
@@ -640,6 +671,8 @@ def tune_workload(workload: Union[Workload, str, type], *,
         selected = ("phase-local",)
     else:  # always include the baseline for the comparison column
         selected = ("phase-local", strategy)
+    heterogeneous = machine.heterogeneous
+    placements = _placements(machine)
 
     # Profile stream vs execution mode, as in evaluation.schedule().
     stream = Scheme.CAE if scheme is Scheme.CAE else scheme
@@ -650,40 +683,65 @@ def tune_workload(workload: Union[Workload, str, type], *,
     with collector.span("tuning.run", cat="tuning", args={
         "objective": objective.spec, "strategy": strategy,
         "scheme": scheme.value, "scale": scale, "jobs": jobs,
+        "machine": machine.name,
     }) as span:
         spec = ExperimentSpec(
             workloads=(workload,), schemes=(stream,), scale=scale,
-            config=config, options=options, jobs=jobs, cache=cache,
-            cache_dir=cache_dir, interp=interp,
+            config=config, options=options, jobs=jobs,
+            cache=cache and not heterogeneous, cache_dir=cache_dir,
+            interp=interp,
         )
         resolved = spec.resolve_workloads()[0]
         span.args["workload"] = resolved.name
-        engine_result = run_experiment(spec)
-        stats.engine = engine_result.stats.as_dict()
-        run = engine_result[resolved.name]
-        tasks = run.profiles[stream.value].tasks
+        material_base = None
+        if heterogeneous:
+            store = TraceStore()
+            run = profile_workload(
+                resolved, scale, options=options, schemes=(stream,),
+                interp=interp, trace_store=store, machine=machine,
+            )
+            streams = [run.profiles[stream.value].tasks] + [
+                machine_stream(
+                    store.schemes[stream.value], stream.value, machine,
+                    placed,
+                ).tasks
+                for placed in placements[1:]
+            ]
+        else:
+            engine_result = run_experiment(spec)
+            stats.engine = engine_result.stats.as_dict()
+            streams = [engine_result[resolved.name].profiles[
+                stream.value].tasks]
+            if cache:
+                material_base = _candidate_material(
+                    key_material(resolved, spec.scale, config,
+                                 spec.options, spec.schemes),
+                    resolved.name, stream, run_scheme, config, scale,
+                )
+        evaluators = [
+            _CandidateEvaluator(
+                tasks=tasks, run_scheme=run_scheme, machine=machine,
+                placement=placed, objective=objective,
+                workload_name=resolved.name, stats=stats,
+                cache=(ProfileCache(cache_dir)
+                       if material_base is not None else None),
+                material_base=material_base, jobs=jobs,
+                prefix="%s->%s " % placed if heterogeneous else "",
+            )
+            for placed, tasks in zip(placements, streams)
+        ]
+        declared = evaluators[0]
+        phase_local = _phase_local_candidate(declared, objective)
 
-        profile_material = key_material(
-            resolved, spec.scale, config, spec.options, spec.schemes
-        ) if cache else None
-        evaluator = _CandidateEvaluator(
-            tasks=tasks, run_scheme=run_scheme, config=config,
-            objective=objective, workload_name=resolved.name, stats=stats,
-            cache=ProfileCache(cache_dir) if cache else None,
-            material_base=_candidate_material(
-                profile_material, resolved.name, stream, run_scheme,
-                config, scale,
-            ),
-            jobs=jobs,
-        )
-
-        phase_local = _phase_local_candidate(
-            tasks, run_scheme, config, objective, stats
-        )
-        seed = _phase_local_seed(tasks, config, objective, stats)
-
+        if heterogeneous:
+            seed = None
+            searches = [(evaluator, "placement:%s->%s" % evaluator.placement)
+                        for evaluator in evaluators]
+        else:
+            seed = _phase_local_seed(declared.tasks, config, objective, stats)
+            searches = [(declared, name) for name in selected]
         summaries: List[StrategySummary] = []
-        for name in selected:
+        for evaluator, name in searches:
             with collector.span("tuning.search", cat="tuning",
                                 args={"strategy": name}) as search_span:
                 summary = _run_strategy(
@@ -692,10 +750,20 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 search_span.args.update(summary.as_dict())
             summaries.append(summary)
 
-        references = _reference_candidates(evaluator, config)
+        references = _reference_candidates(declared)
 
-        pair_candidates = evaluator.candidates()
-        best = _select_best(pair_candidates)
+        ranked = [
+            (rank, candidate) for rank, evaluator in enumerate(evaluators)
+            for candidate in evaluator.candidates()
+        ]
+        pair_candidates = [candidate for _, candidate in ranked]
+        rank, best = min(ranked, key=lambda item: (
+            item[1].value, item[0], item[1].pair.key,
+        ))
+        placement = None
+        if heterogeneous:
+            access, execute = placements[rank]
+            placement = {"access": access, "execute": execute}
         front = pareto_front(
             [ParetoPoint(c.time_s, c.energy_j, c.label)
              for c in pair_candidates]
@@ -723,174 +791,33 @@ def tune_workload(workload: Union[Workload, str, type], *,
         strategies=summaries, candidates=pair_candidates,
         references=references, front=front, policy=policy,
         installed=installed, stats=stats, machine=machine_name,
-    )
-
-
-# -- heterogeneous placement search --------------------------------------------
-
-
-def _tune_heterogeneous(machine, workload, *, objective, scheme, scale,
-                        options, interp, install,
-                        strategy) -> TuningResult:
-    """Placement × per-type point search on a heterogeneous machine.
-
-    The workload is recorded once (trace replay is mandatory on
-    heterogeneous machines) and re-simulated per candidate placement,
-    because a phase's cache profile depends on which cluster's privates
-    it replays through.  Every placement then sweeps the full cross
-    product of the placed types' operating-point tables at schedule
-    level — migrations, break-even guards and power-gated siblings
-    included.  The continuous strategies (golden, descent) assume one
-    table and are skipped; ``strategy`` is recorded as requested but
-    the search is always exhaustive.
-    """
-    from ..engine.products import profile_workload
-    from ..interp.trace import TraceStore
-    from ..machines.replay import machine_stream
-
-    objective = resolve_objective(objective)
-    scheme = Scheme.coerce(scheme, context="tune_workload")
-    stream = Scheme.CAE if scheme is Scheme.CAE else scheme
-    run_scheme = Scheme.CAE if scheme is Scheme.CAE else Scheme.DAE
-
-    collector = get_collector()
-    stats = TuningStats()
-    with collector.span("tuning.run", cat="tuning", args={
-        "objective": objective.spec, "strategy": "placement-exhaustive",
-        "scheme": scheme.value, "scale": scale, "machine": machine.name,
-    }) as span:
-        spec = ExperimentSpec(
-            workloads=(workload,), schemes=(stream,), scale=scale,
-            options=options, cache=False, interp=interp,
-        )
-        resolved = spec.resolve_workloads()[0]
-        span.args["workload"] = resolved.name
-        store = TraceStore()
-        profile_workload(
-            resolved, scale, options=options, schemes=(stream,),
-            interp=interp, trace_store=store, machine=machine,
-        )
-        records = store.schemes[stream.value]
-
-        declared = (machine.access_type, machine.execute_type)
-        placements = [declared]
-        for candidate in ((machine.execute_type, machine.execute_type),
-                          (machine.access_type, machine.access_type)):
-            if candidate not in placements:
-                placements.append(candidate)
-
-        candidates: List[TuningCandidate] = []
-        summaries: List[StrategySummary] = []
-        memo: dict = {}
-        best_key = None
-        for rank, placed in enumerate(placements):
-            tasks = machine_stream(
-                records, stream.value, machine, placed
-            ).tasks
-            access_cfg = machine.placement(run_scheme.value, placed)[0].config
-            execute_cfg = machine.placement(run_scheme.value, placed)[1].config
-            scheduler = DAEScheduler(machine=machine, placement=placed)
-            placement_label = "%s->%s" % placed
-            placement_best = None
-            for access in sorted_points(access_cfg.operating_points):
-                for execute in sorted_points(execute_cfg.operating_points):
-                    pair = CandidatePair(access=access, execute=execute)
-                    stats.requests += 1
-                    stats.schedule_evals += 1
-                    stats.serial_evals += 1
-                    result = scheduler.run(
-                        tasks, run_scheme, TunedPolicy.from_pair(pair),
-                        record_timeline=False,
-                    )
-                    value = objective.value(result)
-                    candidate = TuningCandidate(
-                        label="%s %s" % (placement_label, pair_label(pair)),
-                        pair=pair,
-                        time_ns=result.time_ns,
-                        energy_nj=result.energy_nj,
-                        value=value,
-                        feasible=value != float("inf"),
-                        transitions=result.transitions,
-                        steals=result.steals,
-                    )
-                    candidates.append(candidate)
-                    memo[(placed, pair.key)] = candidate
-                    key = (value, rank, pair.key)
-                    if placement_best is None or key < placement_best[0]:
-                        placement_best = (key, candidate)
-                    if best_key is None or key < best_key[0]:
-                        best_key = (key, candidate, placed)
-            summaries.append(StrategySummary(
-                name="placement:%s" % placement_label,
-                evaluations=(len(access_cfg.operating_points)
-                             * len(execute_cfg.operating_points)),
-                best_label=placement_best[1].label,
-                best_value=placement_best[1].value,
-                detail="exhaustive over the placed types' tables",
-            ))
-
-        # The paper's per-phase baseline and the pinned reference
-        # policies, all under the declared placement.
-        default_tasks = machine_stream(
-            records, stream.value, machine, declared
-        ).tasks
-        scheduler = DAEScheduler(machine=machine, placement=declared)
-        result = scheduler.run(
-            default_tasks, run_scheme, _PhaseLocalPolicy(objective, stats),
-            record_timeline=False,
-        )
-        stats.schedule_evals += 1
-        stats.serial_evals += 1
-        value = objective.value(result)
-        phase_local = TuningCandidate(
-            label="phase-local", pair=None,
-            time_ns=result.time_ns, energy_nj=result.energy_nj,
-            value=value, feasible=value != float("inf"),
-            transitions=result.transitions, steals=result.steals,
-        )
-        access_cfg = machine.placement(run_scheme.value, declared)[0].config
-        execute_cfg = machine.placement(run_scheme.value, declared)[1].config
-        references = {}
-        for label, access_of, execute_of in _REFERENCE_PAIRS:
-            pair = CandidatePair(access=access_of(access_cfg),
-                                 execute=execute_of(execute_cfg))
-            references[label] = memo[(declared, pair.key)]
-
-        best = best_key[1]
-        placement = {"access": best_key[2][0], "execute": best_key[2][1]}
-        front = pareto_front(
-            [ParetoPoint(c.time_s, c.energy_j, c.label) for c in candidates]
-            + [ParetoPoint(phase_local.time_s, phase_local.energy_j,
-                           phase_local.label)]
-        )
-        policy = TunedPolicy.from_pair(best.pair)
-        installed = False
-        if install and best.feasible:
-            install_tuned_policy(policy)
-            installed = True
-        span.args.update(stats.as_dict())
-
-    return TuningResult(
-        workload=resolved.name, scheme=scheme.value,
-        objective=objective.spec, strategy=strategy, scale=scale,
-        best=best, phase_local=phase_local, strategies=summaries,
-        candidates=candidates, references=references, front=front,
-        policy=policy, installed=installed, stats=stats,
-        machine=machine.name, placement=placement,
+        placement=placement,
     )
 
 
 # -- tuning internals ----------------------------------------------------------
 
 
-def _phase_local_candidate(tasks, run_scheme, config, objective,
-                           stats) -> TuningCandidate:
-    """Schedule the paper's baseline: per-task, per-phase grid argmin."""
-    scheduler = DAEScheduler(config)
-    result = scheduler.run(
-        tasks, run_scheme, _PhaseLocalPolicy(objective, stats),
-        record_timeline=False,
-    )
+def _placements(machine: MachineModel) -> List[tuple[str, str]]:
+    """The (access, execute) placements to search, declared first.
+
+    A heterogeneous machine adds execute→execute and access→access
+    (deduplicated); a single-type machine has only its own."""
+    declared = (machine.access_type, machine.execute_type)
+    placements = [declared]
+    if machine.heterogeneous:
+        for candidate in ((machine.execute_type, machine.execute_type),
+                          (machine.access_type, machine.access_type)):
+            if candidate not in placements:
+                placements.append(candidate)
+    return placements
+
+
+def _phase_local_candidate(evaluator: _CandidateEvaluator,
+                           objective: Objective) -> TuningCandidate:
+    """Schedule the paper's baseline on the evaluator's placement:
+    per-task, per-phase grid argmin."""
+    result = evaluator.run(_PhaseLocalPolicy(objective, evaluator.stats))
     value = objective.value(result)
     return TuningCandidate(
         label="phase-local", pair=None,
@@ -922,7 +849,8 @@ def _phase_local_seed(tasks, config, objective, stats) -> CandidatePair:
 
 
 def _run_strategy(name: str, evaluator: _CandidateEvaluator,
-                  seed: CandidatePair, phase_local: TuningCandidate,
+                  seed: Optional[CandidatePair],
+                  phase_local: TuningCandidate,
                   config: MachineConfig,
                   objective: Objective) -> StrategySummary:
     if name == "phase-local":
@@ -934,13 +862,19 @@ def _run_strategy(name: str, evaluator: _CandidateEvaluator,
             detail="per-phase grid (Section 6.1 baseline)",
         )
     if name == "exhaustive":
-        evaluator.prefetch([
-            CandidatePair(access, execute)
-            for access in sorted_points(config.operating_points)
-            for execute in sorted_points(config.operating_points)
-        ])
+        evaluator.prefetch(evaluator.grid())
         outcome = grid_search_pair(evaluator.value, config.operating_points)
         return _summary_from_outcome(name, outcome)
+    if name.startswith("placement:"):
+        pairs = evaluator.grid()
+        evaluator.prefetch(pairs)
+        best = min(evaluator.candidates(),
+                   key=lambda c: (c.value, c.pair.key))
+        return StrategySummary(
+            name=name, evaluations=len(pairs), best_label=best.label,
+            best_value=best.value,
+            detail="exhaustive over the placed types' tables",
+        )
     if name == "golden":
         return _run_golden(evaluator, config, objective)
     if name == "descent":
@@ -998,19 +932,12 @@ def _summary_from_outcome(name: str,
     )
 
 
-def _reference_candidates(evaluator: _CandidateEvaluator,
-                          config: MachineConfig) -> dict:
-    """The named baseline policies as labelled pair candidates."""
+def _reference_candidates(evaluator: _CandidateEvaluator) -> dict:
+    """The named baseline policies as labelled pair candidates on the
+    evaluator's placement."""
     references = {}
     for label, access_of, execute_of in _REFERENCE_PAIRS:
-        pair = CandidatePair(access=access_of(config),
-                             execute=execute_of(config))
+        pair = CandidatePair(access=access_of(evaluator.access_config),
+                             execute=execute_of(evaluator.execute_config))
         references[label] = evaluator.evaluate(pair)
     return references
-
-
-def _select_best(candidates: List[TuningCandidate]) -> TuningCandidate:
-    """Deterministic winner: lowest value, then lowest (access,
-    execute) frequency pair."""
-    assert candidates, "no candidates evaluated"
-    return min(candidates, key=lambda c: (c.value, c.pair.key))

@@ -11,6 +11,7 @@ from repro.evaluation import (
     render_ablation_report,
 )
 from repro.sim import MachineConfig
+from repro.sim.config import MachineConfigError
 
 from ..engine.tinywork import TinyWorkload
 
@@ -61,12 +62,44 @@ class TestAblateWorkload:
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             ablate_workload(TinyWorkload(), "branch_predictor", [1])
 
+    @pytest.mark.parametrize("param,value", [
+        ("llc_kb", 0), ("l1_kb", 0.1), ("mlp_demand", 0), ("l1_lat", 0),
+    ])
+    def test_invalid_variant_rejected_before_recording(self, param, value,
+                                                       monkeypatch):
+        import repro.evaluation.ablation as ablation
+
+        def no_recording(*args, **kwargs):
+            raise AssertionError("recorded before validating")
+
+        monkeypatch.setattr(ablation, "MachineSweep", no_recording)
+        with pytest.raises(MachineConfigError,
+                           match="%s=%g" % (param, value)):
+            ablate_workload(TinyWorkload(), param, [48, value])
+
     def test_cache_capacity_builder_scales_bytes(self):
         _, build = SWEEP_PARAMS["llc_kb"]
         variant = build(MachineConfig(), 8)
         assert variant.llc.size_bytes == 8 * 1024
         assert variant.llc.sets == 8       # derived geometry recomputed
         assert variant.l1 == MachineConfig().l1
+
+
+class TestAblateCli:
+    @pytest.mark.parametrize("param,value", [
+        ("llc_kb", "0"), ("l1_kb", "0.1"), ("mlp_demand", "0"),
+        ("l1_lat", "0"),
+    ])
+    def test_invalid_variant_exits_2_naming_it(self, param, value,
+                                               capsys):
+        from repro.evaluation.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ablate", "cg", "--vary", param, "--values", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "%s=%s" % (param, value) in err
+        assert "Traceback" not in err
 
 
 class TestRenderAblationReport:

@@ -27,7 +27,8 @@ from repro.engine.products import (
 from repro.engine.spec import ExperimentSpec
 from repro.interp import PhaseTrace, SimMemory, TraceStore
 from repro.ir import F64, I64, VOID, Constant, Function, IRBuilder, pointer_to
-from repro.runtime.profiler import TaskStreamProfiler, replay_stream
+from repro.machines import homogeneous_machine, machine_stream
+from repro.runtime.profiler import TaskStreamProfiler
 from repro.runtime.task import Scheme, TaskInstance, TaskKind
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.workloads import ALL_WORKLOADS
@@ -304,10 +305,14 @@ def test_out_of_range_address_records_as_non_replayable():
     assert not store.fully_replayable()
 
 
-# -- replay_stream (the ablation path) -----------------------------------------
+# -- machine_stream on a single-type machine (the ablation path) --------------
 
 
-def test_replay_stream_reproduces_the_recorded_profiles():
+def _single_type(config):
+    return homogeneous_machine("variant", config)
+
+
+def test_single_type_machine_stream_reproduces_the_recorded_profiles():
     """Replaying a recorded scheme under the *same* config rebuilds the
     identical profile stream, task names included."""
     config = MachineConfig()
@@ -317,7 +322,9 @@ def test_replay_stream_reproduces_the_recorded_profiles():
     )
     assert store.fully_replayable()
     for scheme, stream in run.profiles.items():
-        rebuilt = replay_stream(store.schemes[scheme], scheme, config)
+        rebuilt = machine_stream(
+            store.schemes[scheme], scheme, _single_type(config)
+        )
         assert len(rebuilt.tasks) == len(stream.tasks)
         for original, copy in zip(stream.tasks, rebuilt.tasks):
             assert original.instance.name == copy.instance.name
@@ -332,7 +339,7 @@ def test_replay_stream_reproduces_the_recorded_profiles():
                 )
 
 
-def test_replay_stream_matches_full_reprofile_under_variant_config():
+def test_single_type_machine_stream_matches_full_reprofile_under_variant():
     """The ablation guarantee: replaying recorded traces through a
     *different* cache geometry equals re-profiling from scratch under
     that geometry."""
@@ -345,19 +352,23 @@ def test_replay_stream_matches_full_reprofile_under_variant_config():
     )
     fresh = profile_workload(workload_cls(), 1, variant, interp="fast")
     for scheme, stream in fresh.profiles.items():
-        rebuilt = replay_stream(store.schemes[scheme], scheme, variant)
+        rebuilt = machine_stream(
+            store.schemes[scheme], scheme, _single_type(variant)
+        )
         assert [phase_to_dict(t.execute) for t in rebuilt.tasks] == [
             phase_to_dict(t.execute) for t in stream.tasks
         ], scheme
 
 
-def test_replay_stream_refuses_non_replayable_traces():
+def test_single_type_machine_stream_refuses_non_replayable_traces():
     from repro.runtime.profiler import ProfileError
 
     store = TraceStore()
     _profile_matrix(_alloca_kind, "replay", store)
     with pytest.raises(ProfileError):
-        replay_stream(store.schemes["cae"], "cae", MachineConfig())
+        machine_stream(
+            store.schemes["cae"], "cae", _single_type(MachineConfig())
+        )
 
 
 # -- engine integration --------------------------------------------------------

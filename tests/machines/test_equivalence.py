@@ -14,6 +14,7 @@ from repro.interp.trace import TraceStore
 from repro.machines import (
     CoreType,
     MachineModel,
+    homogeneous_machine,
     ideal_machine,
     migrate,
     sandybridge_machine,
@@ -21,7 +22,6 @@ from repro.machines import (
 from repro.machines.replay import machine_stream
 from repro.power.frequency import FrequencyPolicy
 from repro.runtime import DAEScheduler, TaskProfile
-from repro.runtime.profiler import replay_stream
 from repro.runtime.task import TaskInstance, TaskKind
 from repro.sim import AccessCounts, MachineConfig, PhaseProfile
 
@@ -137,7 +137,7 @@ class TestProfilingEquivalence:
                 == json.dumps(run_to_payload(machined["tiny"]),
                               sort_keys=True))
 
-    def test_degenerate_machine_stream_matches_replay_stream(self):
+    def test_degenerate_machine_stream_matches_single_type_stream(self):
         config = MachineConfig()
         store = TraceStore()
         profile_workload(
@@ -150,11 +150,12 @@ class TestProfilingEquivalence:
             via_machine = machine_stream(
                 store.schemes[scheme], scheme, degenerate,
             )
-            via_replay = replay_stream(
-                store.schemes[scheme], scheme, config,
+            single = machine_stream(
+                store.schemes[scheme], scheme,
+                homogeneous_machine("plain", config),
             )
-            assert len(via_machine.tasks) == len(via_replay.tasks)
-            for left, right in zip(via_machine.tasks, via_replay.tasks):
+            assert len(via_machine.tasks) == len(single.tasks)
+            for left, right in zip(via_machine.tasks, single.tasks):
                 assert phase_to_dict(left.execute) == phase_to_dict(
                     right.execute)
                 if left.access is None:

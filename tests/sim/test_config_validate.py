@@ -94,3 +94,17 @@ class TestValidate:
         bad = CacheConfig(0, 8, latency_cycles=12)
         with pytest.raises(MachineConfigError, match="geometry"):
             MachineConfig(l2=bad).validate()
+
+    def test_cache_needs_at_least_one_set(self):
+        # 102 bytes cannot hold one set of 4 ways x 64-byte lines.
+        bad = CacheConfig(102, 4, latency_cycles=4)
+        assert bad.sets == 0
+        with pytest.raises(MachineConfigError, match="at least one set"):
+            MachineConfig(l1=bad).validate()
+
+    @pytest.mark.parametrize("name", ["mlp_demand", "mlp_prefetch",
+                                      "mlp_hw_stream", "mlp_store"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_mlp_must_be_positive(self, name, value):
+        with pytest.raises(MachineConfigError, match=name):
+            MachineConfig(**{name: value}).validate()

@@ -39,9 +39,19 @@ class TestTuneWorkload:
         points = len(MachineConfig().operating_points)
         assert len(result.candidates) == points ** 2
 
-    def test_unknown_strategy_rejected(self, tmp_path):
+    def test_unknown_strategy_rejected(self, tmp_path, monkeypatch):
         with pytest.raises(ValueError, match="unknown strategy"):
             _tune(tmp_path, strategy="simulated-annealing")
+        # Heterogeneous machines validate too, before any profiling.
+        import repro.tuning.tuner as tuner
+
+        def no_profiling(*args, **kwargs):
+            raise AssertionError("profiled before validating")
+
+        monkeypatch.setattr(tuner, "profile_workload", no_profiling)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            _tune(tmp_path, machine="biglittle", strategy="bogus",
+                  cache=False, install=False)
 
     def test_front_is_consistent_with_candidates(self, tmp_path):
         result = _tune(tmp_path)
