@@ -40,20 +40,20 @@ from repro.sim.config import MachineConfig
 from repro.workloads import ALL_WORKLOADS, workload_by_name
 
 
-def _bench_leg(workload, interp: str, scale: int,
+def _bench_leg(workload, replay: bool, scale: int,
                config: MachineConfig) -> dict:
-    """Profile the full scheme matrix with one engine; time only the
+    """Profile the full scheme matrix with the fast core; time only the
     profiling (compile and instantiate are untimed).  The ``replay``
     leg gets its own :class:`TraceStore`; the ``fast`` leg gets none,
     so it re-interprets every scheme."""
     compiled = workload.compile(None)
-    store = TraceStore() if interp == "replay" else None
+    store = TraceStore() if replay else None
     elapsed = 0.0
     profiles = {}
     task_count = 0
     for scheme in ALL_SCHEMES:
         memory, tasks, _ = workload.instantiate(scale=scale, compiled=compiled)
-        profiler = TaskStreamProfiler(memory, config, interp=interp)
+        profiler = TaskStreamProfiler(memory, config)
         started = time.perf_counter()
         stream = profiler.profile(tasks, scheme, trace_store=store)
         elapsed += time.perf_counter() - started
@@ -85,9 +85,9 @@ def run_bench(names, scale: int, repeats: int) -> dict:
         fast = None
         replay = None
         for _ in range(max(1, repeats)):
-            fast_rep = _bench_leg(workload_by_name(name), "fast", scale,
+            fast_rep = _bench_leg(workload_by_name(name), False, scale,
                                   config)
-            replay_rep = _bench_leg(workload_by_name(name), "replay", scale,
+            replay_rep = _bench_leg(workload_by_name(name), True, scale,
                                     config)
             assert fast_rep["payload"] == replay_rep["payload"], (
                 "replayed profiles for %r are not byte-identical" % name

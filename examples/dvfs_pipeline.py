@@ -12,6 +12,8 @@ Run:  python examples/dvfs_pipeline.py  [--workload libq] [--scale 1]
 import argparse
 
 from repro.evaluation import run_workload, schedule
+from repro.power import FrequencyPolicy
+from repro.runtime import Scheme
 from repro.sim import MachineConfig
 from repro.workloads import workload_by_name
 
@@ -32,7 +34,9 @@ def main() -> None:
     for name, result in run.compiled.results.items():
         print("  %-16s -> %s access version" % (name, result.method))
 
-    baseline = schedule(run, "cae", "fmax", config)
+    baseline = schedule(
+        run, Scheme.CAE, FrequencyPolicy.from_name("fmax", config), config,
+    )
     print("\nbaseline (CAE @ %.1f GHz): %.1f us, %.1f uJ"
           % (config.fmax.freq_ghz, baseline.time_ns / 1e3,
              baseline.energy_nj / 1e3))
@@ -41,13 +45,15 @@ def main() -> None:
         "configuration", "time", "energy", "EDP", "transitions",
     ))
     for label, scheme, policy in (
-        ("CAE (Optimal f.)", "cae", "optimal"),
-        ("Compiler DAE (Min/Max f.)", "dae", "minmax"),
-        ("Compiler DAE (Optimal f.)", "dae", "optimal"),
-        ("Manual DAE (Min/Max f.)", "manual", "minmax"),
-        ("Manual DAE (Optimal f.)", "manual", "optimal"),
+        ("CAE (Optimal f.)", Scheme.CAE, "optimal"),
+        ("Compiler DAE (Min/Max f.)", Scheme.DAE, "minmax"),
+        ("Compiler DAE (Optimal f.)", Scheme.DAE, "optimal"),
+        ("Manual DAE (Min/Max f.)", Scheme.MANUAL, "minmax"),
+        ("Manual DAE (Optimal f.)", Scheme.MANUAL, "optimal"),
     ):
-        result = schedule(run, scheme, policy, config)
+        result = schedule(
+            run, scheme, FrequencyPolicy.from_name(policy, config), config,
+        )
         print("%-28s %8.3f %8.3f %8.3f %12d" % (
             label,
             result.time_ns / baseline.time_ns,

@@ -127,8 +127,7 @@ def key_material(workload: Workload, scale: int, config: MachineConfig,
         "workload": workload.name,
         "source": workload.source(),
         "scale": int(scale),
-        "schemes": sorted(str(Scheme.coerce(s, context="cache").value)
-                          for s in schemes),
+        "schemes": sorted(str(Scheme(s).value) for s in schemes),
         "config": _config_material(config),
         "options": options_doc,
     }

@@ -114,17 +114,18 @@ def profile_workload(workload: Workload, scale: int = 1,
     downstream would be invalid, so it raises :class:`EngineError`
     instead of silently keeping the last count.
 
-    ``interp`` picks the interpreter implementation (``"replay"`` /
-    ``"fast"`` / ``"reference"``; ``None`` defers to ``$REPRO_INTERP``,
-    then ``"replay"``).  All produce byte-identical profiles — the
+    ``interp`` picks the interpreter (``"replay"``, the default, or
+    ``"reference"``).  Both produce byte-identical profiles — the
     choice is deliberately *not* part of the engine's cache key.  Under
-    ``"replay"`` the first scheme records each phase's event trace and
-    the remaining schemes replay the (scheme-invariant) execute streams
-    through the cache model instead of re-interpreting them; access
-    phases, which differ per scheme, always interpret.
+    ``"replay"`` a multi-scheme matrix records each phase's event trace
+    in the first scheme, and the remaining schemes replay the
+    (scheme-invariant) execute streams through the cache model instead
+    of re-interpreting them; access phases, which differ per scheme,
+    always interpret.  A single-scheme matrix builds no store, so every
+    phase is interpreted.
 
     ``trace_store`` keeps the recorded traces for the caller (the
-    ablation sweeps and the profiling benchmark read them); passing one
+    machine sweeps and the profiling benchmark read them); passing one
     forces recording even for a single-scheme matrix.
 
     ``machine`` is the :class:`~repro.machines.model.MachineModel` to
@@ -154,7 +155,7 @@ def profile_workload(workload: Workload, scale: int = 1,
     profiles: dict[str, StreamProfile] = {}
     task_count: Optional[int] = None
     for scheme in schemes:
-        scheme = Scheme.coerce(scheme, context="profile_workload")
+        scheme = Scheme(scheme)
         memory, tasks, _ = workload.instantiate(scale=scale, compiled=compiled)
         profiler = TaskStreamProfiler(
             memory, machine.config, interp=resolved_interp,

@@ -54,8 +54,8 @@ class ExperimentSpec:
     #: Per-job wall-clock budget when running in the pool; a job that
     #: exceeds it is retried once, then computed serially.
     timeout_s: float = 900.0
-    #: Interpreter implementation: ``"fast"`` (pre-decoded, default) or
-    #: ``"reference"``; ``None`` defers to ``$REPRO_INTERP``.  Both are
+    #: Interpreter: ``"replay"`` (the fast core with cross-scheme trace
+    #: reuse; ``None`` means this default) or ``"reference"``.  Both are
     #: bit-identical, so this knob is *excluded* from the cache key —
     #: cached profiles are valid under either.
     interp: Optional[str] = None
@@ -76,9 +76,9 @@ class ExperimentSpec:
             raise ValueError("timeout_s must be positive")
         if self.interp is not None:
             object.__setattr__(self, "interp", resolve_interp(self.interp))
-        object.__setattr__(self, "schemes", tuple(
-            Scheme.coerce(s, context="ExperimentSpec") for s in self.schemes
-        ))
+        object.__setattr__(
+            self, "schemes", tuple(Scheme(s) for s in self.schemes)
+        )
         if self.machine is not None:
             object.__setattr__(
                 self, "machine", str(self.machine).lower()

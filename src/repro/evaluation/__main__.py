@@ -25,8 +25,8 @@ regression diff of two manifests (time/energy/EDP per workload ×
 configuration, ``--threshold`` percent) and exits nonzero on
 regression, which is how CI gates against a committed baseline.
 
-All experiment subcommands share one flag set (a common argparse parent
-parser):
+The experiment subcommands share one flag set (argparse parent
+parsers):
 
 * ``--scale N``     — workload size multiplier (default 1);
 * ``--jobs N``      — profile workloads in N worker processes;
@@ -34,8 +34,13 @@ parser):
 * ``--cache-dir D`` — cache root (default ``~/.cache/repro-dae`` or
   ``$REPRO_CACHE_DIR``);
 * ``--trace PATH`` / ``--events PATH`` — dump the run's structured-event
-  log as a Chrome trace / JSONL.
+  log as a Chrome trace / JSONL;
+* ``--interp {replay,reference}`` — the profiling interpreter (default
+  ``replay``; both produce byte-identical profiles).
 
+``tune`` takes the same set; ``runs record`` all but ``--trace`` /
+``--events``; ``trace`` all but ``--interp``; ``ablate`` and
+``machines`` only ``--scale``.
 ``trace`` additionally takes ``--out PREFIX`` for its artifact files;
 ``tune`` adds ``--out PREFIX``, ``--objective`` and ``--strategy``.
 """
@@ -44,8 +49,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import os
 
 from .. import obs
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
@@ -78,12 +81,14 @@ _FULL_RUN_EXPERIMENTS = {"table1", "figure3", "headline", "all"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("shared options")
-    group.add_argument(
+    # Parent parsers; argparse merges their same-titled groups.
+    scale_flag = argparse.ArgumentParser(add_help=False)
+    scale_flag.add_argument_group("shared options").add_argument(
         "--scale", type=int, default=1,
         help="workload size multiplier (default 1)",
     )
+    engine_flags = argparse.ArgumentParser(add_help=False)
+    group = engine_flags.add_argument_group("shared options")
     group.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="profile workloads in N worker processes (default 1 = serial)",
@@ -97,6 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile cache root (default ~/.cache/repro-dae "
              "or $REPRO_CACHE_DIR)",
     )
+    log_flags = argparse.ArgumentParser(add_help=False)
+    group = log_flags.add_argument_group("shared options")
     group.add_argument(
         "--trace", metavar="PATH", default=None,
         help="also write the run's event log as Chrome trace JSON",
@@ -105,11 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--events", metavar="PATH", default=None,
         help="also write the run's event log as JSONL",
     )
-    group.add_argument(
+    interp_flag = argparse.ArgumentParser(add_help=False)
+    interp_flag.add_argument_group("shared options").add_argument(
         "--interp", choices=INTERP_CHOICES, default=None,
-        help="interpreter implementation (default: $REPRO_INTERP or "
-             "'replay'; all produce byte-identical profiles)",
+        help="profiling interpreter (default 'replay'; both produce "
+             "byte-identical profiles)",
     )
+    experiment_flags = [scale_flag, engine_flags, log_flags, interp_flag]
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.evaluation",
@@ -119,11 +128,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("table1", "figure1", "figure2", "figure3", "figure4",
                  "headline", "all"):
         sub.add_parser(
-            name, parents=[common],
+            name, parents=experiment_flags,
             help="regenerate %s" % name,
         )
     trace = sub.add_parser(
-        "trace", parents=[common],
+        "trace", parents=[scale_flag, engine_flags, log_flags],
         help="fully-observed single-workload run",
     )
     trace.add_argument(
@@ -135,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="artifact path prefix (default: the app name)",
     )
     tune = sub.add_parser(
-        "tune", parents=[common],
+        "tune", parents=experiment_flags,
         help="auto-tune a workload's operating points",
     )
     tune.add_argument(
@@ -162,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(e.g. biglittle) searches placements × per-type points",
     )
     ablate = sub.add_parser(
-        "ablate", parents=[common],
+        "ablate", parents=[scale_flag],
         help="machine-config sweep re-simulated from recorded traces",
     )
     ablate.add_argument(
@@ -183,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the report as JSON to PATH",
     )
     machines = sub.add_parser(
-        "machines", parents=[common],
+        "machines", parents=[scale_flag],
         help="compare machine models from one recorded trace per workload",
     )
     machines.add_argument(
@@ -353,22 +362,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--save-failures", metavar="DIR", default=None,
         help="save every violating program as a corpus file under DIR",
     )
-    fuzz_run_p.add_argument(
-        "--interp", choices=INTERP_CHOICES, default=None,
-        help="interpreter the oracles' profiling runs use "
-             "(default: $REPRO_INTERP or 'replay')",
-    )
     fuzz_replay_p = fuzz_sub.add_parser(
         "replay", help="replay the regression corpus through all oracles",
     )
     fuzz_replay_p.add_argument(
         "--corpus", metavar="DIR", default=None,
         help="corpus directory (default tests/fuzz/corpus)",
-    )
-    fuzz_replay_p.add_argument(
-        "--interp", choices=INTERP_CHOICES, default=None,
-        help="interpreter the oracles' profiling runs use "
-             "(default: $REPRO_INTERP or 'replay')",
     )
     fuzz_reduce_p = fuzz_sub.add_parser(
         "reduce", help="delta-debug a failing program to a minimal "
@@ -402,7 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runs_sub = runs.add_subparsers(dest="verb", required=True)
     runs_record = runs_sub.add_parser(
-        "record", parents=[common, ledger_flags],
+        "record", parents=[scale_flag, engine_flags, interp_flag,
+                           ledger_flags],
         help="profile workloads and append a run manifest to the ledger",
     )
     runs_record.add_argument(
@@ -442,11 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if getattr(args, "interp", None):
-        # trace/tune build their profilers internally; the env knob is
-        # how the choice reaches every TaskStreamProfiler they create.
-        os.environ["REPRO_INTERP"] = args.interp
 
     if args.experiment == "cache":
         return _run_cache(args)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Union
 
-from ..deprecation import warn_once
 from ..engine import ExperimentSpec, WorkloadRun, run_experiment
 from ..engine.cache import _config_material, cache_key
 from ..engine.spec import EngineResult
@@ -43,9 +42,6 @@ from ..runtime.task import Scheme
 from ..sim.config import MachineConfig
 from ..transform.access_phase import AccessPhaseOptions
 from ..workloads import Workload
-
-#: Legacy string triple; prefer :class:`repro.runtime.task.Scheme`.
-SCHEMES = tuple(s.value for s in Scheme)
 
 #: The five configurations of Figure 3, in legend order:
 #: (label, profile stream, run scheme, policy name).
@@ -99,45 +95,20 @@ def run_all(scale: int = 1, config: Optional[MachineConfig] = None,
     return result
 
 
-def _policy(name: str, config: MachineConfig) -> FrequencyPolicy:
-    """Deprecated: use :meth:`FrequencyPolicy.from_name`."""
-    warn_once(
-        "evaluation._policy",
-        "_policy() is deprecated; use FrequencyPolicy.from_name()",
-    )
-    return FrequencyPolicy.from_name(name, config)
-
-
-def _resolve_policy(policy: Union[FrequencyPolicy, str],
-                    config: MachineConfig) -> FrequencyPolicy:
-    if isinstance(policy, FrequencyPolicy):
-        return policy
-    warn_once(
-        "schedule-policy-str",
-        "passing policy as a string is deprecated; use "
-        "FrequencyPolicy.from_name() or a policy instance",
-    )
-    return FrequencyPolicy.from_name(policy, config)
-
-
 def schedule(run: WorkloadRun, scheme: Union[Scheme, str],
-             policy: Union[FrequencyPolicy, str],
+             policy: FrequencyPolicy,
              config: MachineConfig) -> ScheduleResult:
     """Schedule one profiled run under ``scheme`` with ``policy``.
 
     ``scheme`` selects both the profile stream and the execution mode
     (CAE runs coupled; DAE/MANUAL replay their access streams under the
-    DAE runtime).  Strings remain accepted for both parameters as
-    deprecation shims.
+    DAE runtime).
     """
-    scheme = Scheme.coerce(scheme, context="evaluation.schedule")
+    scheme = Scheme(scheme)
     stream = Scheme.CAE if scheme is Scheme.CAE else scheme
     run_scheme = Scheme.CAE if scheme is Scheme.CAE else Scheme.DAE
     scheduler = DAEScheduler(config)
-    return scheduler.run(
-        run.profiles[stream.value].tasks, run_scheme,
-        _resolve_policy(policy, config),
-    )
+    return scheduler.run(run.profiles[stream.value].tasks, run_scheme, policy)
 
 
 def relative_metrics(result: ScheduleResult,

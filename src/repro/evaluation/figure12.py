@@ -14,10 +14,8 @@ the blocks, while per-class hulls cover exactly the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 from ..analysis.memory_access import AccessAnalysis
-from ..deprecation import warn_once
 from ..frontend import compile_source
 from ..polyhedral.chernikova import convex_union
 from ..polyhedral.polyhedron import Polyhedron, union_enumerate
@@ -72,12 +70,7 @@ task lu_two_blocks(A: f64*, N: i64, block: i64,
 @dataclass(frozen=True)
 class KernelSpec:
     """A demo kernel, fully specified: source text, entry task, and the
-    parameter instantiation to analyze it under.
-
-    The typed replacement for the old ``(source, task_name, params)``
-    argument triples of :func:`analyze_kernel` /
-    :func:`single_hull_cells`.
-    """
+    parameter instantiation to analyze it under."""
 
     source: str
     task: str
@@ -148,24 +141,8 @@ def _range_cells(polys: list[Polyhedron], strides, params: dict) -> int:
     return len(covered)
 
 
-def _coerce_spec(spec: Union[KernelSpec, str], task_name: Optional[str],
-                 params: Optional[dict], context: str) -> KernelSpec:
-    if isinstance(spec, KernelSpec):
-        return spec
-    warn_once(
-        "kernelspec-str:%s" % context,
-        "%s: passing (source, task_name, params) is deprecated; "
-        "pass a KernelSpec" % context,
-    )
-    return KernelSpec(source=spec, task=task_name, params=params or {})
-
-
-def analyze_kernel(spec: Union[KernelSpec, str],
-                   task_name: Optional[str] = None,
-                   params: Optional[dict] = None) -> AnalysisDemo:
-    """All three analyses on one kernel (:class:`KernelSpec`; the old
-    ``(source, task_name, params)`` form remains as a shim)."""
-    spec = _coerce_spec(spec, task_name, params, "analyze_kernel")
+def analyze_kernel(spec: KernelSpec) -> AnalysisDemo:
+    """All three analyses on one kernel."""
     source, task_name, params = spec.source, spec.task, spec.params
     by_class, strides_by_class = _access_polyhedra(source, task_name)
     exact = 0
@@ -183,15 +160,12 @@ def analyze_kernel(spec: Union[KernelSpec, str],
     )
 
 
-def single_hull_cells(spec: Union[KernelSpec, str],
-                      task_name: Optional[str] = None,
-                      params: Optional[dict] = None) -> int:
+def single_hull_cells(spec: KernelSpec) -> int:
     """Figure 2's strawman: one hull over ALL accesses (classes merged).
 
     The classes depend on disjoint translation parameters, so the
     combined hull is only bounded once the parameters are instantiated.
     """
-    spec = _coerce_spec(spec, task_name, params, "single_hull_cells")
     by_class, _ = _access_polyhedra(spec.source, spec.task)
     all_polys = [
         p.with_param_values(spec.params)

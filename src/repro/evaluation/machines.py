@@ -52,7 +52,7 @@ class MachineSweep:
         self.store = TraceStore()
         self.run = profile_workload(
             workload, scale, config, schemes=ALL_SCHEMES,
-            interp="replay", trace_store=self.store,
+            trace_store=self.store,
         )
         self.replayed = self.store.fully_replayable()
 

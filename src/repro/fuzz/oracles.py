@@ -22,9 +22,9 @@ them on *every* generated program:
     the record/replay engine's load-bearing assumption — the execute
     phase emits the identical memory-event stream whether or not the
     access phase ran first — and its end-to-end consequence: profiling
-    with ``interp="replay"`` (execute phases replayed from the donor
-    scheme's recorded trace) serializes byte-identical to direct
-    interpretation.
+    the scheme matrix (execute phases replayed from the donor scheme's
+    recorded trace) serializes byte-identical to direct interpretation
+    (one single-scheme profile per scheme, which records nothing).
 ``schedule-invariants``
     profiling + scheduling under CAE and DAE with real frequency
     policies yields a timeline whose segments tile [0, time] exactly
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..engine.products import profile_workload, run_to_payload
@@ -174,11 +174,12 @@ def _diff_cells(left: dict, right: dict) -> str:
     return ""
 
 
-def _fresh_run(case: FuzzCase, *, interp: str, run_access: bool):
-    """One hermetic run: fresh memory, fresh arguments, chosen phases.
+def _fresh_run(case: FuzzCase, *, reference: bool = False):
+    """One hermetic execute-phase run on fresh memory and arguments,
+    under the fast core or (``reference``) the reference interpreter.
 
     Returns ``(memory, events, trace)`` where ``events`` is the flat
-    ``(kind, address, size)`` stream across all phases run.
+    ``(kind, address, size)`` stream.
     """
     memory = SimMemory()
     args = [materialize_param(memory, spec)
@@ -188,18 +189,16 @@ def _fresh_run(case: FuzzCase, *, interp: str, run_access: bool):
     def sink(kind, address, size):
         events.append((kind, address, size))
 
-    if interp == "fast":
-        machine = FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS,
-                                  sink=sink)
-    else:
+    if reference:
         machine = Interpreter(
             memory, max_steps=FUZZ_MAX_STEPS,
             observer=lambda event: events.append(
                 (event.kind, event.address, event.size)
             ),
         )
-    if run_access and case.access is not None:
-        machine.run(case.access, args)
+    else:
+        machine = FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS,
+                                  sink=sink)
     trace = machine.run(case.execute, args)
     return memory, events, trace
 
@@ -209,12 +208,8 @@ def _fresh_run(case: FuzzCase, *, interp: str, run_access: bool):
 
 def _check_interp_equivalence(case: FuzzCase) -> list:
     seed = case.program.seed
-    ref_memory, ref_events, ref_trace = _fresh_run(
-        case, interp="reference", run_access=False
-    )
-    fast_memory, fast_events, fast_trace = _fresh_run(
-        case, interp="fast", run_access=False
-    )
+    ref_memory, ref_events, ref_trace = _fresh_run(case, reference=True)
+    fast_memory, fast_events, fast_trace = _fresh_run(case)
     problems = []
     if ref_events != fast_events:
         length = min(len(ref_events), len(fast_events))
@@ -259,7 +254,7 @@ def _check_dae_semantics(case: FuzzCase) -> list:
         return []
     seed = case.program.seed
     problems = []
-    plain_memory, _, _ = _fresh_run(case, interp="fast", run_access=False)
+    plain_memory, _, _ = _fresh_run(case)
 
     memory = SimMemory()
     args = [materialize_param(memory, spec) for spec in case.program.params]
@@ -305,14 +300,12 @@ def _check_trace_invariance(case: FuzzCase,
                             config: MachineConfig) -> list:
     """The replay engine's invariant, checked both microscopically
     (execute-phase event streams match with and without a preceding
-    access phase) and end-to-end (``interp="replay"`` payloads are
-    byte-identical to ``interp="fast"``)."""
+    access phase) and end-to-end (the replayed matrix's payload is
+    byte-identical to direct interpretation)."""
     seed = case.program.seed
     problems = []
     if case.access is not None:
-        _, cold_events, _ = _fresh_run(
-            case, interp="fast", run_access=False
-        )
+        _, cold_events, _ = _fresh_run(case)
         memory = SimMemory()
         args = [materialize_param(memory, spec)
                 for spec in case.program.params]
@@ -343,13 +336,17 @@ def _check_trace_invariance(case: FuzzCase,
                    warm_events[where] if where < len(warm_events) else None)
             )
     workload = FuzzWorkload(case.program)
-    fast = json.dumps(run_to_payload(profile_workload(
-        workload, config=config, schemes=ORACLE_SCHEMES, interp="fast",
-    )), sort_keys=True)
+    # A single-scheme matrix records nothing: every phase interprets.
+    runs = [profile_workload(workload, config=config, schemes=(scheme,))
+            for scheme in ORACLE_SCHEMES]
+    direct = json.dumps(run_to_payload(replace(runs[0], profiles={
+        scheme: stream for run in runs
+        for scheme, stream in run.profiles.items()
+    })), sort_keys=True)
     replayed = json.dumps(run_to_payload(profile_workload(
-        workload, config=config, schemes=ORACLE_SCHEMES, interp="replay",
+        workload, config=config, schemes=ORACLE_SCHEMES,
     )), sort_keys=True)
-    if fast != replayed:
+    if direct != replayed:
         problems.append(
             "replayed profile payload differs from direct interpretation"
         )

@@ -342,7 +342,6 @@ def _decode(func: Function) -> DecodedFunction:
                     OP_CONDBR, slot_of(inst.cond),
                     edge_to(block, inst.if_true),
                     edge_to(block, inst.if_false),
-                    inst,  # kept for branch observers (hot-path profiling)
                 ))
                 terminated = True
                 break

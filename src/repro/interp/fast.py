@@ -1,7 +1,7 @@
 """Fast IR interpreter: array-indexed dispatch over pre-decoded records.
 
-Drop-in replacement for :class:`~repro.interp.interpreter.Interpreter`
-that executes the :mod:`~repro.interp.decode` form instead of the IR
+Replacement for :class:`~repro.interp.interpreter.Interpreter` that
+executes the :mod:`~repro.interp.decode` form instead of the IR
 object graph.  Behaviour is bit-identical — same traces, same memory
 side effects, same event stream in the same order, same error messages
 — which ``tests/interp/test_fast_equivalence.py`` pins on every bundled
@@ -17,7 +17,7 @@ workload; only the constant factor changes:
   size)`` with three scalars — no :class:`MemoryEvent` is allocated —
   and loads/stores touch :class:`SimMemory`'s cell dict directly.
 
-The reference interpreter stays available (``--interp=reference``, or
+The reference interpreter stays available (``--interp reference``, or
 ``TaskStreamProfiler(..., interp="reference")``) as the executable
 specification the fast core is tested against.
 
@@ -29,35 +29,33 @@ same error; successful runs are unaffected.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from ..ir import Function, GlobalVariable
 from .decode import decode_function
-from .interpreter import UNDEF, ExecutionTrace, InterpError, MemoryEvent
+from .interpreter import UNDEF, ExecutionTrace, InterpError
 from .memory import MemoryError_, SimMemory
 
 #: Marker distinguishing "returned void" from "returned None".
 _NO_RET = object()
 
-#: Accepted interpreter implementation names.  ``"replay"`` is the
-#: fast interpreter plus cross-scheme trace reuse: when a profiling
-#: matrix spans several schemes, each execute phase is interpreted once
-#: and *replayed* through the cache model for the other schemes (see
-#: :mod:`repro.interp.trace`); outside a multi-scheme matrix it behaves
-#: exactly like ``"fast"``.
-INTERP_CHOICES = ("replay", "fast", "reference")
+#: Accepted interpreter choices.  ``"replay"`` is this fast core plus
+#: cross-scheme trace reuse: when a profiling matrix spans several
+#: schemes, each execute phase is interpreted once and *replayed*
+#: through the cache model for the other schemes (see
+#: :mod:`repro.interp.trace`); a single-scheme matrix interprets every
+#: phase.  ``"reference"`` is the executable specification.
+INTERP_CHOICES = ("replay", "reference")
 
 
 def resolve_interp(choice: Optional[str] = None) -> str:
-    """Normalize an interpreter choice.
+    """Validate an interpreter choice; ``None`` means ``"replay"``.
 
-    ``None`` falls back to ``$REPRO_INTERP``, then to ``"replay"``
-    (byte-identical to ``"fast"`` and to the reference — the profiler
-    falls back to full interpretation wherever the replay invariant
-    does not hold — so the fastest mode is the default everywhere).
+    Both choices produce byte-identical profiles — the profiler falls
+    back to full interpretation wherever the replay invariant does not
+    hold — so the fastest one is the default everywhere.
     """
-    choice = choice or os.environ.get("REPRO_INTERP") or "replay"
+    choice = choice or "replay"
     if choice not in INTERP_CHOICES:
         raise ValueError(
             "unknown interpreter %r; expected one of %s"
@@ -69,27 +67,17 @@ def resolve_interp(choice: Optional[str] = None) -> str:
 class FastInterpreter:
     """Executes pre-decoded IR functions.
 
-    Constructor-compatible with the reference
-    :class:`~repro.interp.interpreter.Interpreter`; the additional
-    ``sink`` parameter is the streaming observer — called as
+    ``sink`` is the streaming memory observer — called as
     ``sink(kind, address, size)`` for every dynamic memory operation
-    without allocating an event object.  When only the legacy
-    ``observer`` is given, events are wrapped in :class:`MemoryEvent`
-    for it, preserving the old API.
+    without allocating an event object.
     """
 
     def __init__(self, memory: SimMemory,
-                 observer: Optional[Callable[[MemoryEvent], None]] = None,
                  max_steps: int = 200_000_000,
-                 branch_observer: Optional[Callable] = None,
                  sink: Optional[Callable[[str, int, int], None]] = None):
         self.memory = memory
         self.max_steps = max_steps
-        self.branch_observer = branch_observer
         self.globals: dict[str, int] = {}
-        if sink is None and observer is not None:
-            def sink(kind, address, size, _observer=observer):
-                _observer(MemoryEvent(kind, address, size))
         self.sink = sink
 
     def bind_global(self, gv: GlobalVariable, address: int) -> None:
@@ -124,7 +112,6 @@ class FastInterpreter:
         region_of = memory.region_of
         alloc = memory.alloc
         sink = self.sink
-        branch_observer = self.branch_observer
         max_steps = self.max_steps
         by_opcode = trace.by_opcode
 
@@ -206,14 +193,12 @@ class FastInterpreter:
                             regs[dest] = value
                     block = blocks[target]
                     break
-                elif code == 5:  # OP_CONDBR: (cond, t_edge, f_edge, inst)
+                elif code == 5:  # OP_CONDBR: (cond, t_edge, f_edge)
                     cond = regs[op[1]]
                     if cond is UNDEF:
                         raise InterpError(
                             "branch on undef in %s" % decoded.name
                         )
-                    if branch_observer is not None:
-                        branch_observer(op[4], bool(cond))
                     edge = op[2] if cond else op[3]
                     target = edge[0]
                     if target < 0:

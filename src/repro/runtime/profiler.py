@@ -74,20 +74,20 @@ class TaskStreamProfiler:
                  interp: Optional[str] = None):
         self.memory = memory
         self.config = config or MachineConfig()
-        #: Which interpreter runs the phases: ``"replay"`` (the fast
-        #: core, plus cross-scheme trace reuse when the caller supplies
-        #: a :class:`TraceStore`), ``"fast"`` (pre-decoded, streaming
-        #: events straight into the cache model) or ``"reference"``
-        #: (the executable specification).  All produce byte-identical
-        #: profiles; ``None`` defers to ``$REPRO_INTERP``.
+        #: Which interpreter runs the phases: ``"replay"`` (the default:
+        #: the pre-decoded fast core streaming events straight into the
+        #: cache model, plus cross-scheme trace reuse when the caller
+        #: supplies a :class:`TraceStore`) or ``"reference"`` (the
+        #: executable specification).  Both produce byte-identical
+        #: profiles.
         self.interp = resolve_interp(interp)
 
     def profile(self, tasks: list[TaskInstance],
                 scheme: Union[Scheme, str],
                 strict: bool = False,
                 trace_store: Optional[TraceStore] = None) -> StreamProfile:
-        """Profile ``tasks`` under ``scheme`` (a :class:`Scheme`; plain
-        strings remain accepted as a deprecation shim).
+        """Profile ``tasks`` under ``scheme`` (a :class:`Scheme` or its
+        value).
 
         Under DAE/MANUAL a task whose access version is missing
         silently profiles as coupled (the runtime's fallback) and emits
@@ -104,12 +104,12 @@ class TaskStreamProfiler:
         disables reuse from that task onward, falling back to full
         interpretation — and replayed phases apply the recorded memory
         delta so later interpreted phases see the exact memory an
-        interpreted run would have produced.  The store needs the fast
-        interpreter's streaming sink; it is ignored under
+        interpreted run would have produced.  Without a store every
+        phase is interpreted.  The store is ignored under
         ``interp="reference"``.
         """
         try:
-            scheme = Scheme.coerce(scheme, context="TaskStreamProfiler.profile")
+            scheme = Scheme(scheme)
         except ValueError as exc:
             raise ProfileError(str(exc)) from None
         scheme = scheme.value  # plain str below: persisted in StreamProfile
@@ -117,14 +117,15 @@ class TaskStreamProfiler:
         caches = MachineCaches(self.config)
         result = StreamProfile(scheme=scheme)
         warned: set[str] = set()
-        store = trace_store if self.interp != "reference" else None
+        store = trace_store if self.interp == "replay" else None
+        record = store is not None
         records: Optional[list[TaskTrace]] = None
         donor: Optional[list[TaskTrace]] = None
         #: Cleared on the first access-phase store: from that task on,
         #: memory evolution may diverge from the scheme-invariant
         #: baseline, so execute phases interpret instead of replaying.
         replay_ok = True
-        if store is not None:
+        if record:
             records, donor = store.begin_scheme(scheme)
         for index, instance in enumerate(tasks):
             core = caches.cores[index % self.config.cores]
@@ -151,54 +152,42 @@ class TaskStreamProfiler:
                             "profiler.missing_access", cat="warning.profiler",
                             args={"task": instance.name, "scheme": scheme},
                         )
-                elif store is not None:
-                    access_profile, access_trace = self._record_phase(
-                        access_fn, instance.args, core,
-                        phase="access", task=instance.name,
-                        shareable=replay_ok,
-                    )
-                    store.note_recorded(access_trace)
-                    if access_trace.stores:
-                        replay_ok = False
                 else:
-                    access_profile = self._run_phase(
+                    access_profile, access_trace = self._run_phase(
                         access_fn, instance.args, core,
                         phase="access", task=instance.name,
+                        record=record, shareable=replay_ok,
                     )
-            if store is not None:
-                # Cross-scheme reuse only under interp="replay"; a
-                # store supplied under "fast" is record-only (every
-                # phase still interprets).
-                donor_trace = (
-                    donor[index].execute
-                    if (self.interp == "replay" and replay_ok
-                        and donor is not None and index < len(donor))
-                    else None
+                    if record:
+                        store.note_recorded(access_trace)
+                        if access_trace.stores:
+                            replay_ok = False
+            donor_trace = (
+                donor[index].execute
+                if replay_ok and donor is not None and index < len(donor)
+                else None
+            )
+            if (donor_trace is not None and donor_trace.valid
+                    and donor_trace.shareable):
+                execute_profile = self._replay_phase(
+                    donor_trace, core,
+                    phase="execute", task=instance.name,
                 )
-                if (donor_trace is not None and donor_trace.valid
-                        and donor_trace.shareable):
-                    execute_profile = self._replay_phase(
-                        donor_trace, core,
-                        phase="execute", task=instance.name,
-                    )
-                    store.note_replayed(donor_trace)
-                    execute_trace = donor_trace
-                else:
-                    execute_profile, execute_trace = self._record_phase(
-                        instance.kind.execute, instance.args, core,
-                        phase="execute", task=instance.name,
-                        shareable=replay_ok,
-                    )
+                store.note_replayed(donor_trace)
+                execute_trace = donor_trace
+            else:
+                execute_profile, execute_trace = self._run_phase(
+                    instance.kind.execute, instance.args, core,
+                    phase="execute", task=instance.name,
+                    record=record, shareable=replay_ok,
+                )
+                if record:
                     store.note_recorded(execute_trace)
+            if record:
                 records.append(TaskTrace(
                     name=instance.name,
                     access=access_trace, execute=execute_trace,
                 ))
-            else:
-                execute_profile = self._run_phase(
-                    instance.kind.execute, instance.args, core,
-                    phase="execute", task=instance.name,
-                )
             result.tasks.append(
                 TaskProfile(
                     instance=instance,
@@ -217,22 +206,57 @@ class TaskStreamProfiler:
         return result
 
     def _run_phase(self, func, args, core, phase: str = "",
-                   task: str = "") -> PhaseProfile:
+                   task: str = "", record: bool = False,
+                   shareable: bool = True):
+        """Interpret one phase through ``core``'s cache hierarchy.
+
+        Returns ``(PhaseProfile, PhaseTrace or None)``.  Each memory
+        operation flows as three scalars through a sink straight into
+        the cache model — no event list.  The fast core calls the sink
+        directly; the reference core wraps it around its
+        :class:`~repro.interp.interpreter.MemoryEvent` observer.
+
+        With ``record`` the sink also appends three ints per event to a
+        flat list that packs into one ``array('q')`` after the run, and
+        the phase comes back as a :class:`PhaseTrace`.  The
+        store-address list doubles as the purity guard (``stores``) and
+        the source of the post-phase memory ``delta``.
+        """
         counts = AccessCounts()
         collector = get_collector()
-        if self.interp != "reference":
-            # Streaming pipeline: each memory operation flows as three
-            # scalars straight into the cache hierarchy — no MemoryEvent
-            # object, no event list.
-            core_access = core.access
+        core_access = core.access
+        if record:
+            flat: list = []
+            flat_append = flat.append
+            store_addrs: list = []
+            store_append = store_addrs.append
 
             def sink(kind, address, size):
                 core_access(address, kind, counts)
+                if kind == "load":
+                    flat_append(0)
+                elif kind == "store":
+                    flat_append(1)
+                    store_append(address)
+                else:
+                    flat_append(2)
+                flat_append(address)
+                flat_append(size)
+        else:
+            def sink(kind, address, size):
+                core_access(address, kind, counts)
 
+        if self.interp == "reference":
+            trace = Interpreter(
+                self.memory,
+                observer=lambda event: sink(
+                    event.kind, event.address, event.size
+                ),
+            ).run(func, args)
+        else:
             decode_before = decode_stats() if collector.enabled else None
             mru_before = core.mru_hits
-            interp = FastInterpreter(self.memory, sink=sink)
-            trace = interp.run(func, args)
+            trace = FastInterpreter(self.memory, sink=sink).run(func, args)
             if collector.enabled:
                 decode_after = decode_stats()
                 collector.counter(
@@ -250,12 +274,6 @@ class TaskStreamProfiler:
                     cat="runtime.interp",
                     args={"task": task, "phase": phase},
                 )
-        else:
-            def observe(event):
-                core.access(event.address, event.kind, counts)
-
-            interp = Interpreter(self.memory, observer=observe)
-            trace = interp.run(func, args)
         if collector.enabled:
             # Post-hoc snapshots: the interpreter and caches run
             # uninstrumented, then their counters are recorded once per
@@ -269,68 +287,9 @@ class TaskStreamProfiler:
                     "cache": counts.snapshot(),
                 },
             )
-        return PhaseProfile.from_run(trace, counts)
-
-    def _record_phase(self, func, args, core, phase: str = "",
-                      task: str = "", shareable: bool = True):
-        """Interpret one phase (fast core), recording its event stream.
-
-        Returns ``(PhaseProfile, PhaseTrace)``.  The recording sink is
-        the streaming cache sink plus three list appends per event; the
-        flat list packs into one ``array('q')`` after the run.  The
-        store-address list doubles as the purity guard (``stores``) and
-        the source of the post-phase memory ``delta``.
-        """
-        counts = AccessCounts()
-        collector = get_collector()
-        core_access = core.access
-        flat: list = []
-        flat_append = flat.append
-        store_addrs: list = []
-        store_append = store_addrs.append
-
-        def sink(kind, address, size):
-            core_access(address, kind, counts)
-            if kind == "load":
-                flat_append(0)
-            elif kind == "store":
-                flat_append(1)
-                store_append(address)
-            else:
-                flat_append(2)
-            flat_append(address)
-            flat_append(size)
-
-        decode_before = decode_stats() if collector.enabled else None
-        mru_before = core.mru_hits
-        interp = FastInterpreter(self.memory, sink=sink)
-        trace = interp.run(func, args)
-        if collector.enabled:
-            decode_after = decode_stats()
-            collector.counter(
-                "interp.decode.cache_hit",
-                decode_after["hits"] - decode_before["hits"],
-                cat="runtime.interp",
-                args={
-                    "task": task, "phase": phase,
-                    "misses": decode_after["misses"] - decode_before["misses"],
-                },
-            )
-            collector.counter(
-                "sim.l1.mru_shortcircuit",
-                core.mru_hits - mru_before,
-                cat="runtime.interp",
-                args={"task": task, "phase": phase},
-            )
-            collector.counter(
-                "phase.instructions", trace.instructions,
-                cat="runtime.phase",
-                args={
-                    "task": task, "phase": phase,
-                    "trace": trace.snapshot(),
-                    "cache": counts.snapshot(),
-                },
-            )
+        profile = PhaseProfile.from_run(trace, counts)
+        if not record:
+            return profile, None
         cells = self.memory._cells
         # Final value of every stored cell; the ``in cells`` filter
         # skips stores of undef, which emit an event but never write.
@@ -339,7 +298,7 @@ class TaskStreamProfiler:
         # and desynchronize every later address, so the phase records
         # as non-replayable (it still interprets correctly everywhere).
         data = None if trace.by_opcode.get("alloca") else pack_events(flat)
-        phase_trace = PhaseTrace(
+        return profile, PhaseTrace(
             data=data,
             instructions=trace.instructions,
             slots=issue_slots(trace),
@@ -350,7 +309,6 @@ class TaskStreamProfiler:
             delta=delta,
             shareable=shareable,
         )
-        return PhaseProfile.from_run(trace, counts), phase_trace
 
     def _replay_phase(self, phase_trace: PhaseTrace, core,
                       phase: str = "", task: str = "") -> PhaseProfile:

@@ -211,8 +211,8 @@ class DAEScheduler:
             scheme: Union[Scheme, str],
             policy: FrequencyPolicy,
             record_timeline: Optional[bool] = None) -> ScheduleResult:
-        """Schedule ``profiles`` under ``scheme`` (:class:`Scheme`;
-        plain strings remain accepted as a deprecation shim).
+        """Schedule ``profiles`` under ``scheme`` (a :class:`Scheme`
+        or its value).
 
         For DAE, tasks without an access profile fall back to coupled
         execution (the compiler generated no access version).
@@ -232,7 +232,7 @@ class DAEScheduler:
         execute type and the run is a plain DVFS schedule.  After
         that, core types compare by identity.
         """
-        scheme = Scheme.coerce(scheme, context="DAEScheduler.run").value
+        scheme = Scheme(scheme).value
         collector = get_collector()
         if record_timeline is None:
             record_timeline = collector.enabled

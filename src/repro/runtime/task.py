@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..deprecation import warn_once
 from ..ir import Function
 from ..sim.timing import PhaseProfile
 
@@ -40,30 +39,17 @@ class Scheme(str, enum.Enum):
     MANUAL = "manual"
 
     @classmethod
-    def coerce(cls, value: Union["Scheme", str],
-               context: str = "Scheme") -> "Scheme":
-        """Return ``value`` as a :class:`Scheme`.
-
-        Strings remain accepted as a deprecation shim (warning once per
-        calling context); anything unknown raises :class:`ValueError`.
-        """
-        if isinstance(value, Scheme):
-            return value
+    def _missing_(cls, value):
+        """``Scheme(value)`` also accepts values in any case; anything
+        else raises :class:`ValueError` listing the valid values."""
         if isinstance(value, str):
-            try:
-                scheme = cls(value.lower())
-            except ValueError:
-                raise ValueError(
-                    "unknown scheme %r; expected one of %s"
-                    % (value, ", ".join(repr(s.value) for s in cls))
-                ) from None
-            warn_once(
-                "scheme-str:%s" % context,
-                "%s: passing scheme as a string is deprecated; "
-                "use repro.runtime.task.Scheme.%s" % (context, scheme.name),
-            )
-            return scheme
-        raise ValueError("unknown scheme %r" % (value,))
+            for member in cls:
+                if member.value == value.lower():
+                    return member
+        raise ValueError(
+            "unknown scheme %r; expected one of %s"
+            % (value, ", ".join(repr(s.value) for s in cls))
+        )
 
 
 @dataclass

@@ -9,7 +9,8 @@ harness, the evaluation experiments, the figure sweeps, the CLI — can
 consume tuning output with zero changes:
 
     tune_workload(CGWorkload())                   # installs "tuned"
-    schedule(run, Scheme.DAE, "tuned", config)    # ...consumes it
+    schedule(run, Scheme.DAE,                     # ...consumes it
+             FrequencyPolicy.from_name("tuned", config), config)
 
 Until something installs a result, ``from_name("tuned")`` raises (the
 placeholder registered by :mod:`repro.power.frequency`).

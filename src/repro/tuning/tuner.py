@@ -629,9 +629,9 @@ def tune_workload(workload: Union[Workload, str, type], *,
     cached per point pair, and fanned through a process pool.  The
     winning pair is installed as the ``"tuned"`` frequency policy
     unless ``install=False`` (or no candidate is feasible).  ``interp``
-    picks the profiling interpreter (``None``: ``$REPRO_INTERP``, then
-    ``"replay"``); it cannot change any profile, only the wall-clock
-    cost of the prefetch-stream profiling runs.
+    picks the profiling interpreter (``"replay"``, the default, or
+    ``"reference"``); it cannot change any profile, only the wall-clock
+    cost of the profiling runs.
 
     ``machine`` names a registered
     :class:`~repro.machines.model.MachineModel` (or passes one
@@ -659,7 +659,7 @@ def tune_workload(workload: Union[Workload, str, type], *,
         )
     config = machine.config
     objective = resolve_objective(objective)
-    scheme = Scheme.coerce(scheme, context="tune_workload")
+    scheme = Scheme(scheme)
     if strategy != "all" and strategy not in STRATEGIES:
         raise ValueError(
             "unknown strategy %r; expected 'all' or one of %s"

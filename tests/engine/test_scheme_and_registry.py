@@ -1,10 +1,9 @@
-"""The typed Scheme enum, the policy registry, and their string shims."""
+"""The typed Scheme enum and the frequency-policy registry."""
 
 import warnings
 
 import pytest
 
-from repro import deprecation
 from repro.power.frequency import (
     FixedPolicy,
     FrequencyPolicy,
@@ -13,13 +12,6 @@ from repro.power.frequency import (
 )
 from repro.runtime.task import Scheme
 from repro.sim.config import MachineConfig
-
-
-@pytest.fixture(autouse=True)
-def fresh_warnings():
-    deprecation.reset()
-    yield
-    deprecation.reset()
 
 
 class TestScheme:
@@ -32,22 +24,19 @@ class TestScheme:
     def test_coerce_passthrough_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert Scheme.coerce(Scheme.DAE) is Scheme.DAE
+            assert Scheme(Scheme.DAE) is Scheme.DAE
 
-    def test_coerce_string_warns_once_per_context(self):
-        with pytest.deprecated_call():
-            assert Scheme.coerce("dae", context="ctx-a") is Scheme.DAE
+    def test_values_in_any_case_coerce_silently(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call: no warning
-            assert Scheme.coerce("CAE", context="ctx-a") is Scheme.CAE
-        with pytest.deprecated_call():  # new context warns again
-            Scheme.coerce("dae", context="ctx-b")
+            warnings.simplefilter("error")
+            assert Scheme("dae") is Scheme.DAE
+            assert Scheme("CAE") is Scheme.CAE
+            assert Scheme("Manual") is Scheme.MANUAL
 
     def test_coerce_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                Scheme.coerce("warp")
+        for bad in ("warp", 3, None):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                Scheme(bad)
 
 
 class TestPolicyRegistry:
@@ -92,21 +81,3 @@ class TestPolicyRegistry:
         finally:
             from repro.power import frequency
             frequency._POLICY_REGISTRY.pop("nullp", None)
-
-
-class TestEvaluationShims:
-    def test_schedule_accepts_strings_with_deprecation(self):
-        from repro.evaluation.experiments import run_workload, schedule
-        from repro.workloads import workload_by_name
-
-        run = run_workload(workload_by_name("cigar"))
-        config = MachineConfig()
-        with pytest.deprecated_call():
-            legacy = schedule(run, "dae", "optimal", config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            typed = schedule(
-                run, Scheme.DAE,
-                FrequencyPolicy.from_name("optimal", config), config,
-            )
-        assert legacy.summary() == typed.summary()

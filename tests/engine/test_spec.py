@@ -30,15 +30,18 @@ class TestExperimentSpec:
             ExperimentSpec(timeout_s=0)
 
     def test_scheme_strings_coerced(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            spec = ExperimentSpec(schemes=("cae", "dae"))
+        spec = ExperimentSpec(schemes=("cae", "DAE"))
         assert spec.schemes == (Scheme.CAE, Scheme.DAE)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(schemes=("warp",))
+
+    def test_interp_has_two_choices(self):
+        assert ExperimentSpec().interp is None      # the replay default
+        assert ExperimentSpec(interp="reference").interp == "reference"
+        with pytest.raises(ValueError, match="'replay', 'reference'"):
+            ExperimentSpec(interp="fast")
 
     def test_empty_workloads_means_all(self):
         resolved = ExperimentSpec().resolve_workloads()

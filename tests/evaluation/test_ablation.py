@@ -101,6 +101,24 @@ class TestAblateCli:
         assert "%s=%s" % (param, value) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--no-cache"], ["--cache-dir", "cache"],
+        ["--trace", "t.json"], ["--events", "e.jsonl"],
+        ["--interp", "reference"],
+    ], ids=lambda flag: flag[0])
+    def test_unread_engine_flags_exit_2(self, flag, tmp_path, monkeypatch,
+                                        capsys):
+        from repro.evaluation.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ablate", "cigar", "--vary", "llc_kb", "--values", "12",
+                  *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: %s" % flag[0] in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRenderAblationReport:
     def test_mentions_replay_and_all_values(self, report):

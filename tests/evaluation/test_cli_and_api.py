@@ -1,5 +1,7 @@
 """The evaluation CLI and the top-level public API."""
 
+import os
+
 import pytest
 
 import repro
@@ -34,6 +36,26 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["figure1", "cholesky"])
 
+    def test_interp_flag_leaves_the_environment_alone(self, capsys):
+        before = dict(os.environ)
+        assert main(["figure1", "--interp", "reference"]) == 0
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "cigar", "--interp", "reference"],
+        ["fuzz", "run", "--interp", "reference"],
+        ["fuzz", "replay", "--interp", "reference"],
+        ["runs", "record", "cigar", "--trace", "t.json"],
+        ["runs", "record", "cigar", "--events", "e.jsonl"],
+    ], ids=" ".join)
+    def test_flags_only_where_they_are_read(self, argv, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_event_log_flags(self, capsys, tmp_path):
         import json
 
@@ -51,13 +73,16 @@ class TestCLI:
         from repro.evaluation.__main__ import _build_parser
 
         parser = _build_parser()
-        for experiment in ("table1", "figure1", "figure2", "figure3",
-                           "figure4", "headline", "all"):
+        for experiment in (["table1"], ["figure1"], ["figure2"],
+                           ["figure3"], ["figure4"], ["headline"], ["all"],
+                           ["runs", "record"], ["tune", "cg"]):
             args = parser.parse_args(
-                [experiment, "--scale", "2", "--jobs", "3", "--no-cache",
-                 "--cache-dir", "/tmp/x"]
+                experiment + ["--scale", "2", "--jobs", "3", "--no-cache",
+                              "--cache-dir", "/tmp/x",
+                              "--interp", "reference"]
             )
             assert (args.scale, args.jobs, args.no_cache) == (2, 3, True)
+            assert args.interp == "reference"
 
     def test_cache_stats_and_clear(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

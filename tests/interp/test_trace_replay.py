@@ -1,22 +1,28 @@
 """Differential suite: record/replay profiling is byte-identical to
 direct interpretation.
 
-The record/replay engine (``interp="replay"``) interprets each execute
-phase once — in the first scheme of the matrix — and replays the
-recorded event trace through the cache model for every other scheme.
-These tests pin the promise that this is *unobservable* in the results:
-the serialized profile payload (the exact dict the engine cache stores
-and every figure reads) is equal to a full per-scheme interpretation on
-every bundled workload, and every guard that protects the invariant
-(access-phase stores, donor poisoning, memory deltas, alloca,
-out-of-range addresses) falls back to interpretation rather than
-producing subtly wrong numbers.
+The record/replay engine (``interp="replay"``, the default) interprets
+each execute phase once — in the first scheme of the matrix — and
+replays the recorded event trace through the cache model for every
+other scheme.  These tests pin the promise that this is *unobservable*
+in the results: the serialized profile payload (the exact dict the
+engine cache stores and every figure reads) is equal to a full
+per-scheme interpretation on every bundled workload, and every guard
+that protects the invariant (access-phase stores, donor poisoning,
+memory deltas, alloca, out-of-range addresses) falls back to
+interpretation rather than producing subtly wrong numbers.
+
+The direct-interpretation baseline profiles one scheme per
+``profile_workload`` call: a single-scheme matrix builds no trace
+store, so the fast core interprets every phase.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.engine.pool import run_experiment
 from repro.engine.products import (
     ALL_SCHEMES,
@@ -37,6 +43,17 @@ from repro.workloads.base import PaperRow, Workload, fill_floats
 
 def _payload_text(run) -> str:
     return json.dumps(run_to_payload(run), sort_keys=True)
+
+
+def _direct(workload, config=None, schemes=ALL_SCHEMES):
+    """The scheme matrix with every phase interpreted: one single-scheme
+    profile per scheme, merged into one run."""
+    runs = [profile_workload(workload, 1, config, schemes=(scheme,))
+            for scheme in schemes]
+    return replace(runs[0], profiles={
+        scheme: stream for run in runs
+        for scheme, stream in run.profiles.items()
+    })
 
 
 # -- custom workloads (module level: the Workload protocol) --------------------
@@ -132,12 +149,12 @@ def test_replayed_profiles_byte_identical(workload_cls):
     direct interpretation serialize to the same bytes, and replay
     actually replayed (it is not silently interpreting everything)."""
     config = MachineConfig()
-    fast = profile_workload(workload_cls(), 1, config, interp="fast")
+    direct = _direct(workload_cls(), config)
     store = TraceStore()
     replayed = profile_workload(
-        workload_cls(), 1, config, interp="replay", trace_store=store,
+        workload_cls(), 1, config, trace_store=store,
     )
-    assert _payload_text(fast) == _payload_text(replayed)
+    assert _payload_text(direct) == _payload_text(replayed)
     # Two non-donor schemes, every execute phase shareable.
     assert store.replayed_phases > 0
     assert store.replayed_events > 0
@@ -145,38 +162,27 @@ def test_replayed_profiles_byte_identical(workload_cls):
 
 def test_replay_is_the_default_and_autocreates_a_store():
     """``interp=None`` resolves to replay and profiles multi-scheme
-    matrices via an internal TraceStore — byte-identical to fast."""
+    matrices via an internal TraceStore — byte-identical to direct
+    interpretation, and actually replaying."""
     workload_cls = ALL_WORKLOADS[0]
-    fast = profile_workload(workload_cls(), interp="fast")
-    default = profile_workload(workload_cls())
-    assert _payload_text(fast) == _payload_text(default)
+    direct = _direct(workload_cls())
+    with obs.collecting() as collector:
+        default = profile_workload(workload_cls())
+    assert _payload_text(direct) == _payload_text(default)
+    assert collector.select(name="profiler.replayed_events")
 
 
 def test_single_scheme_matrix_matches_fast():
-    """With one scheme there is nothing to reuse; replay degrades to
-    plain fast interpretation."""
+    """With one scheme there is nothing to reuse: no phase replays, and
+    the profile equals that scheme's column of the replayed matrix."""
     workload_cls = ALL_WORKLOADS[0]
-    fast = profile_workload(
-        workload_cls(), interp="fast", schemes=(Scheme.DAE,),
-    )
-    replayed = profile_workload(
-        workload_cls(), interp="replay", schemes=(Scheme.DAE,),
-    )
-    assert _payload_text(fast) == _payload_text(replayed)
-
-
-def test_fast_with_explicit_store_is_record_only():
-    """``interp="fast"`` + a TraceStore records traces but never
-    replays — the benchmark's interpreted leg stays pure."""
-    store = TraceStore()
-    workload_cls = ALL_WORKLOADS[0]
-    fast = profile_workload(
-        workload_cls(), interp="fast", trace_store=store,
-    )
-    reference = profile_workload(workload_cls(), interp="fast")
-    assert _payload_text(fast) == _payload_text(reference)
-    assert store.recorded_phases > 0
-    assert store.replayed_phases == 0
+    with obs.collecting() as collector:
+        single = profile_workload(workload_cls(), schemes=(Scheme.DAE,))
+    assert not collector.select(name="profiler.replayed_events")
+    matrix = profile_workload(workload_cls())
+    assert _payload_text(single) == _payload_text(replace(
+        matrix, profiles={"dae": matrix.profiles["dae"]},
+    ))
 
 
 # -- invariant guards ----------------------------------------------------------
@@ -187,15 +193,12 @@ def test_manual_access_store_disables_reuse_consumer_side():
     every MANUAL execute must re-interpret — and the numbers still
     match direct interpretation exactly."""
     schemes = (Scheme.CAE, Scheme.MANUAL)
-    fast = profile_workload(
-        ManualStoreWorkload(), interp="fast", schemes=schemes,
-    )
+    direct = _direct(ManualStoreWorkload(), schemes=schemes)
     store = TraceStore()
     replayed = profile_workload(
-        ManualStoreWorkload(), interp="replay", schemes=schemes,
-        trace_store=store,
+        ManualStoreWorkload(), schemes=schemes, trace_store=store,
     )
-    assert _payload_text(fast) == _payload_text(replayed)
+    assert _payload_text(direct) == _payload_text(replayed)
     assert store.replayed_phases == 0
     assert all(
         task.access.stores > 0 for task in store.schemes["manual"]
@@ -206,15 +209,12 @@ def test_manual_access_store_poisons_donor_side():
     """MANUAL records first (its access stores), so its execute traces
     are unshareable; CAE must interpret rather than replay them."""
     schemes = (Scheme.MANUAL, Scheme.CAE)
-    fast = profile_workload(
-        ManualStoreWorkload(), interp="fast", schemes=schemes,
-    )
+    direct = _direct(ManualStoreWorkload(), schemes=schemes)
     store = TraceStore()
     replayed = profile_workload(
-        ManualStoreWorkload(), interp="replay", schemes=schemes,
-        trace_store=store,
+        ManualStoreWorkload(), schemes=schemes, trace_store=store,
     )
-    assert _payload_text(fast) == _payload_text(replayed)
+    assert _payload_text(direct) == _payload_text(replayed)
     assert store.replayed_phases == 0
     assert not any(
         task.execute.shareable for task in store.schemes["manual"]
@@ -226,12 +226,10 @@ def test_memory_delta_feeds_later_interpreted_phases():
     *interpreted* access phase then reads the index array task 1 wrote.
     Identical payloads prove the replay applied the memory delta."""
     workload = DeltaDependencyWorkload()
-    fast = profile_workload(workload, interp="fast")
+    direct = _direct(workload)
     store = TraceStore()
-    replayed = profile_workload(
-        workload, interp="replay", trace_store=store,
-    )
-    assert _payload_text(fast) == _payload_text(replayed)
+    replayed = profile_workload(workload, trace_store=store)
+    assert _payload_text(direct) == _payload_text(replayed)
     assert store.replayed_phases > 0
     build = store.schemes["cae"][0]
     assert build.name == "build_index"
@@ -263,9 +261,10 @@ def _overflow_kind() -> TaskKind:
     return TaskKind("huge_prefetch", execute=func)
 
 
-def _profile_matrix(make_kind, interp, store=None):
+def _profile_matrix(make_kind, store=None):
     """Profile two instances of ``make_kind()`` under CAE then DAE on
-    fresh memory per scheme (mirroring profile_workload)."""
+    fresh memory per scheme (mirroring profile_workload); without a
+    ``store`` every phase is interpreted."""
     config = MachineConfig()
     result = {}
     for scheme in (Scheme.CAE, Scheme.DAE):
@@ -274,7 +273,7 @@ def _profile_matrix(make_kind, interp, store=None):
         a = memory.alloc_array(8, 4, "A", init=fill_floats(4))
         tasks = [TaskInstance(kind, [a, 4]) if len(kind.execute.args) == 2
                  else TaskInstance(kind, [a]) for _ in range(2)]
-        profiler = TaskStreamProfiler(memory, config, interp=interp)
+        profiler = TaskStreamProfiler(memory, config)
         stream = profiler.profile(tasks, scheme, trace_store=store)
         result[scheme.value] = [
             phase_to_dict(task.execute) for task in stream.tasks
@@ -284,9 +283,9 @@ def _profile_matrix(make_kind, interp, store=None):
 
 def test_alloca_phase_records_as_non_replayable():
     store = TraceStore()
-    replayed = _profile_matrix(_alloca_kind, "replay", store)
-    fast = _profile_matrix(_alloca_kind, "fast")
-    assert replayed == fast
+    replayed = _profile_matrix(_alloca_kind, store)
+    direct = _profile_matrix(_alloca_kind)
+    assert replayed == direct
     assert store.replayed_phases == 0
     trace = store.schemes["cae"][0].execute
     assert not trace.valid
@@ -297,9 +296,9 @@ def test_alloca_phase_records_as_non_replayable():
 
 def test_out_of_range_address_records_as_non_replayable():
     store = TraceStore()
-    replayed = _profile_matrix(_overflow_kind, "replay", store)
-    fast = _profile_matrix(_overflow_kind, "fast")
-    assert replayed == fast
+    replayed = _profile_matrix(_overflow_kind, store)
+    direct = _profile_matrix(_overflow_kind)
+    assert replayed == direct
     assert store.replayed_phases == 0
     assert not store.schemes["cae"][0].execute.valid
     assert not store.fully_replayable()
@@ -317,9 +316,7 @@ def test_single_type_machine_stream_reproduces_the_recorded_profiles():
     identical profile stream, task names included."""
     config = MachineConfig()
     store = TraceStore()
-    run = profile_workload(
-        ALL_WORKLOADS[0](), 1, config, interp="replay", trace_store=store,
-    )
+    run = profile_workload(ALL_WORKLOADS[0](), 1, config, trace_store=store)
     assert store.fully_replayable()
     for scheme, stream in run.profiles.items():
         rebuilt = machine_stream(
@@ -347,10 +344,8 @@ def test_single_type_machine_stream_matches_full_reprofile_under_variant():
     variant = MachineConfig(llc=CacheConfig(8 * 1024, 16, latency_cycles=30))
     workload_cls = ALL_WORKLOADS[0]
     store = TraceStore()
-    profile_workload(
-        workload_cls(), 1, base, interp="replay", trace_store=store,
-    )
-    fresh = profile_workload(workload_cls(), 1, variant, interp="fast")
+    profile_workload(workload_cls(), 1, base, trace_store=store)
+    fresh = _direct(workload_cls(), variant)
     for scheme, stream in fresh.profiles.items():
         rebuilt = machine_stream(
             store.schemes[scheme], scheme, _single_type(variant)
@@ -364,7 +359,7 @@ def test_single_type_machine_stream_refuses_non_replayable_traces():
     from repro.runtime.profiler import ProfileError
 
     store = TraceStore()
-    _profile_matrix(_alloca_kind, "replay", store)
+    _profile_matrix(_alloca_kind, store)
     with pytest.raises(ProfileError):
         machine_stream(
             store.schemes["cae"], "cae", _single_type(MachineConfig())
@@ -376,16 +371,14 @@ def test_single_type_machine_stream_refuses_non_replayable_traces():
 
 def test_pooled_engine_unchanged_by_replay():
     """``jobs=2`` through the process pool with the replay default
-    returns the same payloads as a serial fast-interpreter run."""
-    workloads = (ALL_WORKLOADS[0](),)
-    serial = run_experiment(ExperimentSpec(
-        workloads=workloads, jobs=1, cache=False, interp="fast",
-    ))
+    returns the same payloads as serial direct interpretation."""
+    workload = ALL_WORKLOADS[0]()
     pooled = run_experiment(ExperimentSpec(
-        workloads=workloads, jobs=2, cache=False, interp="replay",
+        workloads=(workload,), jobs=2, cache=False,
     ))
-    for name, run in serial.items():
-        assert _payload_text(run) == _payload_text(pooled[name])
+    assert _payload_text(_direct(workload)) == _payload_text(
+        pooled[workload.name]
+    )
 
 
 def test_phase_trace_snapshot_matches_execution_trace_shape():

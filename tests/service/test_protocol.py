@@ -45,6 +45,13 @@ class TestSpecDocuments:
         with pytest.raises(ValueError):
             spec_from_doc(["cg"])
 
+    def test_retired_interp_choice_rejected(self):
+        assert spec_from_doc(
+            {"workloads": ["cg"], "interp": "reference"}
+        ).interp == "reference"
+        with pytest.raises(ValueError, match="'replay', 'reference'"):
+            spec_from_doc({"workloads": ["cg"], "interp": "fast"})
+
     def test_tune_doc_validates(self):
         kwargs = tune_from_doc({"workload": "cg", "objective": "edp"})
         assert kwargs == {"workload": "cg", "objective": "edp"}
