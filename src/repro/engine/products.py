@@ -180,7 +180,7 @@ def profile_workload(workload: Workload, scale: int = 1,
                 % (workload.name, machine.name)
             )
         profiles = {
-            scheme: machine_stream(store.schemes[scheme], scheme, machine)
+            scheme: machine_stream(store, scheme, machine)
             for scheme in profiles
         }
     return WorkloadRun(

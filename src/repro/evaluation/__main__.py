@@ -39,8 +39,8 @@ parsers):
   ``replay``; both produce byte-identical profiles).
 
 ``tune`` takes the same set; ``runs record`` all but ``--trace`` /
-``--events``; ``trace`` all but ``--interp``; ``ablate`` and
-``machines`` only ``--scale``.
+``--events``; ``trace`` only ``--scale``, ``--trace`` and
+``--events``; ``ablate`` and ``machines`` only ``--scale``.
 ``trace`` additionally takes ``--out PREFIX`` for its artifact files;
 ``tune`` adds ``--out PREFIX``, ``--objective`` and ``--strategy``.
 """
@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="regenerate %s" % name,
         )
     trace = sub.add_parser(
-        "trace", parents=[scale_flag, engine_flags, log_flags],
+        "trace", parents=[scale_flag, log_flags],
         help="fully-observed single-workload run",
     )
     trace.add_argument(

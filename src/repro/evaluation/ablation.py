@@ -117,7 +117,8 @@ def ablate_workload(workload: Workload, param: str, values: Sequence,
         name = "%s=%g" % (param, value)
         try:
             variants.append(homogeneous_machine(name, build(base, value)))
-        except MachineConfigError as exc:
+        except (MachineConfigError, ValueError, OverflowError) as exc:
+            # int() of NaN or an infinity fails before validation can.
             raise MachineConfigError(
                 "%s is not a valid machine: %s" % (name, exc)
             ) from None

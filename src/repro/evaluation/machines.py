@@ -28,7 +28,11 @@ from typing import Iterator, Optional, Sequence
 
 from ..engine.products import ALL_SCHEMES, WorkloadRun, profile_workload
 from ..interp.trace import TraceStore
-from ..machines import MachineModel, machine_profiles
+from ..machines import (
+    MachineModel,
+    machine_profiles,
+    prune_private_passes,
+)
 from ..obs.ledger import RunManifest, _utc_now
 from ..power.frequency import FrequencyPolicy
 from ..runtime.scheduler import DAEScheduler
@@ -64,11 +68,13 @@ class MachineSweep:
         replayable, else from re-profiling on the machine.  ``None``
         marks a heterogeneous machine on a non-replayable workload:
         its per-phase cache placement exists only on the replay path.
+        Replay keeps only the private passes a later machine reuses.
         """
         recorded = self.store.recorded_phases
-        for machine in machines:
+        for index, machine in enumerate(machines):
             if self.replayed:
                 profiles = machine_profiles(self.store, machine)
+                prune_private_passes(self.store, machines[index + 1:])
                 # Replay must never touch the recorder: a drifted
                 # counter means a machine was silently re-interpreted.
                 assert self.store.recorded_phases == recorded, (

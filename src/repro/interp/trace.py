@@ -166,6 +166,10 @@ class TraceStore:
         self.replayed_phases = 0
         self.recorded_events = 0
         self.recorded_phases = 0
+        #: The machine-replay memo (:func:`repro.machines.replay.
+        #: machine_stream`): private-stage results keyed by scheme and
+        #: private cache geometry.
+        self.private_stages: dict = {}
 
     def begin_scheme(self, scheme: str) -> tuple:
         """Open (or reset) the record list for ``scheme``.
@@ -181,6 +185,8 @@ class TraceStore:
                 break
         records: list[TaskTrace] = []
         self.schemes[scheme] = records
+        # Replays of the old records must not outlive them.
+        self.private_stages.clear()
         return records, donor
 
     def fully_replayable(self) -> bool:

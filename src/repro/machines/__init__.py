@@ -7,7 +7,8 @@ Public surface:
 * the registered catalog — ``sandybridge``, ``biglittle``, ``ideal`` —
   resolved via :meth:`MachineModel.from_name` (``catalog``);
 * :func:`machine_stream` / :func:`machine_profiles`, the trace-replay
-  path for every machine, single-type or heterogeneous (``replay``).
+  path for every machine, single-type or heterogeneous, and
+  :func:`prune_private_passes`, which bounds its memo (``replay``).
 
 Importing this package registers the catalog.
 """
@@ -28,7 +29,11 @@ from .catalog import (
     little_operating_points,
     sandybridge_machine,
 )
-from .replay import machine_profiles, machine_stream
+from .replay import (
+    machine_profiles,
+    machine_stream,
+    prune_private_passes,
+)
 
 __all__ = [
     "BIGLITTLE_MIGRATION_NS",
@@ -44,5 +49,6 @@ __all__ = [
     "machine_profiles",
     "machine_stream",
     "migrate",
+    "prune_private_passes",
     "sandybridge_machine",
 ]

@@ -20,14 +20,31 @@ Placed types with equal configs collapse to one type once per call —
 the same rule the scheduler applies — so a single-type machine (or a
 degenerate two-cluster one) keeps one private hierarchy per slot and
 never flushes: exactly the hierarchy a profiling run builds.
+
+Replay runs the two stages of :mod:`repro.sim.replay` as two passes
+over a scheme's records.  A count depends only on cache *geometry*,
+never on latencies, DRAM time, MLP or operating points, so the private
+pass (MRU filter, L1, L2 of every slot) is memoized on the
+:class:`~repro.interp.trace.TraceStore`, keyed by the scheme, the slot
+width, the migration flush, whether the placed types collapsed, and
+each placed type's private geometry — never a machine name or
+whole-config equality (which includes latencies).  Every call then
+runs one LLC pass: it replays the private pass's L2-miss streams
+through a fresh shared LLC.  So a variant that keeps the private
+geometry — another LLC size, latency, DRAM time or MLP — replays only
+the miss streams.  :func:`prune_private_passes` lets a sweep drop the
+passes no later machine reuses, so the memo holds only what it will
+serve again.
 """
 
 from __future__ import annotations
 
+from ..interp.trace import TraceStore
 from ..runtime.profiler import ProfileError, StreamProfile
 from ..runtime.task import TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, Cache, CoreCaches
-from ..sim.replay import replay_phase
+from ..sim.config import MachineConfig
+from ..sim.replay import replay_llc, replay_private
 from ..sim.timing import PhaseProfile
 from .model import MachineModel
 
@@ -54,17 +71,38 @@ class _Slot:
         return caches
 
 
-def machine_stream(records: list, scheme: str,
+def _private_geometry(config: MachineConfig) -> tuple:
+    """Everything of a core type that decides its private-stage output."""
+    l1, l2 = config.l1, config.l2
+    return (l1.sets, l1.ways, l1.line_bytes, l2.sets, l2.ways)
+
+
+def _layout(scheme: str, machine: MachineModel,
+            placement: tuple[str, str] | None) -> tuple:
+    """``scheme``'s (access, execute) core types on ``machine`` — equal
+    configs collapse to one type — its slot width and migration flush,
+    and the private pass's memo key they make."""
+    access_type, execute_type = machine.placement(scheme, placement)
+    if access_type.config == execute_type.config:
+        access_type = execute_type
+    width = machine.slots(scheme, placement)
+    flush = machine.transition.kind == "migrate" and machine.transition.flush
+    key = (scheme, width, flush, access_type is execute_type,
+           _private_geometry(access_type.config),
+           _private_geometry(execute_type.config))
+    return access_type, execute_type, width, flush, key
+
+
+def machine_stream(store: TraceStore, scheme: str,
                    machine: MachineModel,
                    placement: tuple[str, str] | None = None,
                    ) -> StreamProfile:
-    """Re-simulate one recorded scheme on ``machine`` — replay only.
+    """Re-simulate one recorded scheme of ``store`` on ``machine``.
 
-    ``records`` is ``TraceStore.schemes[scheme]``; ``placement``
-    optionally overrides the machine's declared (access, execute) core
-    types (the tuner's placement search uses this).  The result is
-    exactly the :class:`StreamProfile` a full profiling run on the
-    machine would produce, with zero interpretation.
+    ``placement`` optionally overrides the machine's declared (access,
+    execute) core types (the tuner's placement search uses this).  The
+    result is exactly the :class:`StreamProfile` a full profiling run
+    on the machine would produce, with zero interpretation.
 
     Raises :class:`~repro.runtime.profiler.ProfileError` when a
     recorded phase is non-replayable (``PhaseTrace.data is None``);
@@ -72,55 +110,99 @@ def machine_stream(records: list, scheme: str,
     (``TraceStore.fully_replayable`` pre-checks this).
     """
     scheme = str(scheme)
-    access_type, execute_type = machine.placement(scheme, placement)
-    if access_type.config == execute_type.config:
-        access_type = execute_type
+    access_type, execute_type, width, flush, key = _layout(
+        scheme, machine, placement,
+    )
     placed = ((execute_type,) if access_type is execute_type
               else (access_type, execute_type))
-    flush = machine.transition.kind == "migrate" and machine.transition.flush
-    shared_llc = Cache(execute_type.config.llc)
-    width = machine.slots(scheme, placement)
-    slots = [_Slot(placed, shared_llc) for _ in range(width)]
-    result = StreamProfile(scheme=scheme)
-    for index, task_trace in enumerate(records):
-        slot = slots[index % width]
-        profiles = []
-        for phase_trace, core_type in ((task_trace.access, access_type),
-                                       (task_trace.execute, execute_type)):
-            if phase_trace is None:
-                profiles.append(None)
-                continue
-            if phase_trace.data is None:
-                raise ProfileError(
-                    "task %r under scheme %r recorded a non-replayable "
-                    "phase; machine %r needs a full re-profile instead"
-                    % (task_trace.name, scheme, machine.name)
-                )
-            caches = slot.enter(core_type, flush)
-            counts = AccessCounts()
-            replay_phase(caches, phase_trace.data, counts)
-            profiles.append(PhaseProfile(
+    records = store.schemes[scheme]
+
+    def phases():
+        """Every recorded phase in replay order with the caches it runs
+        on: task ``i`` on slot ``i % width``, access before execute."""
+        shared_llc = Cache(execute_type.config.llc)
+        slots = [_Slot(placed, shared_llc) for _ in range(width)]
+        for index, task_trace in enumerate(records):
+            slot = slots[index % width]
+            for phase_trace, core_type in (
+                    (task_trace.access, access_type),
+                    (task_trace.execute, execute_type)):
+                if phase_trace is not None:
+                    yield task_trace, phase_trace, slot.enter(core_type,
+                                                              flush)
+
+    private = store.private_stages.get(key)
+    if private is None:
+        private = _private_pass(phases(), scheme, machine)
+        store.private_stages[key] = private
+    return _llc_pass(phases(), private, records, scheme)
+
+
+def prune_private_passes(store: TraceStore, upcoming) -> None:
+    """Drop every private pass memoized on ``store`` that no machine in
+    ``upcoming`` would reuse (placements as declared)."""
+    keep = {
+        _layout(scheme, machine, None)[-1]
+        for machine in upcoming for scheme in store.schemes
+    }
+    for key in set(store.private_stages) - keep:
+        del store.private_stages[key]
+
+
+def _private_pass(phases, scheme: str, machine: MachineModel) -> tuple:
+    """The private stage over ``phases``: per phase its L1/L2 tallies
+    and L2-miss stream, plus the MRU filter's total hits."""
+    stages = []
+    mru_hits = 0
+    for task_trace, phase_trace, caches in phases:
+        if phase_trace.data is None:
+            raise ProfileError(
+                "task %r under scheme %r recorded a non-replayable "
+                "phase; machine %r needs a full re-profile instead"
+                % (task_trace.name, scheme, machine.name)
+            )
+        tallies = AccessCounts()
+        before = caches.mru_hits
+        stages.append((tallies,
+                       replay_private(caches, phase_trace.data, tallies)))
+        mru_hits += caches.mru_hits - before
+    return stages, mru_hits
+
+
+def _llc_pass(phases, private: tuple, records: list,
+              scheme: str) -> StreamProfile:
+    """The LLC stage over ``phases``, fed by the private pass's miss
+    streams, assembled into the scheme's profile stream."""
+    stages, mru_hits = private
+    finished = []
+    for (_, _, caches), (tallies, misses) in zip(phases, stages):
+        counts = AccessCounts()
+        replay_llc(caches, misses, counts)
+        finished.append(tallies.merged(counts))
+    finished = iter(finished)
+    stream = StreamProfile(scheme=scheme, mru_shortcircuits=mru_hits)
+    for task_trace in records:
+        # One count per recorded phase, in the order ``phases`` walked.
+        access, execute = [
+            None if phase_trace is None else PhaseProfile(
                 instructions=phase_trace.instructions,
                 slots=phase_trace.slots,
-                counts=counts,
-            ))
-        access_profile, execute_profile = profiles
-        result.tasks.append(TaskProfile(
+                counts=next(finished),
+            )
+            for phase_trace in (task_trace.access, task_trace.execute)
+        ]
+        stream.tasks.append(TaskProfile(
             instance=TaskRef(name=task_trace.name),
-            execute=execute_profile,
-            access=access_profile,
+            execute=execute, access=access,
         ))
-    result.mru_shortcircuits = sum(
-        caches.mru_hits for slot in slots for caches in slot.caches.values()
-    )
-    return result
+    return stream
 
 
-def machine_profiles(store, machine: MachineModel,
+def machine_profiles(store: TraceStore, machine: MachineModel,
                      placement: tuple[str, str] | None = None,
                      ) -> dict[str, StreamProfile]:
     """Replay every recorded scheme in ``store`` on ``machine``."""
     return {
-        scheme: machine_stream(records, scheme, machine, placement)
-        for scheme, records in store.schemes.items()
+        scheme: machine_stream(store, scheme, machine, placement)
+        for scheme in store.schemes
     }

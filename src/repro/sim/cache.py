@@ -145,8 +145,8 @@ class CoreCaches:
         self.llc = shared_llc
         self.line_bytes = config.l1.line_bytes
         # Per-level geometry and set lists bound once for the inlined
-        # ``access`` body (and the trace replay loop, which reads the
-        # same attributes).  ``Cache.flush`` clears each set dict in
+        # ``access`` body (and the two trace replay stages, which read
+        # the same attributes).  ``Cache.flush`` clears each set dict in
         # place, so the bound lists never go stale.
         self._l1_sets = self.l1.sets
         self._l1_nsets = self.l1.nsets

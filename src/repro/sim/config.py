@@ -9,6 +9,7 @@ and ~65 ns DRAM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -61,8 +62,30 @@ class CacheConfig:
         )
         object.__setattr__(
             self, "set_mask",
-            sets - 1 if sets > 0 and sets & (sets - 1) == 0 else -1,
+            sets - 1 if isinstance(sets, int) and sets > 0
+            and sets & (sets - 1) == 0 else -1,
         )
+
+    def validate(self, level: str = "cache") -> "CacheConfig":
+        """Check the level; raise :class:`MachineConfigError` naming
+        ``level``.  Every checked field must be finite."""
+        if not 0 < self.latency_cycles < math.inf:
+            raise MachineConfigError(
+                "%s latency_cycles must be positive and finite, got %s"
+                % (level, self.latency_cycles)
+            )
+        if not (0 < self.size_bytes < math.inf and 0 < self.ways < math.inf):
+            raise MachineConfigError(
+                "%s geometry must be positive and finite (size_bytes=%s, "
+                "ways=%s)" % (level, self.size_bytes, self.ways)
+            )
+        if self.sets < 1:
+            raise MachineConfigError(
+                "%s needs at least one set; %d bytes cannot hold %d "
+                "ways of %d-byte lines"
+                % (level, self.size_bytes, self.ways, self.line_bytes)
+            )
+        return self
 
 
 @dataclass(frozen=True)
@@ -203,22 +226,24 @@ class MachineConfig:
         Returns ``self`` so constructors can end with
         ``return MachineConfig(...).validate()``.
         """
-        if self.cores < 1:
+        if not 1 <= self.cores < math.inf:
             raise MachineConfigError(
-                "cores must be >= 1, got %d" % self.cores
+                "cores must be >= 1 and finite, got %s" % self.cores
             )
-        if self.issue_width < 1:
+        if not 1 <= self.issue_width < math.inf:
             raise MachineConfigError(
-                "issue_width must be >= 1, got %d" % self.issue_width
+                "issue_width must be >= 1 and finite, got %s"
+                % self.issue_width
             )
         if not self.operating_points:
             raise MachineConfigError("operating_points must not be empty")
         prev = None
         for point in self.operating_points:
-            if point.freq_ghz <= 0 or point.voltage <= 0:
+            if not (0 < point.freq_ghz < math.inf
+                    and 0 < point.voltage < math.inf):
                 raise MachineConfigError(
-                    "operating point (%.3f GHz, %.3f V) must be positive"
-                    % (point.freq_ghz, point.voltage)
+                    "operating point (%.3f GHz, %.3f V) must be positive "
+                    "and finite" % (point.freq_ghz, point.voltage)
                 )
             if prev is not None:
                 if point.freq_ghz <= prev.freq_ghz:
@@ -234,41 +259,25 @@ class MachineConfig:
                         % (point.voltage, prev.voltage)
                     )
             prev = point
-        if self.mem_latency_ns <= 0:
+        if not 0 < self.mem_latency_ns < math.inf:
             raise MachineConfigError(
-                "mem_latency_ns must be positive, got %g"
+                "mem_latency_ns must be positive and finite, got %g"
                 % self.mem_latency_ns
             )
-        if self.dvfs_transition_ns < 0:
+        if not 0 <= self.dvfs_transition_ns < math.inf:
             raise MachineConfigError(
-                "dvfs_transition_ns must be >= 0, got %g"
+                "dvfs_transition_ns must be >= 0 and finite, got %g"
                 % self.dvfs_transition_ns
             )
         for name in ("mlp_demand", "mlp_prefetch", "mlp_hw_stream",
                      "mlp_store"):
-            if getattr(self, name) <= 0:
+            if not 0 < getattr(self, name) < math.inf:
                 raise MachineConfigError(
-                    "%s must be positive, got %g" % (name, getattr(self, name))
+                    "%s must be positive and finite, got %g"
+                    % (name, getattr(self, name))
                 )
         for level in ("l1", "l2", "llc"):
-            cache = getattr(self, level)
-            if cache.latency_cycles <= 0:
-                raise MachineConfigError(
-                    "%s latency_cycles must be positive, got %d"
-                    % (level, cache.latency_cycles)
-                )
-            if cache.size_bytes <= 0 or cache.ways <= 0:
-                raise MachineConfigError(
-                    "%s geometry must be positive (size_bytes=%d, ways=%d)"
-                    % (level, cache.size_bytes, cache.ways)
-                )
-            if cache.sets < 1:
-                raise MachineConfigError(
-                    "%s needs at least one set; %d bytes cannot hold %d "
-                    "ways of %d-byte lines"
-                    % (level, cache.size_bytes, cache.ways,
-                       cache.line_bytes)
-                )
+            getattr(self, level).validate(level)
         return self
 
 

@@ -701,10 +701,7 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 interp=interp, trace_store=store, machine=machine,
             )
             streams = [run.profiles[stream.value].tasks] + [
-                machine_stream(
-                    store.schemes[stream.value], stream.value, machine,
-                    placed,
-                ).tasks
+                machine_stream(store, stream.value, machine, placed).tasks
                 for placed in placements[1:]
             ]
         else:

@@ -89,6 +89,11 @@ class TestAblateCli:
     @pytest.mark.parametrize("param,value", [
         ("llc_kb", "0"), ("l1_kb", "0.1"), ("mlp_demand", "0"),
         ("l1_lat", "0"),
+        # Not finite: int() of NaN raised ValueError, int() of inf (or
+        # of 1e400, which parses as inf) OverflowError; mem_ns=nan
+        # passed every <= 0 check and mlp_demand=inf printed a report.
+        ("llc_kb", "nan"), ("llc_kb", "inf"), ("llc_kb", "1e400"),
+        ("l1_lat", "nan"), ("mem_ns", "nan"), ("mlp_demand", "inf"),
     ])
     def test_invalid_variant_exits_2_naming_it(self, param, value,
                                                capsys):
@@ -98,7 +103,7 @@ class TestAblateCli:
             main(["ablate", "cg", "--vary", param, "--values", value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "%s=%s" % (param, value) in err
+        assert "%s=%g" % (param, float(value)) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", [

@@ -43,6 +43,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["trace", "cigar", "--interp", "reference"],
+        ["trace", "cigar", "--jobs", "2"],
+        ["trace", "cigar", "--no-cache"],
+        ["trace", "cigar", "--cache-dir", "cache"],
         ["fuzz", "run", "--interp", "reference"],
         ["fuzz", "replay", "--interp", "reference"],
         ["runs", "record", "cigar", "--trace", "t.json"],

@@ -5,13 +5,21 @@ import json
 
 import pytest
 
-from repro.engine.products import ALL_SCHEMES, profile_workload
+from repro.engine.products import (
+    ALL_SCHEMES,
+    profile_workload,
+    run_to_payload,
+)
+from repro.evaluation.ablation import SWEEP_PARAMS
 from repro.evaluation.experiments import MANIFEST_CONFIGS
 from repro.evaluation.machines import (
+    MachineSweep,
     compare_machines,
     machines_manifest,
     render_machines_report,
 )
+from repro.machines import MachineModel, homogeneous_machine
+from repro.machines import replay as machine_replay
 from repro.obs.ledger import RunManifest, compare_runs
 from repro.power.frequency import FrequencyPolicy
 from repro.runtime import DAEScheduler
@@ -75,6 +83,70 @@ class TestReportShape:
             )
             column = report["workloads"]["tiny"]["machines"]["sandybridge"]
             assert column["schedules"][label]["summary"] == direct.summary()
+
+
+class TestSweepReplaysOnlyWhatChanged:
+    """Each variant of a sweep equals a full re-profile on its machine,
+    while the store runs one private pass per (scheme, private
+    geometry) and keeps a pass only while a later machine reuses it."""
+
+    #: Two tasks on two slots stream one 16 KiB array: the second
+    #: task's reads hit a 24 KiB LLC and miss a 12 KiB one.
+    SCALE = 128
+
+    def _variant(self, param, value):
+        build = SWEEP_PARAMS[param][1]
+        return homogeneous_machine("%s=%g" % (param, value),
+                                   build(MachineConfig(), value))
+
+    def test_variants_match_reprofiles_and_share_passes(self,
+                                                        monkeypatch):
+        passes = []
+        private_pass = machine_replay._private_pass
+
+        def counted(*args):
+            passes.append(args)
+            return private_pass(*args)
+
+        monkeypatch.setattr(machine_replay, "_private_pass", counted)
+        variants = [
+            # (machine, new private passes, passes kept after it);
+            # 3 schemes.
+            (self._variant("llc_kb", 12), 3, 3),
+            (self._variant("llc_kb", 48), 0, 3),
+            (self._variant("llc_kb", 24), 0, 3),   # the default LLC
+            (self._variant("l1_kb", 1), 3, 3),
+            (self._variant("l1_kb", 4), 3, 3),
+            (self._variant("mem_ns", 40), 0, 3),
+            (self._variant("mem_ns", 120), 0, 3),
+            (MachineModel.from_name("biglittle"), 3, 3),
+            # The default geometry again, after another machine's.
+            (MachineModel.from_name("ideal"), 0, 0),
+        ]
+        sweep = MachineSweep(TinyWorkload(), self.SCALE)
+        store = sweep.store
+        assert sweep.replayed
+        machines = [machine for machine, _, _ in variants]
+        payloads = []
+        for (machine, new, kept), run in zip(variants,
+                                             sweep.runs(machines)):
+            assert len(passes) == new, machine.name
+            assert len(store.private_stages) == kept, machine.name
+            payload = run_to_payload(run)
+            # A heterogeneous machine always profiles by replay, so for
+            # biglittle this checks the memo against a fresh store
+            # only; tests/machines/test_result_pins.py pins its result.
+            reprofiled = profile_workload(
+                TinyWorkload(), self.SCALE, schemes=ALL_SCHEMES,
+                machine=machine, interp="reference",
+            )
+            assert payload == run_to_payload(reprofiled), machine.name
+            passes.clear()   # biglittle's re-profile replays too
+            payloads.append(payload["profiles"])
+        # The LLC size changes counts, so the equalities above are not
+        # vacuous; the DRAM-latency variants reuse the default LLC's.
+        assert payloads[0] != payloads[2]
+        assert payloads[5] == payloads[6] == payloads[8] == payloads[2]
 
 
 class TestManifestProjection:

@@ -320,7 +320,7 @@ def test_single_type_machine_stream_reproduces_the_recorded_profiles():
     assert store.fully_replayable()
     for scheme, stream in run.profiles.items():
         rebuilt = machine_stream(
-            store.schemes[scheme], scheme, _single_type(config)
+            store, scheme, _single_type(config)
         )
         assert len(rebuilt.tasks) == len(stream.tasks)
         for original, copy in zip(stream.tasks, rebuilt.tasks):
@@ -348,7 +348,7 @@ def test_single_type_machine_stream_matches_full_reprofile_under_variant():
     fresh = _direct(workload_cls(), variant)
     for scheme, stream in fresh.profiles.items():
         rebuilt = machine_stream(
-            store.schemes[scheme], scheme, _single_type(variant)
+            store, scheme, _single_type(variant)
         )
         assert [phase_to_dict(t.execute) for t in rebuilt.tasks] == [
             phase_to_dict(t.execute) for t in stream.tasks
@@ -362,7 +362,7 @@ def test_single_type_machine_stream_refuses_non_replayable_traces():
     _profile_matrix(_alloca_kind, store)
     with pytest.raises(ProfileError):
         machine_stream(
-            store.schemes["cae"], "cae", _single_type(MachineConfig())
+            store, "cae", _single_type(MachineConfig())
         )
 
 

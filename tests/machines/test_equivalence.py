@@ -148,10 +148,10 @@ class TestProfilingEquivalence:
         degenerate = _degenerate(config)
         for scheme in SCHEMES:
             via_machine = machine_stream(
-                store.schemes[scheme], scheme, degenerate,
+                store, scheme, degenerate,
             )
             single = machine_stream(
-                store.schemes[scheme], scheme,
+                store, scheme,
                 homogeneous_machine("plain", config),
             )
             assert len(via_machine.tasks) == len(single.tasks)

@@ -1,13 +1,16 @@
-"""Pins for the hoisted cache geometry and the inlined access fast path.
+"""Pins for the hoisted cache geometry, the inlined access fast path
+and the two-stage replay kernel.
 
 ``CacheConfig`` precomputes ``sets``/``line_shift``/``set_mask`` once;
 ``CoreCaches.access`` inlines the per-level lookup/fill pair; and
-``replay_phase`` transcribes that inlined body over a packed trace.
-None of that may change a single count or eviction — these tests feed
-identical randomized streams through the fast paths and through a
-straightforward composed reference and require bit-identical tallies
-*and* bit-identical final cache state (every line of every set, in
-recency order).
+``sim/replay.py`` replays a packed trace in two stages, the private
+levels (``replay_private``) and then the shared LLC (``replay_llc``),
+composed by ``replay_phase``.  None of that may change a single count
+or eviction — these tests feed identical randomized streams through
+the fast paths and through a straightforward composed reference, or
+per-event ``access`` calls, and require bit-identical tallies *and*
+bit-identical final cache state (every line of every set, in recency
+order), with the stages composed and driven as separate passes.
 """
 
 import random
@@ -196,3 +199,67 @@ class TestReplayPhase:
             replay_phase(replayed.cores[0], flat, counts_b)
             assert counts_a.snapshot() == counts_b.snapshot()
         assert _machine_state(direct) == _machine_state(replayed)
+
+
+class TestSplitStages:
+    """``replay_private`` and ``replay_llc`` driven as the machine
+    replay drives them: every phase's private stage first, then every
+    phase's LLC stage in the same order, on separate cache objects."""
+
+    def test_two_passes_match_per_event_access(self):
+        from array import array
+
+        from repro.sim.replay import replay_llc, replay_private
+
+        config = MachineConfig(cores=2)
+        for seed in (5, 17, 2026):
+            rng = random.Random(seed)
+            # (core, flush first?, events) per phase; the two cores'
+            # phases interleave in a random order.
+            phases = [
+                (rng.randrange(2), rng.random() < 0.3,
+                 _random_events(seed * 100 + n, rng.randrange(100, 1500)))
+                for n in range(16)
+            ]
+            direct = MachineCaches(config)
+            private = MachineCaches(config)   # its LLC stays unused
+            shared = MachineCaches(config)    # its privates stay unused
+            direct_counts, stages = [], []
+            for core, flush, events in phases:
+                if flush:
+                    direct.cores[core].flush_private()
+                    private.cores[core].flush_private()
+                counts = AccessCounts()
+                for kind_code, address, _size in events:
+                    direct.cores[core].access(address, KIND_NAMES[kind_code],
+                                              counts)
+                direct_counts.append(counts.snapshot())
+                tallies = AccessCounts()
+                flat = array("q", [value for e in events for value in e])
+                stages.append((tallies, replay_private(private.cores[core],
+                                                       flat, tallies)))
+            for (core, flush, _), (tallies, misses), expect in zip(
+                    phases, stages, direct_counts):
+                if flush:
+                    shared.cores[core].flush_private()
+                counts = AccessCounts()
+                replay_llc(shared.cores[core], misses, counts)
+                assert tallies.merged(counts).snapshot() == expect
+
+            assert private.llc.resident_lines() == 0
+            for index in range(2):
+                want = direct.cores[index]
+                got_private = private.cores[index]
+                got_shared = shared.cores[index]
+                assert got_private.mru_hits == want.mru_hits
+                assert got_private._mru_line == want._mru_line
+                assert got_private._recent_misses == []
+                assert got_shared._recent_misses == want._recent_misses
+                assert got_shared.l1.resident_lines() == 0
+                assert got_shared.l2.resident_lines() == 0
+                for mine, theirs in ((got_private.l1, want.l1),
+                                     (got_private.l2, want.l2)):
+                    assert ([list(s) for s in mine.sets]
+                            == [list(s) for s in theirs.sets])
+            assert ([list(s) for s in shared.llc.sets]
+                    == [list(s) for s in direct.llc.sets])

@@ -1,5 +1,7 @@
 """MachineConfig.validate() and the point_for() snapping contract."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim.config import (
@@ -108,3 +110,44 @@ class TestValidate:
     def test_mlp_must_be_positive(self, name, value):
         with pytest.raises(MachineConfigError, match=name):
             MachineConfig(**{name: value}).validate()
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFinite:
+    """NaN fails every ``<= 0`` comparison, so each check must also
+    require a finite value or a NaN passes as valid."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("name", [
+        "cores", "issue_width", "mem_latency_ns", "dvfs_transition_ns",
+        "mlp_demand", "mlp_prefetch", "mlp_hw_stream", "mlp_store",
+    ])
+    def test_machine_field_must_be_finite(self, name, value):
+        with pytest.raises(MachineConfigError, match=name):
+            MachineConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("field", ["freq_ghz", "voltage"])
+    def test_operating_point_must_be_finite(self, field, value):
+        point = replace(OperatingPoint(2.0, 1.0), **{field: value})
+        with pytest.raises(MachineConfigError, match="finite"):
+            MachineConfig(operating_points=(point,)).validate()
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("field,match", [
+        ("latency_cycles", "latency_cycles"),
+        ("size_bytes", "geometry"),
+        ("ways", "geometry"),
+    ])
+    def test_cache_field_must_be_finite(self, field, match, value):
+        bad = replace(CacheConfig(2 * 1024, 4), **{field: value})
+        with pytest.raises(MachineConfigError, match="llc %s" % match):
+            bad.validate("llc")
+        with pytest.raises(MachineConfigError, match="l2 %s" % match):
+            MachineConfig(l2=bad).validate()
+
+    def test_cache_validate_returns_self(self):
+        cache = CacheConfig(2 * 1024, 4)
+        assert cache.validate() is cache
