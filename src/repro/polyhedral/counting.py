@@ -10,7 +10,11 @@ of integer points in a parametric polytope whose vertices are affine in
 the parameters is a (quasi-)polynomial in the parameters; for the access
 sets produced by the workloads it is a plain polynomial, so evaluating
 the count at a grid of parameter values and solving for the monomial
-coefficients recovers the closed form exactly.
+coefficients recovers the closed form exactly.  Each sample is an exact
+integer count (:meth:`Polyhedron.count_points`, :func:`union_count`)
+that sums innermost integer runs over the polyhedron's Fourier–Motzkin
+levels; the levels are computed once per polyhedron, so all sample
+points share them.
 """
 
 from __future__ import annotations
@@ -152,7 +156,11 @@ def count_polynomial(poly: Polyhedron, degree: int | None = None,
 def union_count_polynomial(polys: Sequence[Polyhedron],
                            degree: int | None = None,
                            base: int = 3) -> EhrhartPolynomial:
-    """Ehrhart polynomial of |P1 ∪ ... ∪ Pn| (the paper's NOrig)."""
+    """Ehrhart polynomial of |P1 ∪ ... ∪ Pn| (the paper's NOrig).
+
+    The parameter-aligned polyhedra are built once, outside the sampled
+    count, so every sample point reuses their Fourier–Motzkin levels.
+    """
     if not polys:
         return EhrhartPolynomial([], {})
     if degree is None:

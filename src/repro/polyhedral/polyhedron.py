@@ -4,15 +4,22 @@ A :class:`Polyhedron` is a conjunction of affine constraints over an
 ordered list of *set dimensions* plus free *parameters*.  This is the
 workhorse of the affine access analysis: iteration domains, per-
 instruction access sets and their projections all live here.
+Enumeration, counting and union counting (the paper's ``NOrig``) share
+one walker over each polyhedron's Fourier–Motzkin levels, which yields
+the innermost integer run of every feasible outer prefix.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .affine import AffineExpr, Constraint, Number
+
+#: Default cap on the integer points one polyhedron may hold when counted.
+_LIMIT = 2_000_000
 
 
 class Polyhedron:
@@ -174,57 +181,108 @@ class Polyhedron:
                 hi = value if hi is None or value < hi else hi
         if lo is None or hi is None:
             return None
-        import math
-
         return math.ceil(lo), math.floor(hi)
 
-    def enumerate_points(self, param_values: Mapping[str, Number],
-                         limit: int = 2_000_000):
-        """Yield all integer points for fixed parameter values.
+    # -- integer points --------------------------------------------------------------
 
-        Points are yielded as tuples ordered like ``self.dims``.  Raises
-        ``ValueError`` if the region is unbounded or exceeds ``limit``.
-        Each level's bounds come from the Fourier–Motzkin projection onto
-        the outer dimensions, so equality-linked dimensions (e.g. a
-        diagonal access ``s0 == s1``) enumerate correctly.
+    @cached_property
+    def _levels(self) -> list[tuple[str, "Polyhedron", list[Constraint]]]:
+        """The FM level stack ``(dims[k], P_k, neutral_k)``, outermost first.
+
+        ``P_k`` is the projection onto ``dims[0..k]`` (inner dimensions
+        eliminated innermost first), so it bounds ``dims[k]`` given the
+        outer dimensions, and equality-linked dimensions (a diagonal
+        access ``s0 == s1``) enumerate correctly.  ``neutral_k`` are the
+        constraints of ``P_k`` that do not mention ``dims[k]``.  The stack
+        does not depend on parameter values and a polyhedron is never
+        changed after ``__init__``, so every count at every Ehrhart sample
+        point reuses it.
         """
-        # levels[i] bounds dims[i] given dims[0..i-1]: project away the
-        # inner dimensions with FM, innermost first.
-        levels: list[Polyhedron] = [None] * len(self.dims)  # type: ignore[list-item]
+        levels = []
         working = self
-        for level in range(len(self.dims) - 1, -1, -1):
-            levels[level] = working
-            working = working.eliminate(self.dims[level])
+        for k in range(len(self.dims) - 1, -1, -1):
+            sym = self.dims[k]
+            neutral = [con for con in working.constraints
+                       if con.expr.coeff(sym) == 0]
+            levels.append((sym, working, neutral))
+            if k:
+                working = working.eliminate(sym)
+        levels.reverse()
+        return levels
 
-        emitted = 0
+    def _runs(self, param_values: Mapping[str, Number], limit: int):
+        """Yield ``(prefix, lo, hi)``, one innermost integer run per prefix.
 
-        def recurse(index: int, fixed: dict):
-            nonlocal emitted
-            if index == len(self.dims):
-                emitted += 1
-                if emitted > limit:
-                    raise ValueError("enumeration exceeded limit")
-                yield tuple(fixed[d] for d in self.dims)
+        ``prefix`` holds values of ``dims[:-1]`` and the run's points are
+        ``prefix + (v,)`` for ``lo <= v <= hi``; runs are non-empty and
+        come in lexicographic order.  A zero-dimensional polyhedron has
+        one point, the empty tuple, and yields ``((), 0, 0)`` when its
+        constraints hold.  At each level the constraints that do not
+        mention the level's dimension are checked once for the prefix,
+        before its bounds are read; every integer within the bounds
+        satisfies the constraints that do mention it.  Raises
+        ``ValueError`` when a feasible prefix leaves a dimension
+        unbounded, or when the point total exceeds ``limit``.
+        """
+        fixed = dict(param_values)
+        if not self.dims:
+            if self.contains(fixed):
+                yield (), 0, 0
+            return
+        levels = self._levels
+        innermost = len(levels) - 1
+        total = 0
+
+        def walk(k: int, prefix: tuple):
+            nonlocal total
+            sym, level, neutral = levels[k]
+            if not all(con.satisfied_by(fixed) for con in neutral):
                 return
-            sym = self.dims[index]
-            bounds = levels[index].bounds_for(sym, fixed)
+            bounds = level.bounds_for(sym, fixed)
             if bounds is None:
                 raise ValueError(
                     "dimension %r unbounded during enumeration" % sym
                 )
             lo, hi = bounds
+            if k == innermost:
+                if lo <= hi:
+                    total += hi - lo + 1
+                    if total > limit:
+                        raise ValueError("enumeration exceeded limit")
+                    yield prefix, lo, hi
+                return
             for v in range(lo, hi + 1):
                 fixed[sym] = v
-                if levels[index].contains(fixed):
-                    yield from recurse(index + 1, fixed)
+                yield from walk(k + 1, prefix + (v,))
             fixed.pop(sym, None)
 
-        fixed0 = dict(param_values)
-        yield from recurse(0, fixed0)
+        yield from walk(0, ())
+
+    def enumerate_points(self, param_values: Mapping[str, Number],
+                         limit: int = _LIMIT):
+        """Yield all integer points for fixed parameter values.
+
+        Points are yielded as tuples ordered like ``self.dims``, in
+        lexicographic order: each innermost run of the level walker is
+        expanded point by point.  Raises ``ValueError`` if the region is
+        unbounded or has more than ``limit`` points.
+        """
+        for prefix, lo, hi in self._runs(param_values, limit):
+            if not self.dims:
+                yield prefix
+                continue
+            for v in range(lo, hi + 1):
+                yield prefix + (v,)
 
     def count_points(self, param_values: Mapping[str, Number],
-                     limit: int = 2_000_000) -> int:
-        return sum(1 for _ in self.enumerate_points(param_values, limit))
+                     limit: int = _LIMIT) -> int:
+        """Number of integer points for fixed parameter values.
+
+        Sums the lengths of the level walker's innermost runs, so the
+        innermost dimension is never visited point by point.  Raises
+        ``ValueError`` like :meth:`enumerate_points`.
+        """
+        return sum(hi - lo + 1 for _, lo, hi in self._runs(param_values, limit))
 
     def __repr__(self) -> str:
         cons = " and ".join(repr(c) for c in self.constraints) or "true"
@@ -233,24 +291,33 @@ class Polyhedron:
 
 def union_count(polys: Sequence[Polyhedron],
                 param_values: Mapping[str, Number]) -> int:
-    """|P1 ∪ ... ∪ Pn| by inclusion–exclusion over intersections.
+    """|P1 ∪ ... ∪ Pn|, merging innermost runs per outer prefix.
 
     All polyhedra must share the same dimension list.  This is the
     Z-polytope union count the paper uses for ``NOrig`` (Section 5.1.1).
+    Each polyhedron is walked once over its cached FM levels; its
+    innermost integer runs are grouped by outer prefix, and overlapping
+    runs of one prefix are merged before their lengths are summed.
+    Raises ``ValueError`` when a polyhedron is unbounded or has more
+    points than the :meth:`Polyhedron.count_points` default limit.
     """
     if not polys:
         return 0
     dims = polys[0].dims
+    runs: dict[tuple, list[tuple[int, int]]] = {}
+    for poly in polys:
+        if poly.dims != dims:
+            raise ValueError("union_count dimension mismatch")
+        for prefix, lo, hi in poly._runs(param_values, _LIMIT):
+            runs.setdefault(prefix, []).append((lo, hi))
     total = 0
-    for r in range(1, len(polys) + 1):
-        sign = 1 if r % 2 == 1 else -1
-        for combo in itertools.combinations(polys, r):
-            inter = combo[0]
-            for poly in combo[1:]:
-                if poly.dims != dims:
-                    raise ValueError("union_count dimension mismatch")
-                inter = inter.intersect(poly)
-            total += sign * inter.count_points(param_values)
+    for intervals in runs.values():
+        covered = -math.inf  # the highest value counted for this prefix
+        for lo, hi in sorted(intervals):
+            lo = max(lo, covered + 1)
+            if lo <= hi:
+                total += hi - lo + 1
+                covered = hi
     return total
 
 
