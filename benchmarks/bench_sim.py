@@ -2,8 +2,8 @@
 
 For each workload the IR is compiled once (untimed), then the full
 scheme matrix (cae/dae/manual) is profiled under the reference
-interpreter and under the fast pre-decoded core, timing only the
-profiling itself.  Writes per-workload wall times, speedups, the
+interpreter and under the fast core (decoded functions compiled to
+Python source), timing only the profiling itself.  Writes per-workload wall times, speedups, the
 geomean speedup, streamed-event totals, and fast-path diagnostics
 (decode-cache hits, MRU short-circuits, event objects allocated) to
 ``BENCH_sim.json``.
@@ -16,7 +16,7 @@ CI regression guard: ``--check benchmarks/BENCH_sim_baseline.json``
 fails (exit 1) when the measured geomean speedup drops below
 ``--min-speedup`` (default 2.0) or below half the recorded baseline —
 tolerant thresholds, so shared-runner noise does not flake the build,
-but a real fast-path regression (decode cache broken, dispatch
+but a real fast-path regression (decode cache broken, generated code
 de-optimized) cannot land silently.
 
 Not a pytest module on purpose — the tier-1 suite must stay fast; CI
@@ -72,7 +72,8 @@ def _bench_leg(workload, interp: Optional[str], scale: int,
         "instructions": instructions,
         "events_streamed": events,
         # The reference wraps every event in a MemoryEvent object; the
-        # fast core streams three scalars through the sink.
+        # fast core's generated code extends the phase's flat event
+        # list with three scalars.
         "event_objects_allocated": events if interp == "reference" else 0,
         "mru_shortcircuits": mru,
         "minstr_per_s": round(instructions / elapsed / 1e6, 2)

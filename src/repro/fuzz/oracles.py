@@ -62,6 +62,7 @@ from ..frontend import compile_source
 from ..interp.fast import FastInterpreter
 from ..interp.interpreter import Interpreter
 from ..interp.memory import SimMemory
+from ..interp.trace import KIND_NAMES
 from ..ir import Function, Module, verify_function
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
@@ -184,23 +185,28 @@ def _fresh_run(case: FuzzCase, *, reference: bool = False):
     memory = SimMemory()
     args = [materialize_param(memory, spec)
             for spec in case.program.params]
-    events: list = []
-
-    def sink(kind, address, size):
-        events.append((kind, address, size))
-
     if reference:
+        events: list = []
         machine = Interpreter(
             memory, max_steps=FUZZ_MAX_STEPS,
             observer=lambda event: events.append(
                 (event.kind, event.address, event.size)
             ),
         )
-    else:
-        machine = FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS,
-                                  sink=sink)
-    trace = machine.run(case.execute, args)
-    return memory, events, trace
+        return memory, events, machine.run(case.execute, args)
+    flat: list = []
+    trace = FastInterpreter(
+        memory, max_steps=FUZZ_MAX_STEPS, events=flat,
+    ).run(case.execute, args)
+    return memory, _named_events(flat), trace
+
+
+def _named_events(flat: list) -> list:
+    """A flat ``[code, address, size, ...]`` event list as
+    ``(kind, address, size)`` tuples."""
+    it = iter(flat)
+    return [(KIND_NAMES[code], address, size)
+            for code, address, size in zip(it, it, it)]
 
 
 # -- per-program oracles -------------------------------------------------------
@@ -259,15 +265,12 @@ def _check_dae_semantics(case: FuzzCase) -> list:
     memory = SimMemory()
     args = [materialize_param(memory, spec) for spec in case.program.params]
     initial_cells = dict(memory._cells)
-    access_stores = []
-
-    def sink(kind, address, size):
-        if kind == "store":
-            access_stores.append(address)
-
-    FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS, sink=sink).run(
+    flat: list = []
+    FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS, events=flat).run(
         case.access, args
     )
+    access_stores = [address for kind, address, _ in _named_events(flat)
+                     if kind == "store"]
     if access_stores:
         problems.append(
             "access phase (method %r) issued %d store(s), first at %#x — "
@@ -312,14 +315,11 @@ def _check_trace_invariance(case: FuzzCase,
         FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS).run(
             case.access, args
         )
-        warm_events: list = []
-
-        def sink(kind, address, size):
-            warm_events.append((kind, address, size))
-
-        FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS, sink=sink).run(
+        flat: list = []
+        FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS, events=flat).run(
             case.execute, args
         )
+        warm_events = _named_events(flat)
         if cold_events != warm_events:
             length = min(len(cold_events), len(warm_events))
             where = next(

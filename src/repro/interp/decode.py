@@ -1,4 +1,4 @@
-"""One-time pre-decoding of IR functions into flat register machines.
+"""One-time pre-decoding of IR functions into flat slot-addressed records.
 
 The reference interpreter walks the IR object graph on every step:
 ``isinstance`` chains pick the semantics, an ``id()``-keyed dict holds
@@ -6,27 +6,27 @@ the SSA environment, and every operand fetch re-classifies the value
 (constant? global? instruction result?).  None of that work depends on
 the dynamic execution — it is the same for every iteration of every
 loop — so this module hoists all of it into a single decode pass per
-:class:`~repro.ir.function.Function`:
+:class:`~repro.ir.function.Function`, whose output
+:mod:`repro.interp.fast` compiles to Python source:
 
 * every SSA value (argument, instruction result, constant, global) is
-  numbered into a slot of one flat register file; constants are written
-  into the register *template* once, so an operand fetch at run time is
-  always a plain list index;
+  numbered into a slot; the slot *template* holds each constant's
+  value, so the code generator can turn constants into literals;
 * each basic block becomes a dense tuple of operation records —
   ``(opcode_int, slot indices, pre-resolved immediates, pre-bound
-  semantic function)`` — dispatched by integer compare instead of
-  ``isinstance``;
+  semantic function)``;
 * per-block dynamic-counter deltas (instruction total plus the
-  ``by_opcode`` histogram) are precomputed, so the interpreter charges
-  a whole block in O(distinct opcodes) instead of O(instructions);
+  ``by_opcode`` histogram) are precomputed, so the generated code
+  counts block executions and folds the histogram once per call;
 * phi semantics are resolved per CFG *edge*: each branch record carries
   the ``(source slots, destination slots)`` parallel move of its target
-  block, so phis cost a list copy at the edge and nothing in the loop
-  body.
+  block, so phis cost one tuple assignment at the edge and nothing in
+  the loop body.
 
-Decoded functions are cached on the function object itself
-(``_repro_decoded``) so repeated profiles — the engine's scheme matrix,
-the tuner's candidate sweeps — decode once.  The cache assumes the IR
+Decoded functions, with their generated code, are cached on the
+function object itself (``_repro_decoded``) so repeated profiles — the
+engine's scheme matrix, the tuner's candidate sweeps — decode and
+generate once.  The cache assumes the IR
 is no longer mutated once execution starts, which holds for the
 repo's pipeline (all transforms run inside ``Workload.compile``,
 strictly before profiling); passes that re-enter a function after
@@ -62,9 +62,8 @@ from ..ir import (
 )
 from .interpreter import UNDEF, InterpError, fptosi
 
-# Integer opcodes of the decoded operation records.  The fast
-# interpreter dispatches on these with literal compares, ordered by
-# dynamic frequency in the bundled workloads.
+# Integer opcodes of the decoded operation records, read by the code
+# generator in :mod:`repro.interp.fast`.
 OP_BINOP = 0
 OP_GEP = 1
 OP_LOAD = 2
@@ -107,6 +106,9 @@ def invalidate_decode(func: Function) -> None:
 # Each function replicates one branch of the reference interpreter's
 # ``_binop`` verbatim (coercions, error messages, IEEE division edge
 # cases) so pre-binding changes *which code runs*, never *what it does*.
+# The generated code inlines the plain arithmetic ones as operators and
+# calls ``sdiv``, ``srem``, ``fdiv`` (and ``fptosi``) through the
+# function its record holds.
 
 
 def _op_add(a, b):
@@ -234,19 +236,25 @@ class DecodedBlock:
 class DecodedFunction:
     """A function compiled to slot-addressed records, ready to run."""
 
-    __slots__ = ("name", "blocks", "template", "arg_slots", "global_slots")
+    __slots__ = ("name", "blocks", "template", "arg_slots", "global_slots",
+                 "code", "general_code")
 
     def __init__(self, name: str, blocks: list, template: list,
                  arg_slots: tuple, global_slots: tuple):
         self.name = name
         self.blocks = blocks
-        #: Register-file template: constants (and UNDEF) pre-stored;
-        #: copied per invocation so a fetch is always ``regs[slot]``.
+        #: Slot table: each constant's value (UNDEF for ``Undef``),
+        #: ``None`` for slots written at run time.
         self.template = template
         self.arg_slots = arg_slots
         #: ``(global name, slot)`` pairs resolved against the
         #: interpreter's binding table at run entry.
         self.global_slots = global_slots
+        #: The generated Python function (:mod:`repro.interp.fast`),
+        #: built on first run: the typed variant behind its entry
+        #: guard, and the general variant the guard falls back to.
+        self.code = None
+        self.general_code = None
 
 
 def decode_function(func: Function) -> DecodedFunction:

@@ -1,12 +1,15 @@
 """Compact record/replay traces of task-phase memory-event streams.
 
-The fast interpreter streams every dynamic memory operation as three
-scalars ``(kind, address, size)``.  Recording packs that stream into a
-single flat ``array('q')`` — three signed 64-bit words per event, no
-per-event objects — so a phase interpreted *once* can later be pushed
-through the cache model again (:func:`repro.sim.replay.replay_phase`)
-at C-iteration speed, either under another execution scheme or under a
-different machine configuration (the ``ablate`` sweeps).
+Every interpreted phase leaves its dynamic memory operations in one
+flat list, three scalars ``(kind code, address, size)`` per event: the
+fast interpreter's generated code extends it directly, the reference
+interpreter's observer appends each event's fields.  The profiler packs
+that list into a single ``array('q')`` — three signed 64-bit words per
+event, no per-event objects — and counts it on the cache model with
+:func:`repro.sim.replay.replay_phase`.  Kept as a :class:`PhaseTrace`,
+the same packed stream lets a phase interpreted *once* be pushed
+through the cache model again, either under another execution scheme
+or under a different machine configuration (the ``ablate`` sweeps).
 
 What makes a recorded phase safely replayable:
 
@@ -31,7 +34,8 @@ What makes a recorded phase safely replayable:
   non-replayable (``valid=False``) and always re-interpret.
 * **Addresses must fit a signed 64-bit word** (generated programs can
   prefetch arbitrary computed addresses).  Out-of-range events poison
-  the trace; the phase falls back to interpretation.
+  the trace; the phase falls back to interpretation, which counts the
+  unpacked list.
 """
 
 from __future__ import annotations

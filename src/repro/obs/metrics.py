@@ -7,8 +7,8 @@ manifest or a dashboard wants.  Metrics are deliberately cheap and
 always-on: recording one is a couple of float operations on a
 pre-created object, so subsystems like the evaluation engine update
 them unconditionally (per *job*, never per simulated instruction — the
-hot interpreter sink path touches neither metrics nor the collector
-when observability is disabled, and a test guards that).
+hot interpretation and replay paths touch neither metrics nor the
+collector when observability is disabled, and a test guards that).
 
 Three ways to get numbers in:
 

@@ -18,19 +18,34 @@ Execution schemes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Union
 
 from ..interp.decode import decode_stats
 from ..interp.fast import FastInterpreter, resolve_interp
 from ..interp.interpreter import Interpreter
 from ..interp.memory import SimMemory
-from ..interp.trace import PhaseTrace, TaskTrace, TraceStore, pack_events
+from ..interp.trace import (
+    KIND_NAMES,
+    KIND_STORE,
+    PhaseTrace,
+    TaskTrace,
+    TraceStore,
+    pack_events,
+)
 from ..obs.events import get_collector
 from ..sim.cache import AccessCounts, MachineCaches
 from ..sim.config import MachineConfig
 from ..sim.replay import replay_phase
 from ..sim.timing import PhaseProfile, issue_slots
 from .task import Scheme, TaskInstance, TaskProfile
+
+
+#: Kind name -> event code, for the reference core's observer.
+_KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
+#: ``bytes.translate`` table keeping only the store code: the selector
+#: that picks store addresses out of a phase's event list.
+_STORES_ONLY = bytes(int(code == KIND_STORE) for code in range(256))
 
 
 class ProfileError(Exception):
@@ -75,8 +90,7 @@ class TaskStreamProfiler:
         self.memory = memory
         self.config = config or MachineConfig()
         #: Which interpreter runs the phases: ``"replay"`` (the default:
-        #: the pre-decoded fast core streaming events straight into the
-        #: cache model, plus cross-scheme trace reuse when the caller
+        #: the fast core, plus cross-scheme trace reuse when the caller
         #: supplies a :class:`TraceStore`) or ``"reference"`` (the
         #: executable specification).  Both produce byte-identical
         #: profiles.
@@ -94,11 +108,14 @@ class TaskStreamProfiler:
         an obs warning event; with ``strict=True`` it raises
         :class:`ProfileError` instead, naming the task and scheme.
 
-        ``trace_store`` enables record/replay across a multi-scheme
-        matrix: every interpreted phase is recorded into the store as a
-        packed event trace, and execute phases whose stream is already
-        recorded by an earlier scheme are *replayed* through the cache
-        model instead of re-interpreted.  Replay is guarded by the
+        Every interpreted phase is counted the same way: its event list
+        goes through :func:`~repro.sim.replay.replay_phase` on its
+        core's caches (see :meth:`_run_phase`).  ``trace_store``
+        enables record/replay across a multi-scheme matrix: the store
+        keeps every interpreted phase's packed event trace, and execute
+        phases whose stream is already recorded by an earlier scheme
+        are *replayed* through the cache model instead of
+        re-interpreted.  Replay is guarded by the
         access-phase-writes-nothing invariant — the first access-phase
         store (in either the recording or the consuming scheme)
         disables reuse from that task onward, falling back to full
@@ -118,14 +135,13 @@ class TaskStreamProfiler:
         result = StreamProfile(scheme=scheme)
         warned: set[str] = set()
         store = trace_store if self.interp == "replay" else None
-        record = store is not None
         records: Optional[list[TaskTrace]] = None
         donor: Optional[list[TaskTrace]] = None
         #: Cleared on the first access-phase store: from that task on,
         #: memory evolution may diverge from the scheme-invariant
         #: baseline, so execute phases interpret instead of replaying.
         replay_ok = True
-        if record:
+        if store is not None:
             records, donor = store.begin_scheme(scheme)
         for index, instance in enumerate(tasks):
             core = caches.cores[index % self.config.cores]
@@ -156,12 +172,12 @@ class TaskStreamProfiler:
                     access_profile, access_trace = self._run_phase(
                         access_fn, instance.args, core,
                         phase="access", task=instance.name,
-                        record=record, shareable=replay_ok,
+                        shareable=replay_ok,
                     )
-                    if record:
+                    if access_trace.stores:
+                        replay_ok = False
+                    if store is not None:
                         store.note_recorded(access_trace)
-                        if access_trace.stores:
-                            replay_ok = False
             donor_trace = (
                 donor[index].execute
                 if replay_ok and donor is not None and index < len(donor)
@@ -179,11 +195,11 @@ class TaskStreamProfiler:
                 execute_profile, execute_trace = self._run_phase(
                     instance.kind.execute, instance.args, core,
                     phase="execute", task=instance.name,
-                    record=record, shareable=replay_ok,
+                    shareable=replay_ok,
                 )
-                if record:
+                if store is not None:
                     store.note_recorded(execute_trace)
-            if record:
+            if store is not None:
                 records.append(TaskTrace(
                     name=instance.name,
                     access=access_trace, execute=execute_trace,
@@ -206,57 +222,35 @@ class TaskStreamProfiler:
         return result
 
     def _run_phase(self, func, args, core, phase: str = "",
-                   task: str = "", record: bool = False,
-                   shareable: bool = True):
-        """Interpret one phase through ``core``'s cache hierarchy.
+                   task: str = "", shareable: bool = True):
+        """Interpret one phase, then count it on ``core``'s caches.
 
-        Returns ``(PhaseProfile, PhaseTrace or None)``.  Each memory
-        operation flows as three scalars through a sink straight into
-        the cache model — no event list.  The fast core calls the sink
-        directly; the reference core wraps it around its
-        :class:`~repro.interp.interpreter.MemoryEvent` observer.
-
-        With ``record`` the sink also appends three ints per event to a
-        flat list that packs into one ``array('q')`` after the run, and
-        the phase comes back as a :class:`PhaseTrace`.  The
-        store-address list doubles as the purity guard (``stores``) and
-        the source of the post-phase memory ``delta``.
+        Returns ``(PhaseProfile, PhaseTrace)``.  Either core fills one
+        fresh flat ``[code, address, size, ...]`` list: the fast core
+        extends it directly, the reference core's
+        :class:`~repro.interp.interpreter.MemoryEvent` observer appends
+        each event's three fields.  :func:`replay_phase` then counts
+        the list — packed into one ``array('q')`` when every value fits
+        a signed 64-bit word, the list itself otherwise, so an address
+        beyond that range is still counted.  The store addresses in the
+        list give the purity guard (``stores``) and the post-phase
+        memory ``delta``.  Whether the :class:`PhaseTrace` is kept is
+        the caller's choice (a :class:`TraceStore`).
         """
         counts = AccessCounts()
         collector = get_collector()
-        core_access = core.access
-        if record:
-            flat: list = []
-            flat_append = flat.append
-            store_addrs: list = []
-            store_append = store_addrs.append
-
-            def sink(kind, address, size):
-                core_access(address, kind, counts)
-                if kind == "load":
-                    flat_append(0)
-                elif kind == "store":
-                    flat_append(1)
-                    store_append(address)
-                else:
-                    flat_append(2)
-                flat_append(address)
-                flat_append(size)
-        else:
-            def sink(kind, address, size):
-                core_access(address, kind, counts)
-
+        flat: list = []
         if self.interp == "reference":
+            extend = flat.extend
             trace = Interpreter(
                 self.memory,
-                observer=lambda event: sink(
-                    event.kind, event.address, event.size
-                ),
+                observer=lambda event: extend((
+                    _KIND_CODES[event.kind], event.address, event.size,
+                )),
             ).run(func, args)
         else:
             decode_before = decode_stats() if collector.enabled else None
-            mru_before = core.mru_hits
-            trace = FastInterpreter(self.memory, sink=sink).run(func, args)
+            trace = FastInterpreter(self.memory, events=flat).run(func, args)
             if collector.enabled:
                 decode_after = decode_stats()
                 collector.counter(
@@ -268,13 +262,17 @@ class TaskStreamProfiler:
                         "misses": decode_after["misses"] - decode_before["misses"],
                     },
                 )
+        packed = pack_events(flat)
+        mru_before = core.mru_hits
+        replay_phase(core, flat if packed is None else packed, counts)
+        if collector.enabled:
+            if self.interp != "reference":
                 collector.counter(
                     "sim.l1.mru_shortcircuit",
                     core.mru_hits - mru_before,
                     cat="runtime.interp",
                     args={"task": task, "phase": phase},
                 )
-        if collector.enabled:
             # Post-hoc snapshots: the interpreter and caches run
             # uninstrumented, then their counters are recorded once per
             # phase.
@@ -287,25 +285,30 @@ class TaskStreamProfiler:
                     "cache": counts.snapshot(),
                 },
             )
-        profile = PhaseProfile.from_run(trace, counts)
-        if not record:
-            return profile, None
-        cells = self.memory._cells
-        # Final value of every stored cell; the ``in cells`` filter
-        # skips stores of undef, which emit an event but never write.
-        delta = {a: cells[a] for a in store_addrs if a in cells}
+        kinds = bytes(flat[0::3])
+        stores = kinds.count(KIND_STORE)
+        delta = {}
+        if stores:
+            cells = self.memory._cells
+            # Final value of every stored cell; the ``in cells`` filter
+            # skips stores of undef, which emit an event but never write.
+            delta = {
+                a: cells[a]
+                for a in compress(flat[1::3], kinds.translate(_STORES_ONLY))
+                if a in cells
+            }
         # An alloca bumps the memory allocator — replay would skip that
         # and desynchronize every later address, so the phase records
         # as non-replayable (it still interprets correctly everywhere).
-        data = None if trace.by_opcode.get("alloca") else pack_events(flat)
-        return profile, PhaseTrace(
+        data = None if trace.by_opcode.get("alloca") else packed
+        return PhaseProfile.from_run(trace, counts), PhaseTrace(
             data=data,
             instructions=trace.instructions,
             slots=issue_slots(trace),
             by_opcode=dict(trace.by_opcode),
             mem_events=trace.mem_events,
             dropped_prefetches=trace.dropped_prefetches,
-            stores=len(store_addrs),
+            stores=stores,
             delta=delta,
             shareable=shareable,
         )

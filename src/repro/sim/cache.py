@@ -177,6 +177,11 @@ class CoreCaches:
     def access(self, address: int, kind: str, counts: AccessCounts) -> str:
         """Simulate one access; returns the level that served it.
 
+        No profiling path calls this: every phase is counted by
+        :func:`repro.sim.replay.replay_phase`.  It stays as the
+        per-event reference that ``tests/sim/`` checks the replay
+        stages against, event for event.
+
         The ``lookup``/``fill`` pair of every level is inlined here —
         on a miss path each fill inserts into the set whose membership
         test just failed, so the per-call method dispatch and the

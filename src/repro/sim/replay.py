@@ -49,9 +49,11 @@ def replay_private(core: CoreCaches, data, counts: AccessCounts) -> array:
     """Replay a packed trace through ``core``'s MRU filter, L1 and L2.
 
     ``data`` is the flat ``array('q')`` of (kind, address, size)
-    triples from a :class:`~repro.interp.trace.PhaseTrace`.  Tallies
-    the L1 and L2 hits into ``counts`` and returns the L2 misses, in
-    order, as a flat ``array('q')`` of (kind, line) pairs.  The core's
+    triples from a :class:`~repro.interp.trace.PhaseTrace`, or the
+    unpacked event list of a phase whose addresses do not all fit it.
+    Tallies the L1 and L2 hits into ``counts`` and returns the L2
+    misses, in order, as a flat ``array('q')`` (a list for a list
+    ``data``) of (kind, line) pairs.  The core's
     private caches, MRU line and ``mru_hits`` end exactly as a full
     replay leaves them; the LLC and the stream window are untouched.
     """
@@ -67,7 +69,9 @@ def replay_private(core: CoreCaches, data, counts: AccessCounts) -> array:
     mru_hits = 0
     l1_hits = [0, 0, 0]
     l2_hits = [0, 0, 0]
-    misses = array("q")
+    # A packed trace's lines fit a signed 64-bit word; those of an
+    # unpacked event list (an address beyond that range) may not.
+    misses = array("q") if isinstance(data, array) else []
     miss = misses.append
 
     it = iter(data)

@@ -21,6 +21,7 @@ from repro.engine.products import ALL_SCHEMES, phase_to_dict, profile_workload
 from repro.frontend import compile_source
 from repro.interp import (
     INTERP_CHOICES,
+    KIND_NAMES,
     FastInterpreter,
     InterpError,
     Interpreter,
@@ -61,22 +62,25 @@ def _trace_key(trace):
     }
 
 
+def _named_events(flat):
+    """The fast core's flat ``[code, address, size, ...]`` event list
+    as ``(kind, address, size)`` tuples."""
+    return [(KIND_NAMES[flat[i]], flat[i + 1], flat[i + 2])
+            for i in range(0, len(flat), 3)]
+
+
 def _run_both(func, args, *, memories=None):
     """Run ``func`` under both interpreters on twin memories; return
     ``(ref_trace, fast_trace, ref_events, fast_events, ref_mem,
     fast_mem)`` with the traces already asserted equal."""
     ref_mem, fast_mem = memories if memories else (SimMemory(), SimMemory())
-    ref_events, fast_events = [], []
+    ref_events, flat = [], []
     ref_trace = Interpreter(
         ref_mem,
         observer=lambda e: ref_events.append((e.kind, e.address, e.size)),
     ).run(func, list(args))
-    fast_trace = FastInterpreter(
-        fast_mem,
-        sink=lambda kind, address, size: fast_events.append(
-            (kind, address, size)
-        ),
-    ).run(func, list(args))
+    fast_trace = FastInterpreter(fast_mem, events=flat).run(func, list(args))
+    fast_events = _named_events(flat)
     assert _trace_key(ref_trace) == _trace_key(fast_trace)
     assert ref_events == fast_events
     assert ref_mem._cells == fast_mem._cells
@@ -128,10 +132,8 @@ def test_event_streams_and_memory_identical(name):
         memory, tasks, _ = workload.instantiate(scale=1, compiled=compiled)
         events = []
         if kind == "fast":
-            interp = FastInterpreter(
-                memory,
-                sink=lambda k, a, s: events.append((k, a, s)),
-            )
+            flat = []
+            interp = FastInterpreter(memory, events=flat)
         else:
             interp = Interpreter(
                 memory,
@@ -142,7 +144,7 @@ def test_event_streams_and_memory_identical(name):
             if access is not None:
                 interp.run(access, list(task.args))
             interp.run(task.kind.execute, list(task.args))
-        streams[kind] = events
+        streams[kind] = _named_events(flat) if kind == "fast" else events
         cells[kind] = dict(memory._cells)
     assert streams["reference"] == streams["fast"]
     assert cells["reference"] == cells["fast"]
@@ -340,6 +342,257 @@ class TestControlFlowCorners:
         for make in (Interpreter, FastInterpreter):
             with pytest.raises(MemoryError_):
                 make(SimMemory()).run(func, [0x10])
+
+
+# -- the generated core's own corners ----------------------------------------
+
+
+def _nested_loops():
+    """Sum ``i * j`` over two nested loops (the inner one tested at
+    the bottom) in direct IR: the inner loop is a ``while`` segment of
+    its own head, and the exit block (inlined under the outer head)
+    returns."""
+    func = Function("nest", [I64], ["n"], I64)
+    entry, outer, inner = (func.add_block(name)
+                           for name in ("entry", "outer", "inner"))
+    latch, done = func.add_block("latch"), func.add_block("done")
+    zero, one = Constant(I64, 0), Constant(I64, 1)
+    b = IRBuilder(entry)
+    b.jump(outer)
+    b.set_block(outer)
+    i = b.phi(I64, "i")
+    s = b.phi(I64, "s")
+    b.condbr(b.cmp("slt", i, func.args[0], "more.i"), inner, done)
+    b.set_block(inner)
+    j = b.phi(I64, "j")
+    t = b.phi(I64, "t")
+    t_next = b.add(t, b.mul(i, j, "ij"), "t.next")
+    j_next = b.add(j, one, "j.next")
+    b.condbr(b.cmp("slt", j_next, func.args[0], "more.j"), inner, latch)
+    b.set_block(latch)
+    i_next = b.add(i, one, "i.next")
+    b.jump(outer)
+    b.set_block(done)
+    b.ret(s)
+    i.add_incoming(zero, entry)
+    i.add_incoming(i_next, latch)
+    s.add_incoming(zero, entry)
+    s.add_incoming(t_next, latch)
+    j.add_incoming(zero, outer)
+    j.add_incoming(j_next, inner)
+    t.add_incoming(s, outer)
+    t.add_incoming(t_next, inner)
+    return func
+
+
+def _outcome(make, func, args, max_steps):
+    """``("ok", trace key)`` or ``("raise", message)`` for one run."""
+    try:
+        trace = make(SimMemory(), max_steps=max_steps).run(func, list(args))
+    except InterpError as exc:
+        return ("raise", str(exc))
+    return ("ok", _trace_key(trace))
+
+
+class TestGeneratedCore:
+    @pytest.mark.parametrize("ty,value", [
+        (F64, "undef"), (I64, True), (F64, 3),
+    ], ids=["undef-arg", "bool-for-i64", "int-for-f64"])
+    def test_guard_failure_runs_general_variant(self, ty, value):
+        from repro.interp import UNDEF
+        value = UNDEF if value == "undef" else value
+        func = Function("g", [ty, pointer_to(ty)], ["x", "p"], ty)
+        b = IRBuilder(func.add_block("entry"))
+        op = "fadd" if ty is F64 else "add"
+        total = b.binop(op, func.args[0], b.load(func.args[1], "y"), "s")
+        b.store(total, func.args[1])
+        b.ret(b.binop(op, total, func.args[0], "r"))
+
+        def run(x):
+            memories = (SimMemory(), SimMemory())
+            pointers = [m.alloc_array(8, 1, "P", init=[2]) for m in memories]
+            assert pointers[0] == pointers[1]
+            return _run_both(func, [x, pointers[0]], memories=memories)
+
+        invalidate_decode(func)
+        ref, fast, *_ = run(value)
+        decoded = decode_function(func)
+        assert decoded.code is not None
+        assert decoded.general_code is not None
+        if value is UNDEF:
+            assert fast.return_value is UNDEF
+        # Well-typed arguments stay on the typed variant.
+        decoded.general_code = None
+        run(1.5 if ty is F64 else 2)
+        assert decoded.general_code is None
+
+    def test_region_cache_switches_and_gap_raises(self):
+        func = Function("hop", [pointer_to(F64)] * 3, ["a", "b", "gap"], F64)
+        b = IRBuilder(func.add_block("entry"))
+        a0 = b.load(func.args[0], "a0")
+        b0 = b.load(func.args[1], "b0")
+        a1 = b.load(b.gep(func.args[0], Constant(I64, 1), "a.1"), "a1")
+        total = b.binop("fadd", b.binop("fadd", a0, b0, "s0"), a1, "s1")
+        gap = b.load(func.args[2], "g")
+        b.ret(b.binop("fadd", total, gap, "s2"))
+        for checked in (True, False):
+            memories = (SimMemory(check_bounds=checked),
+                        SimMemory(check_bounds=checked))
+            args = []
+            for memory in memories:
+                a = memory.alloc_array(8, 2, "A", init=[1.0, 2.0])
+                bb = memory.alloc_array(8, 1, "B", init=[4.0])
+                # 64-byte alignment leaves a gap between A and B.
+                args.append([a, bb, a + 32])
+            assert args[0] == args[1] and args[0][2] < args[0][1]
+            if not checked:
+                ref, fast, ref_events, *_ = _run_both(
+                    func, args[0], memories=memories,
+                )
+                assert ref.return_value == fast.return_value == 7.0
+                assert [e[1] for e in ref_events] == [
+                    args[0][0], args[0][1], args[0][0] + 8, args[0][2],
+                ]
+                continue
+            messages, streams = [], []
+            for make, memory in zip((Interpreter, FastInterpreter),
+                                    memories):
+                events = []
+                if make is Interpreter:
+                    interp = Interpreter(memory, observer=lambda e: events.
+                                         append((e.kind, e.address, e.size)))
+                else:
+                    flat = []
+                    interp = FastInterpreter(memory, events=flat)
+                with pytest.raises(MemoryError_) as excinfo:
+                    interp.run(func, list(args[0]))
+                messages.append(str(excinfo.value))
+                streams.append(events if make is Interpreter
+                               else _named_events(flat))
+            assert messages[0] == messages[1] == (
+                "load from unallocated address 0x%x" % args[0][2])
+            assert streams[0] == streams[1] and len(streams[0]) == 4
+
+    def test_step_limit_every_budget_agrees(self):
+        """Every budget up to the full run: both cores raise or both
+        finish, including budgets crossed in the inner ``while`` segment
+        and in the inlined exit block."""
+        func = _nested_loops()
+        total = Interpreter(SimMemory()).run(func, [4]).instructions
+        assert _outcome(FastInterpreter, func, [4], total)[0] == "ok"
+        outcomes = {"ok": 0, "raise": 0}
+        for budget in range(1, total + 2):
+            ref = _outcome(Interpreter, func, [4], budget)
+            fast = _outcome(FastInterpreter, func, [4], budget)
+            assert ref == fast, budget
+            outcomes[ref[0]] += 1
+        assert outcomes == {"ok": 2, "raise": total - 1}
+
+    def test_step_limit_inside_callee(self):
+        callee = _nested_loops()
+        caller = Function("outer", [I64], ["n"], I64)
+        b = IRBuilder(caller.add_block("entry"))
+        first = b.call(callee, [caller.args[0]], "r1")
+        b.ret(b.add(first, b.call(callee, [caller.args[0]], "r2"), "r"))
+        per_call = Interpreter(SimMemory()).run(callee, [4]).instructions
+        _run_both(caller, [4])
+        # Below ``per_call`` the limit fires inside the callee.  Above
+        # it each invocation fits its own budget, but the caller's
+        # total (both calls) passes the limit in the block holding the
+        # calls and the return: the reference raises there, and so must
+        # the generated code, which compares after each call.
+        for budget in (per_call // 2, per_call - 1, per_call + 4):
+            ref = _outcome(Interpreter, caller, [4], budget)
+            fast = _outcome(FastInterpreter, caller, [4], budget)
+            assert ref == fast == ("raise", "interpreter step limit exceeded")
+        assert _outcome(FastInterpreter, caller, [4], 2 * per_call + 4)[0] \
+            == _outcome(Interpreter, caller, [4], 2 * per_call + 4)[0] == "ok"
+
+    def test_recursion_generated_mid_run_and_call_result_phi(self):
+        fib = Function("fib", [I64], ["n"], I64)
+        entry, rec, done = (fib.add_block(name)
+                            for name in ("entry", "rec", "done"))
+        b = IRBuilder(entry)
+        b.condbr(b.cmp("slt", fib.args[0], Constant(I64, 2), "base"),
+                 done, rec)
+        b.set_block(rec)
+        left = b.call(fib, [b.sub(fib.args[0], Constant(I64, 1), "n1")], "l")
+        right = b.call(fib, [b.sub(fib.args[0], Constant(I64, 2), "n2")], "r")
+        total = b.add(left, right, "sum")
+        b.jump(done)
+        b.set_block(done)
+        result = b.phi(I64, "res")
+        result.add_incoming(fib.args[0], entry)
+        result.add_incoming(total, rec)
+        b.ret(result)
+        main = Function("main", [I64], ["n"], I64)
+        b = IRBuilder(main.add_block("entry"))
+        b.ret(b.call(fib, [main.args[0]], "f"))
+        invalidate_decode(fib)
+        invalidate_decode(main)
+        ref, fast, *_ = _run_both(main, [10])
+        assert fast.return_value == 55
+        assert decode_function(fib).code is not None
+        assert fast.count("call") == ref.count("call") == 177
+
+    def test_non_finite_and_negative_zero_constants(self):
+        func = Function("c", [F64], ["x"], I64)
+        b = IRBuilder(func.add_block("entry"))
+        x = func.args[0]
+        big = b.binop("fadd", x, Constant(F64, math.inf), "big")
+        bad = b.binop("fmul", x, Constant(F64, math.nan), "bad")
+        same = b.cmp("eq", bad, bad, "same")
+        neg = b.binop("fmul", x, Constant(F64, -0.0), "neg")
+        inv = b.binop("fdiv", Constant(F64, 1.0), neg, "inv")
+        low = b.binop("fsub", Constant(F64, -math.inf), x, "low")
+        packed = b.add(
+            b.add(b.cast("fptosi", big, I64, "bi"),
+                  b.cast("sext", same, I64, "si"), "p0"),
+            b.cast("fptosi", low, I64, "li"), "p1",
+        )
+        b.ret(b.add(packed, b.cast("fptosi", inv, I64, "ii"), "p2"))
+        ref, fast, *_ = _run_both(func, [2.0])
+        # fptosi(inf) + 0 + fptosi(-inf) + fptosi(1 / -0.0 -> inf).
+        assert fast.return_value == -1 + (2 ** 63 - 1)
+
+        sign = Function("z", [F64], ["x"], F64)
+        b = IRBuilder(sign.add_block("entry"))
+        b.ret(b.binop("fmul", Constant(F64, -0.0), sign.args[0], "z"))
+        ref, fast, *_ = _run_both(sign, [3.0])
+        assert math.copysign(1.0, fast.return_value) == -1.0
+
+    def test_deep_branch_chain_is_dispatched(self):
+        """A chain of 120 early exits nests each continuation one level
+        deeper when inlined; past the inlining depth the generator
+        dispatches blocks as heads instead of exceeding the parser's
+        indentation limit."""
+        func = Function("chain", [I64], ["x"], I64)
+        b = IRBuilder(func.add_block("entry"))
+        for step in range(120):
+            exit_block = func.add_block("exit%d" % step)
+            more = func.add_block("more%d" % step)
+            b.condbr(b.cmp("eq", func.args[0], Constant(I64, step), "hit"),
+                     exit_block, more)
+            b.set_block(exit_block)
+            b.ret(Constant(I64, step * 10))
+            b.set_block(more)
+        b.ret(Constant(I64, -1))
+        for x in (0, 57, 119, 500):
+            invalidate_decode(func)
+            ref, fast, *_ = _run_both(func, [x])
+            assert fast.return_value == (x * 10 if x < 120 else -1)
+
+    def test_invalidate_after_ir_edit_runs_edited_code(self):
+        func = Function("f", [I64], ["x"], I64)
+        b = IRBuilder(func.add_block("entry"))
+        add = b.add(func.args[0], Constant(I64, 1), "x1")
+        b.ret(add)
+        ref, fast, *_ = _run_both(func, [1])
+        assert fast.return_value == 2
+        add.replace_operand(add.rhs, Constant(I64, 5))
+        invalidate_decode(func)
+        ref, fast, *_ = _run_both(func, [1])
+        assert ref.return_value == fast.return_value == 6
 
 
 # -- the decode cache ----------------------------------------------------------

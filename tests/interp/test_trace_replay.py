@@ -36,6 +36,7 @@ from repro.ir import F64, I64, VOID, Constant, Function, IRBuilder, pointer_to
 from repro.machines import homogeneous_machine, machine_stream
 from repro.runtime.profiler import TaskStreamProfiler
 from repro.runtime.task import Scheme, TaskInstance, TaskKind
+from repro.sim.cache import AccessCounts, MachineCaches
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import PaperRow, Workload, fill_floats
@@ -302,6 +303,32 @@ def test_out_of_range_address_records_as_non_replayable():
     assert store.replayed_phases == 0
     assert not store.schemes["cae"][0].execute.valid
     assert not store.fully_replayable()
+
+
+def test_line_beyond_int64_counts_like_per_event_access():
+    """An event list that does not pack is counted unpacked: even a
+    prefetch whose cache *line* is beyond the signed 64-bit range
+    tallies exactly as feeding each event to ``CoreCaches.access``."""
+    config = MachineConfig()
+    memory = SimMemory()
+    a = memory.alloc_array(8, 4, "A", init=fill_floats(4))
+    func = Function("far_prefetch", [pointer_to(F64)], ["A"], VOID)
+    b = IRBuilder(func.add_block("entry"))
+    far = b.gep(func.args[0], Constant(I64, 2 ** 70), "p")
+    b.prefetch(far)
+    b.prefetch(b.gep(far, Constant(I64, 1), "q"))
+    b.store(b.load(func.args[0], "v"), func.args[0])
+    b.ret()
+    task = TaskInstance(TaskKind("far_prefetch", execute=func), [a])
+    stream = TaskStreamProfiler(memory, config).profile([task], Scheme.CAE)
+    expected = AccessCounts()
+    core = MachineCaches(config).cores[0]
+    for address, kind in ((a + 2 ** 73, "prefetch"),
+                          (a + 2 ** 73 + 8, "prefetch"),
+                          (a, "load"), (a, "store")):
+        core.access(address, kind, expected)
+    assert stream.tasks[0].execute.counts == expected
+    assert expected.prefetches["mem"] == 1 and expected.prefetches["l1"] == 1
 
 
 # -- machine_stream on a single-type machine (the ablation path) --------------

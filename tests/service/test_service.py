@@ -35,6 +35,8 @@ class StubRunner:
         self.block = block
         self.fail_times = fail_times
         self.release = threading.Event()
+        #: Set by the first call: a worker popped a job and ran it.
+        self.started = threading.Event()
         self.calls = 0
         self.degraded_seen = []
         self.cancel_calls = 0
@@ -44,6 +46,7 @@ class StubRunner:
         with self._lock:
             self.calls += 1
             call = self.calls
+        self.started.set()
         self.degraded_seen.append(degraded)
         future = Future()
 
@@ -161,7 +164,10 @@ class TestCoalescing:
             job_id = ids.pop()
 
             # All eight submissions are in before anything ran to
-            # completion; release the single execution now.
+            # completion; release the single execution now.  The ack
+            # comes back before a worker pops the job, so wait for the
+            # runner to start.
+            assert runner.started.wait(timeout=10.0)
             assert runner.calls == 1
             runner.release.set()
 
