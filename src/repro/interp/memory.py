@@ -7,6 +7,7 @@ in the IR (GEPs) works on real numbers the cache model can index.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Optional
 
 from ..ir import Type
@@ -41,8 +42,12 @@ class SimMemory:
         self._next = base
         self._cells: dict[int, float | int] = {}
         self.allocations: list[Allocation] = []
+        #: Each allocation's base and end, index-aligned with
+        #: ``allocations``.  The bump allocator hands out ascending,
+        #: disjoint regions, so both lists stay sorted for a bisect.
+        self._bases: list[int] = []
+        self._ends: list[int] = []
         self.check_bounds = check_bounds
-        self._last_region: Optional[Allocation] = None
 
     # -- allocation ---------------------------------------------------------------
 
@@ -52,6 +57,8 @@ class SimMemory:
         base = (self._next + align - 1) // align * align
         self._next = base + size_bytes
         self.allocations.append(Allocation(name, base, size_bytes))
+        self._bases.append(base)
+        self._ends.append(self._next)
         return base
 
     def alloc_array(self, elem_size: int, count: int,
@@ -65,17 +72,14 @@ class SimMemory:
         return base
 
     def region_of(self, address: int) -> Optional[Allocation]:
-        # Accesses cluster heavily within one allocation, so checking
-        # the last matched region first makes the bounds check O(1) on
-        # the hot path.  Allocations never overlap (bump allocator), so
-        # the memoized answer is the same one the scan would find.
-        last = self._last_region
-        if last is not None and last.base <= address < last.end:
-            return last
-        for alloc in self.allocations:
-            if alloc.base <= address < alloc.end:
-                self._last_region = alloc
-                return alloc
+        """The allocation holding ``address``, else ``None``.
+
+        The last allocation based at or below ``address`` is the only
+        one that can hold it, since regions are ascending and disjoint.
+        """
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0 and address < self._ends[index]:
+            return self.allocations[index]
         return None
 
     # -- access --------------------------------------------------------------------

@@ -64,12 +64,18 @@ class PhaseTrace:
     instruction counts and the memory ``delta`` — is still meaningful,
     so a non-replayable task falls back to interpretation without
     breaking the memory evolution of its neighbours.
+
+    A replayable execute trace in a :class:`TraceStore` also keeps its
+    ``strip`` (:mod:`repro.sim.replay`): the events whose L1 outcome
+    depends on the cache state at phase start, for one L1 geometry.
+    The recording scheme builds it, and every later replay of the trace
+    on that geometry walks only those events.
     """
 
     __slots__ = (
         "data", "instructions", "slots", "by_opcode",
         "mem_events", "dropped_prefetches", "stores", "delta",
-        "shareable",
+        "shareable", "strip",
     )
 
     def __init__(self, data: Optional[array], instructions: int,
@@ -93,6 +99,12 @@ class PhaseTrace:
         #: valid within its own scheme — still fine for config-ablation
         #: replays, never for cross-scheme reuse).
         self.shareable = shareable
+        #: The :class:`~repro.sim.replay.Strip` of ``data`` for the last
+        #: L1 geometry an execute replay asked for
+        #: (:func:`repro.sim.replay.strip_for`), else ``None``.  One per
+        #: trace: a sweep over L1 sizes replaces it rather than adding
+        #: one per size.
+        self.strip = None
 
     @property
     def valid(self) -> bool:

@@ -35,6 +35,13 @@ geometry — another LLC size, latency, DRAM time or MLP — replays only
 the miss streams.  :func:`prune_private_passes` lets a sweep drop the
 passes no later machine reuses, so the memo holds only what it will
 serve again.
+
+A private pass that does run replays each execute phase from its
+trace's strip (:func:`repro.sim.replay.strip_for`): only the events
+whose L1 outcome depends on the cache state.  The recording built the
+strips for its own L1, so an ``l2_kb`` variant reuses them; an
+``l1_kb`` variant rebuilds each one for its L1 once, and the trace then
+keeps that one.  Access phases replay every event.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from ..runtime.profiler import ProfileError, StreamProfile
 from ..runtime.task import TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, Cache, CoreCaches
 from ..sim.config import MachineConfig
-from ..sim.replay import replay_llc, replay_private
+from ..sim.replay import replay_llc, replay_private, replay_stripped, strip_for
 from ..sim.timing import PhaseProfile
 from .model import MachineModel
 
@@ -151,7 +158,12 @@ def prune_private_passes(store: TraceStore, upcoming) -> None:
 
 def _private_pass(phases, scheme: str, machine: MachineModel) -> tuple:
     """The private stage over ``phases``: per phase its L1/L2 tallies
-    and L2-miss stream, plus the MRU filter's total hits."""
+    and L2-miss stream, plus the MRU filter's total hits.
+
+    Execute phases replay their trace's strip for the core type's L1
+    geometry (:func:`~repro.sim.replay.strip_for`): the one the
+    recording built, or a new one that replaces it when this machine's
+    L1 differs.  Access phases replay every event."""
     stages = []
     mru_hits = 0
     for task_trace, phase_trace, caches in phases:
@@ -163,8 +175,12 @@ def _private_pass(phases, scheme: str, machine: MachineModel) -> tuple:
             )
         tallies = AccessCounts()
         before = caches.mru_hits
-        stages.append((tallies,
-                       replay_private(caches, phase_trace.data, tallies)))
+        if phase_trace is task_trace.execute:
+            misses = replay_stripped(caches, strip_for(phase_trace, caches),
+                                     tallies)
+        else:
+            misses = replay_private(caches, phase_trace.data, tallies)
+        stages.append((tallies, misses))
         mru_hits += caches.mru_hits - before
     return stages, mru_hits
 

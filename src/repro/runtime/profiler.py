@@ -124,6 +124,13 @@ class TaskStreamProfiler:
         interpreted run would have produced.  Without a store every
         phase is interpreted.  The store is ignored under
         ``interp="reference"``.
+
+        With a store, every execute phase is counted from its trace's
+        strip (:func:`~repro.sim.replay.strip_for`): the recording
+        scheme builds it inside the phase's ``replay_phase`` call, and
+        each later scheme's replay of the donor trace reuses it.
+        Access phases, which no later scheme replays, are counted
+        event by event.
         """
         try:
             scheme = Scheme(scheme)
@@ -195,7 +202,7 @@ class TaskStreamProfiler:
                 execute_profile, execute_trace = self._run_phase(
                     instance.kind.execute, instance.args, core,
                     phase="execute", task=instance.name,
-                    shareable=replay_ok,
+                    shareable=replay_ok, strip=store is not None,
                 )
                 if store is not None:
                     store.note_recorded(execute_trace)
@@ -222,7 +229,8 @@ class TaskStreamProfiler:
         return result
 
     def _run_phase(self, func, args, core, phase: str = "",
-                   task: str = "", shareable: bool = True):
+                   task: str = "", shareable: bool = True,
+                   strip: bool = False):
         """Interpret one phase, then count it on ``core``'s caches.
 
         Returns ``(PhaseProfile, PhaseTrace)``.  Either core fills one
@@ -236,6 +244,12 @@ class TaskStreamProfiler:
         list give the purity guard (``stores``) and the post-phase
         memory ``delta``.  Whether the :class:`PhaseTrace` is kept is
         the caller's choice (a :class:`TraceStore`).
+
+        ``strip`` is set for an execute phase recorded into a store,
+        whose trace later schemes and machine sweeps replay again: the
+        count of a replayable trace then builds the trace's strip and
+        replays that (:func:`~repro.sim.replay.strip_for`), so every
+        later replay reuses it.
         """
         counts = AccessCounts()
         collector = get_collector()
@@ -263,8 +277,37 @@ class TaskStreamProfiler:
                     },
                 )
         packed = pack_events(flat)
+        kinds = bytes(flat[0::3])
+        stores = kinds.count(KIND_STORE)
+        delta = {}
+        if stores:
+            cells = self.memory._cells
+            # Final value of every stored cell; the ``in cells`` filter
+            # skips stores of undef, which emit an event but never write.
+            delta = {
+                a: cells[a]
+                for a in compress(flat[1::3], kinds.translate(_STORES_ONLY))
+                if a in cells
+            }
+        # An alloca bumps the memory allocator — replay would skip that
+        # and desynchronize every later address, so the phase records
+        # as non-replayable (it still interprets correctly everywhere).
+        phase_trace = PhaseTrace(
+            data=None if trace.by_opcode.get("alloca") else packed,
+            instructions=trace.instructions,
+            slots=issue_slots(trace),
+            by_opcode=dict(trace.by_opcode),
+            mem_events=trace.mem_events,
+            dropped_prefetches=trace.dropped_prefetches,
+            stores=stores,
+            delta=delta,
+            shareable=shareable,
+        )
         mru_before = core.mru_hits
-        replay_phase(core, flat if packed is None else packed, counts)
+        if strip and phase_trace.valid:
+            replay_phase(core, packed, counts, phase_trace)
+        else:
+            replay_phase(core, flat if packed is None else packed, counts)
         if collector.enabled:
             if self.interp != "reference":
                 collector.counter(
@@ -285,39 +328,15 @@ class TaskStreamProfiler:
                     "cache": counts.snapshot(),
                 },
             )
-        kinds = bytes(flat[0::3])
-        stores = kinds.count(KIND_STORE)
-        delta = {}
-        if stores:
-            cells = self.memory._cells
-            # Final value of every stored cell; the ``in cells`` filter
-            # skips stores of undef, which emit an event but never write.
-            delta = {
-                a: cells[a]
-                for a in compress(flat[1::3], kinds.translate(_STORES_ONLY))
-                if a in cells
-            }
-        # An alloca bumps the memory allocator — replay would skip that
-        # and desynchronize every later address, so the phase records
-        # as non-replayable (it still interprets correctly everywhere).
-        data = None if trace.by_opcode.get("alloca") else packed
-        return PhaseProfile.from_run(trace, counts), PhaseTrace(
-            data=data,
-            instructions=trace.instructions,
-            slots=issue_slots(trace),
-            by_opcode=dict(trace.by_opcode),
-            mem_events=trace.mem_events,
-            dropped_prefetches=trace.dropped_prefetches,
-            stores=stores,
-            delta=delta,
-            shareable=shareable,
-        )
+        return PhaseProfile.from_run(trace, counts), phase_trace
 
     def _replay_phase(self, phase_trace: PhaseTrace, core,
                       phase: str = "", task: str = "") -> PhaseProfile:
         """Replay a recorded phase through ``core`` — no interpretation.
 
-        Applies the trace's memory delta afterwards, so a later
+        Only execute phases replay here, so the private stage replays
+        the trace's strip, which the recording scheme built.  Applies
+        the trace's memory delta afterwards, so a later
         *interpreted* phase (an access phase reading index arrays this
         phase wrote) sees exactly the memory a full interpretation
         would have left.
@@ -325,7 +344,7 @@ class TaskStreamProfiler:
         counts = AccessCounts()
         collector = get_collector()
         mru_before = core.mru_hits
-        events = replay_phase(core, phase_trace.data, counts)
+        events = replay_phase(core, phase_trace.data, counts, phase_trace)
         if phase_trace.delta:
             self.memory._cells.update(phase_trace.delta)
         if collector.enabled:

@@ -168,8 +168,10 @@ class CoreCaches:
         #: and the full lookup can be skipped without changing any
         #: cache state or count.  Consecutive same-line accesses are
         #: the overwhelming common case for affine streams (several
-        #: word-sized touches per 64-byte line).
-        self._mru_line: int = -1
+        #: word-sized touches per 64-byte line).  A cold or flushed
+        #: core holds ``None``, which no line equals: every int is some
+        #: line (``-1`` holds addresses -64..-1).
+        self._mru_line: int | None = None
         #: How many accesses the filter short-circuited (the
         #: ``sim.l1.mru_shortcircuit`` obs counter).
         self.mru_hits = 0
@@ -240,7 +242,7 @@ class CoreCaches:
         self.l1.flush()
         self.l2.flush()
         self._recent_misses.clear()
-        self._mru_line = -1
+        self._mru_line = None
 
 
 class MachineCaches:

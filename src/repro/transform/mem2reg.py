@@ -54,17 +54,22 @@ def mem2reg(func: Function) -> int:
     alloca_set = {id(a): a for a in allocas}
 
     # 1. Phi placement: iterated dominance frontier of each alloca's stores.
+    # Both block sets hash by address, so they are walked in function
+    # block order: each phi takes its name as it is placed, and the
+    # printed IR must not depend on the process.
+    order = {block: index for index, block in enumerate(func.blocks)}
     phis: dict[int, dict[BasicBlock, Phi]] = {id(a): {} for a in allocas}
     for alloca in allocas:
         def_blocks = {
             u.parent for u in alloca.uses
             if isinstance(u, Store) and u.parent is not None
         }
-        worklist = list(def_blocks)
+        worklist = sorted(def_blocks, key=order.__getitem__)
         placed: set[BasicBlock] = set()
         while worklist:
             block = worklist.pop()
-            for frontier_block in frontiers.get(block, ()):
+            for frontier_block in sorted(frontiers.get(block, ()),
+                                         key=order.__getitem__):
                 if frontier_block in placed:
                     continue
                 placed.add(frontier_block)

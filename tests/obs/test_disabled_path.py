@@ -1,9 +1,13 @@
 """The disabled-observability fast path must stay truly free.
 
-The profiler's streaming sink runs once per simulated memory operation;
-with the collector disabled it must make zero collector calls and zero
+Profiling a phase interprets it into a flat event list and counts the
+list with the replay kernel; the profiler then emits its per-phase obs
+counters only when the collector is enabled.  With the collector
+disabled, a profile must make zero collector calls and zero
 allocations inside the obs modules — guarded here with a counting probe
 and with tracemalloc filtered to ``obs/events.py`` + ``obs/metrics.py``.
+The ``sink_path`` test names date from the per-event streaming sink
+that the flat event list replaced; the guarantee is the same.
 """
 
 import tracemalloc

@@ -10,10 +10,13 @@ or eviction — these tests feed identical randomized streams through
 the fast paths and through a straightforward composed reference, or
 per-event ``access`` calls, and require bit-identical tallies *and*
 bit-identical final cache state (every line of every set, in recency
-order), with the stages composed and driven as separate passes.
+order), with the stages composed and driven as separate passes.  The
+stripped private stage (``build_strip`` / ``replay_stripped``) is held
+to the same standard on random geometries, flushes and warm states.
 """
 
 import random
+from dataclasses import replace
 
 from repro.sim.cache import AccessCounts, CoreCaches, MachineCaches
 from repro.sim.config import CacheConfig, MachineConfig
@@ -263,3 +266,127 @@ class TestSplitStages:
                             == [list(s) for s in theirs.sets])
             assert ([list(s) for s in shared.llc.sets]
                     == [list(s) for s in direct.llc.sets])
+
+
+class TestStrippedReplay:
+    """A strip replayed through ``replay_phase`` on interleaved phases
+    of several cores over one LLC, against per-event ``access`` calls
+    (counts, final state) and against the full private stage (miss
+    streams), on random L1/L2/LLC geometries.  Traces are reused, so a
+    strip built on one core replays on others, warmed differently; one
+    trace is empty."""
+
+    @staticmethod
+    def _config(rng):
+        line = rng.choice((64, 64, 48))
+
+        def level(max_sets, max_ways):
+            sets, ways = rng.randint(1, max_sets), rng.randint(1, max_ways)
+            return CacheConfig(sets * ways * line, ways, line_bytes=line)
+
+        return MachineConfig(cores=rng.randint(1, 3), l1=level(64, 8),
+                             l2=level(64, 8), llc=level(128, 16))
+
+    @staticmethod
+    def _private_state(core):
+        return ([list(s) for s in core.l1.sets],
+                [list(s) for s in core.l2.sets],
+                core._mru_line, core.mru_hits)
+
+    def test_matches_per_event_access(self):
+        from array import array
+
+        from repro.interp.trace import PhaseTrace
+        from repro.sim.replay import (
+            build_strip,
+            replay_llc,
+            replay_private,
+            replay_stripped,
+        )
+
+        for seed in range(12):
+            rng = random.Random(9000 + seed)
+            config = self._config(rng)
+            traces = [[]] + [
+                _random_events(seed * 1000 + n, rng.randrange(1, 1200))
+                for n in range(5)
+            ]
+            packed = [array("q", [v for e in events for v in e])
+                      for events in traces]
+            phase_traces = [PhaseTrace(data, 0, 0, {}, len(data) // 3, 0, 0,
+                                       {}) for data in packed]
+            direct = MachineCaches(config)
+            full = MachineCaches(config)
+            stripped = MachineCaches(config)
+            for step in range(40):
+                core = rng.randrange(config.cores)
+                pick = 0 if step == 7 else rng.randrange(len(traces))
+                if rng.random() < 0.2:
+                    for machine in (direct, full, stripped):
+                        machine.cores[core].flush_private()
+                want = AccessCounts()
+                for kind_code, address, _size in traces[pick]:
+                    direct.cores[core].access(address, KIND_NAMES[kind_code],
+                                              want)
+                full_counts, strip_counts = AccessCounts(), AccessCounts()
+                full_misses = replay_private(full.cores[core], packed[pick],
+                                             full_counts)
+                replay_llc(full.cores[core], full_misses, full_counts)
+                strip = phase_traces[pick].strip
+                if strip is not None:
+                    # A fresh strip must equal the one the trace keeps,
+                    # and the stages driven by hand must match
+                    # ``replay_phase``.
+                    rebuilt = build_strip(packed[pick], stripped.cores[core])
+                    assert rebuilt.kinds == strip.kinds
+                    assert rebuilt.lines == strip.lines
+                    assert rebuilt.cold == strip.cold
+                    misses = replay_stripped(stripped.cores[core], strip,
+                                             strip_counts)
+                    assert misses == full_misses, (seed, step)
+                    replay_llc(stripped.cores[core], misses, strip_counts)
+                else:
+                    assert replay_phase(
+                        stripped.cores[core], packed[pick], strip_counts,
+                        phase_traces[pick],
+                    ) == len(traces[pick])
+                assert full_counts.snapshot() == want.snapshot()
+                assert strip_counts.snapshot() == want.snapshot(), (seed,
+                                                                    step)
+                for machine in (full, stripped):
+                    for mine, theirs in zip(machine.cores, direct.cores):
+                        assert (self._private_state(mine)
+                                == self._private_state(theirs)), (seed, step)
+                        assert mine._recent_misses == theirs._recent_misses
+                    assert ([list(s) for s in machine.llc.sets]
+                            == [list(s) for s in direct.llc.sets])
+
+    def test_one_trace_alternating_l1_geometries(self):
+        """A trace replayed under two L1 geometries in turn rebuilds its
+        strip for each one and stays exact under both."""
+        from array import array
+
+        from repro.interp.trace import PhaseTrace
+
+        for seed in range(6):
+            rng = random.Random(7000 + seed)
+            events = _random_events(seed, rng.randrange(200, 1200))
+            data = array("q", [v for e in events for v in e])
+            trace = PhaseTrace(data, 0, 0, {}, len(events), 0, 0, {})
+            base = self._config(rng)
+            configs = [base, replace(base, l1=self._config(rng).l1)]
+            direct = [MachineCaches(config) for config in configs]
+            stripped = [MachineCaches(config) for config in configs]
+            for step in range(8):
+                pick = step % 2
+                want, got = AccessCounts(), AccessCounts()
+                for kind_code, address, _size in events:
+                    direct[pick].cores[0].access(
+                        address, KIND_NAMES[kind_code], want)
+                replay_phase(stripped[pick].cores[0], data, got, trace)
+                assert got.snapshot() == want.snapshot(), (seed, step)
+                assert trace.strip.geometry == (
+                    configs[pick].l1.sets, configs[pick].l1.ways,
+                    configs[pick].l1.line_bytes)
+                assert (self._private_state(stripped[pick].cores[0])
+                        == self._private_state(direct[pick].cores[0]))

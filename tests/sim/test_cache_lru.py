@@ -139,7 +139,44 @@ class TestMRUFilterTransparent:
         core.access(0, "load", counts)
         assert core._mru_line == 0
         machine.flush()
-        assert core._mru_line == -1
+        assert core._mru_line is None
         # Post-flush, the same line must miss all the way to memory.
         level = core.access(0, "load", counts)
         assert level in ("mem", "mem_stream")
+
+    def test_line_minus_one_is_a_real_line(self):
+        """Address -8 is on line -1.  A cold or flushed core's filter
+        must not take it for its previous access: the prefetch misses
+        to memory and fills line -1, per event, replayed, and replayed
+        from a strip."""
+        from array import array
+
+        from repro.interp.trace import PhaseTrace
+        from repro.sim.replay import replay_phase
+
+        def by_access(core, counts):
+            assert core.access(-8, "prefetch", counts) in ("mem",
+                                                           "mem_stream")
+
+        def by_replay(core, counts):
+            assert replay_phase(core, array("q", [2, -8, 8]), counts) == 1
+
+        def by_strip(core, counts):
+            data = array("q", [2, -8, 8])
+            trace = PhaseTrace(data, 0, 0, {}, 1, 0, 0, {})
+            assert replay_phase(core, data, counts, trace) == 1
+            assert trace.strip is not None
+
+        for run in (by_access, by_replay, by_strip):
+            for flush in (False, True):
+                core = MachineCaches(MachineConfig()).cores[0]
+                if flush:
+                    core.access(4096, "load", AccessCounts())
+                    core.flush_private()
+                counts = AccessCounts()
+                run(core, counts)
+                assert counts.prefetches["l1"] == 0
+                assert counts.prefetch_mem_misses == 1
+                assert core.mru_hits == 0
+                assert core._mru_line == -1
+                assert -1 in core.l1.sets[-1 % core.l1.nsets]
