@@ -16,7 +16,7 @@ evaluations (engine + tuning cache hits only).
 
 Run it directly::
 
-    PYTHONPATH=src python benchmarks/bench_tuning.py --workload cg --jobs 2
+    PYTHONPATH=src python benchmarks/bench_tuning.py --workload cg
 
 Not a pytest module on purpose — the tier-1 suite must stay fast; CI
 runs this as a separate step at scale 1.
@@ -33,11 +33,11 @@ from repro.tuning import tune_workload
 
 
 def _measure(workload: str, strategy: str, cache_dir: str,
-             scale: int, jobs: int) -> dict:
+             scale: int) -> dict:
     started = time.perf_counter()
     result = tune_workload(
-        workload, strategy=strategy, scale=scale, jobs=jobs,
-        cache_dir=cache_dir, install=False,
+        workload, strategy=strategy, scale=scale, cache_dir=cache_dir,
+        install=False,
     )
     elapsed = time.perf_counter() - started
     stats = result.stats
@@ -49,8 +49,6 @@ def _measure(workload: str, strategy: str, cache_dir: str,
         "phase_local_value": result.phase_local.value,
         "schedule_evals": stats.schedule_evals,
         "cache_hits": stats.cache_hits,
-        "pool_evals": stats.pool_evals,
-        "serial_evals": stats.serial_evals,
         "strategy_evaluations": {
             s.name: s.evaluations for s in result.strategies
         },
@@ -61,8 +59,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="cg")
     parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="pool width for profiling and candidates")
     parser.add_argument("--out", default="BENCH_tuning.json")
     args = parser.parse_args(argv)
 
@@ -75,10 +71,10 @@ def main(argv=None) -> int:
                 prefix="repro-bench-tuning-%s-" % strategy
             ) as leg_root:
                 legs[strategy] = _measure(
-                    args.workload, strategy, leg_root, args.scale, args.jobs
+                    args.workload, strategy, leg_root, args.scale
                 )
-        cold = _measure(args.workload, "all", root, args.scale, args.jobs)
-        warm = _measure(args.workload, "all", root, args.scale, args.jobs)
+        cold = _measure(args.workload, "all", root, args.scale)
+        warm = _measure(args.workload, "all", root, args.scale)
     legs["all_cold"] = cold
     legs["all_warm"] = warm
 
@@ -86,7 +82,6 @@ def main(argv=None) -> int:
         "bench": "tuning",
         "workload": args.workload,
         "scale": args.scale,
-        "jobs": args.jobs,
         **legs,
         "speedup_warm": round(
             cold["elapsed_s"] / warm["elapsed_s"], 2

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,8 +57,8 @@ class EnginePool:
     right for one-shot CLI runs, wasteful for a service evaluating a
     stream of specs.  An :class:`EnginePool` owns one
     ``ProcessPoolExecutor`` across many calls (warm workers, loaded
-    modules), recreates it lazily after breakage, and exposes health
-    for circuit-breaker callers::
+    modules) and recreates it lazily after breakage: a timeout, a
+    cancellation or a dead worker process::
 
         pool = EnginePool(max_workers=4)
         run_experiment(spec_a, pool=pool)   # creates the executor
@@ -94,11 +94,17 @@ class EnginePool:
         with self._lock:
             return self._executor is not None
 
-    def mark_broken(self) -> None:
+    def mark_broken(self, executor: Optional[ProcessPoolExecutor] = None
+                    ) -> None:
         """Discard the current executor (stuck or crashed workers);
-        the next :meth:`executor` call starts a fresh one."""
+        the next :meth:`executor` call starts a fresh one.  With
+        ``executor``, discard only if it is still the current one, so
+        a run that saw an old executor break cannot discard the fresh
+        one another thread already started."""
         with self._lock:
             if self._executor is None:
+                return
+            if executor is not None and executor is not self._executor:
                 return
             self.broken += 1
             executor, self._executor = self._executor, None
@@ -295,8 +301,10 @@ def _execute_pool(jobs: list, spec: ExperimentSpec, stats: EngineStats,
     serially in-process instead.
 
     With a caller-owned :class:`EnginePool` the executor is reused, not
-    shut down here; a timeout or cancellation marks it broken (a worker
-    may still be busy) so the pool recreates it for the next run.
+    shut down here; a timeout or cancellation (a worker may still be
+    busy) or a dead worker process (``BrokenExecutor`` at submit or
+    result time) marks it broken, so the pool recreates it for the
+    next run.
     """
     owns_executor = pool is None
     try:
@@ -320,11 +328,13 @@ def _execute_pool(jobs: list, spec: ExperimentSpec, stats: EngineStats,
         return executor.submit(_pool_worker, job.payload_args(spec))
 
     timed_out = False
+    broken = False
     try:
         try:
             for job in jobs:
                 job.future = submit(job)
         except Exception as exc:  # pool already broken at submit time
+            broken = isinstance(exc, BrokenExecutor)
             collector.instant(
                 "engine.pool.unavailable", cat="engine.pool",
                 args={"error": "%s: %s" % (type(exc).__name__, exc)},
@@ -349,6 +359,7 @@ def _execute_pool(jobs: list, spec: ExperimentSpec, stats: EngineStats,
                     timed_out = True
                     failure = "timeout"
                 except Exception as exc:
+                    broken = broken or isinstance(exc, BrokenExecutor)
                     failure = "%s: %s" % (type(exc).__name__, exc)
                 if attempt == 0:
                     stats.retries += 1
@@ -361,7 +372,8 @@ def _execute_pool(jobs: list, spec: ExperimentSpec, stats: EngineStats,
                     )
                     try:
                         job.future = submit(job)
-                    except Exception:
+                    except Exception as exc:
+                        broken = broken or isinstance(exc, BrokenExecutor)
                         break  # pool unusable; go serial below
                 else:
                     collector.instant(
@@ -388,7 +400,9 @@ def _execute_pool(jobs: list, spec: ExperimentSpec, stats: EngineStats,
             # A timed-out worker may still be busy; don't block on it.
             # In every other case wait so the pool's pipes close cleanly.
             executor.shutdown(wait=not timed_out, cancel_futures=True)
-        elif timed_out or (cancel is not None and cancel.cancelled):
-            # Reusable pool with a possibly-stuck or abandoned worker:
-            # discard it so the next run starts from a fresh executor.
-            pool.mark_broken()
+        elif timed_out or broken or (cancel is not None
+                                     and cancel.cancelled):
+            # Reusable pool with a dead, possibly-stuck or abandoned
+            # worker: discard it so the next run starts from a fresh
+            # executor.
+            pool.mark_broken(executor)

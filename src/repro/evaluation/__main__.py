@@ -38,9 +38,10 @@ parsers):
 * ``--interp {replay,reference}`` — the profiling interpreter (default
   ``replay``; both produce byte-identical profiles).
 
-``tune`` takes the same set; ``runs record`` all but ``--trace`` /
-``--events``; ``trace`` only ``--scale``, ``--trace`` and
-``--events``; ``ablate`` and ``machines`` only ``--scale``.
+``tune`` takes all but ``--jobs`` (it profiles one workload, and the
+engine fans out only over several); ``runs record`` all but
+``--trace`` / ``--events``; ``trace`` only ``--scale``, ``--trace``
+and ``--events``; ``ablate`` and ``machines`` only ``--scale``.
 ``trace`` additionally takes ``--out PREFIX`` for its artifact files;
 ``tune`` adds ``--out PREFIX``, ``--objective`` and ``--strategy``.
 """
@@ -87,12 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale", type=int, default=1,
         help="workload size multiplier (default 1)",
     )
-    engine_flags = argparse.ArgumentParser(add_help=False)
-    group = engine_flags.add_argument_group("shared options")
-    group.add_argument(
+    jobs_flag = argparse.ArgumentParser(add_help=False)
+    jobs_flag.add_argument_group("shared options").add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="profile workloads in N worker processes (default 1 = serial)",
     )
+    cache_flags = argparse.ArgumentParser(add_help=False)
+    group = cache_flags.add_argument_group("shared options")
     group.add_argument(
         "--no-cache", action="store_true",
         help="recompute profiles instead of using the persistent cache",
@@ -118,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profiling interpreter (default 'replay'; both produce "
              "byte-identical profiles)",
     )
-    experiment_flags = [scale_flag, engine_flags, log_flags, interp_flag]
+    experiment_flags = [scale_flag, jobs_flag, cache_flags, log_flags,
+                        interp_flag]
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.evaluation",
@@ -144,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="artifact path prefix (default: the app name)",
     )
     tune = sub.add_parser(
-        "tune", parents=experiment_flags,
+        "tune", parents=[scale_flag, cache_flags, log_flags, interp_flag],
         help="auto-tune a workload's operating points",
     )
     tune.add_argument(
@@ -240,10 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-job wall-clock budget in seconds (default 900)",
     )
     serve.add_argument(
-        "--attempts", type=int, default=3, metavar="N",
-        help="tries per job incl. retries w/ backoff (default 3)",
-    )
-    serve.add_argument(
         "--engine-jobs", type=int, default=2, metavar="N",
         help="width of the reusable engine process pool (default 2)",
     )
@@ -281,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="engine process-pool width for this job (default 1)",
+        help="engine process-pool width for a profiling job (default 1; "
+             "a --tune job ignores it)",
     )
     submit.add_argument(
         "--priority", type=int, default=0, metavar="P",
@@ -367,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz_replay_p.add_argument(
         "--corpus", metavar="DIR", default=None,
-        help="corpus directory (default tests/fuzz/corpus)",
+        help="corpus directory (default tests/fuzz/corpus, relative to "
+             "the working directory)",
     )
     fuzz_reduce_p = fuzz_sub.add_parser(
         "reduce", help="delta-debug a failing program to a minimal "
@@ -401,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runs_sub = runs.add_subparsers(dest="verb", required=True)
     runs_record = runs_sub.add_parser(
-        "record", parents=[scale_flag, engine_flags, interp_flag,
+        "record", parents=[scale_flag, jobs_flag, cache_flags, interp_flag,
                            ledger_flags],
         help="profile workloads and append a run manifest to the ledger",
     )
@@ -536,7 +537,6 @@ def _run_serve(args) -> int:
         workers=args.workers,
         max_queue=args.max_queue,
         job_timeout_s=args.job_timeout,
-        max_attempts=args.attempts,
         engine_workers=args.engine_jobs,
         cache_dir=args.cache_dir,
         ledger=not args.no_ledger,
@@ -588,7 +588,6 @@ def _run_submit(args, parser) -> int:
                 "objective": args.objective,
                 "strategy": args.strategy,
                 "scale": args.scale,
-                "jobs": args.jobs,
             }, priority=args.priority)
         else:
             ack = client.submit({
@@ -767,6 +766,9 @@ def _run_fuzz(args, parser) -> int:
     if args.verb == "replay":
         corpus = args.corpus or DEFAULT_CORPUS_DIR
         report = fuzz_replay(corpus)
+        if not report["entries"]:
+            # A replay of nothing would pass without checking anything.
+            parser.error("no corpus entries under %s" % corpus)
         print(render_replay_report(report))
         return 1 if report["violations"] else 0
     # reduce
@@ -836,8 +838,8 @@ def _run_tune(args, parser) -> int:
                 "unknown machine %r; registered: %s"
                 % (args.machine, ", ".join(registered))
             )
-    print("tuning %s (objective %s, strategy %s, scale %d, jobs %d)..."
-          % (args.app, args.objective, args.strategy, args.scale, args.jobs),
+    print("tuning %s (objective %s, strategy %s, scale %d)..."
+          % (args.app, args.objective, args.strategy, args.scale),
           file=sys.stderr)
     capture = obs.Collector(enabled=True) if (
         args.trace or args.events
@@ -845,16 +847,14 @@ def _run_tune(args, parser) -> int:
     with obs.collecting(capture) if capture is not None else _NullContext():
         result = tune_workload(
             args.app, objective=args.objective, strategy=args.strategy,
-            scale=args.scale, jobs=args.jobs, cache=not args.no_cache,
+            scale=args.scale, cache=not args.no_cache,
             cache_dir=args.cache_dir, interp=args.interp,
             machine=args.machine,
         )
     stats = result.stats
     print(
-        "tuning: %d candidates (%d scheduled: %d pooled, %d serial; "
-        "%d cached)"
-        % (stats.requests, stats.schedule_evals, stats.pool_evals,
-           stats.serial_evals, stats.cache_hits),
+        "tuning: %d candidates (%d scheduled; %d cached)"
+        % (stats.requests, stats.schedule_evals, stats.cache_hits),
         file=sys.stderr,
     )
     artifacts = export_tuning(result, out_prefix=args.out)

@@ -43,7 +43,9 @@ from ..fuzz import (
 from ..fuzz.generator import MARKER_TEXT, GeneratorConfig
 from ..obs.events import get_collector
 
-#: Default regression-corpus location (relative to the working tree).
+#: Default regression-corpus location, relative to the working
+#: directory (the repo root); ``fuzz replay`` exits 2 when it finds no
+#: entry there.
 DEFAULT_CORPUS_DIR = os.path.join("tests", "fuzz", "corpus")
 
 #: How many leading programs the serial≡pooled engine oracle covers.

@@ -8,9 +8,9 @@
 * ``<prefix>-tuning.json`` — :meth:`TuningResult.as_dict` as JSON.
 
 Both artifacts (and the report printed to stdout) are deterministic
-functions of the tuning problem — no wall-clock, no cache state, no
-pool layout — so reruns and ``--jobs N`` runs byte-match.  Execution
-statistics go to stderr only.
+functions of the tuning problem — no wall-clock, no cache state — so
+cold and warm reruns byte-match.  Execution statistics go to stderr
+only.
 """
 
 from __future__ import annotations

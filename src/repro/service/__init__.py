@@ -7,11 +7,11 @@ speaking a JSON-line protocol (:mod:`repro.service.protocol`):
 
 * :mod:`repro.service.queue` — the synchronous, fake-clock-testable
   core: the bounded priority queue (FIFO within priority, explicit
-  :class:`QueueFull` admission control), the in-flight coalescing
-  table, the exponential-backoff schedule, and the circuit breaker;
+  :class:`QueueFull` admission control) and the in-flight coalescing
+  table;
 * :mod:`repro.service.workers` — asyncio worker supervision:
-  heartbeats, per-job timeout, retry with backoff + jitter, and the
-  breaker-gated degrade to serial in-process execution;
+  heartbeats, dead-worker restarts and the per-job timeout (each job
+  runs once; the engine owns retries and the serial fallback);
 * :mod:`repro.service.server` — :class:`EvaluationService`, the
   asyncio socket server tying it together (admission, dedup, ledger
   recording, ``service.*`` metrics, graceful draining shutdown);
@@ -38,23 +38,13 @@ from .protocol import (
     spec_from_doc,
     spec_to_doc,
 )
-from .queue import (
-    CircuitBreaker,
-    InFlightTable,
-    Job,
-    JobState,
-    PriorityJobQueue,
-    QueueFull,
-    backoff_delay,
-    backoff_schedule,
-)
+from .queue import InFlightTable, Job, JobState, PriorityJobQueue, QueueFull
 from .server import EvaluationService, ServiceConfig
 
 __all__ = [
     "ServiceClient", "ServiceError",
     "DEFAULT_SOCKET", "ERROR_OVERLOADED",
     "engine_result_doc", "spec_from_doc", "spec_to_doc",
-    "CircuitBreaker", "InFlightTable", "Job", "JobState",
-    "PriorityJobQueue", "QueueFull", "backoff_delay", "backoff_schedule",
+    "InFlightTable", "Job", "JobState", "PriorityJobQueue", "QueueFull",
     "EvaluationService", "ServiceConfig",
 ]

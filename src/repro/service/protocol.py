@@ -60,9 +60,9 @@ ENV_SERVICE_SOCKET = "REPRO_SERVICE_SOCKET"
 ERROR_OVERLOADED = "overloaded"          # queue at capacity; retry later
 ERROR_BAD_REQUEST = "bad-request"        # malformed op / spec / arguments
 ERROR_UNKNOWN_JOB = "unknown-job"        # no such job id
-ERROR_JOB_FAILED = "job-failed"          # job exhausted its retries
+ERROR_JOB_FAILED = "job-failed"          # the job raised; detail names it
 ERROR_SHUTTING_DOWN = "shutting-down"    # submit during drain
-ERROR_TIMEOUT = "timeout"                # result wait exceeded timeout_s
+ERROR_TIMEOUT = "timeout"                # result wait or job ran too long
 
 
 def default_socket_path() -> str:
@@ -94,16 +94,19 @@ def error_doc(code: str, detail: str, **extra: Any) -> Dict[str, Any]:
 
 #: ExperimentSpec knobs representable on the wire.  ``config`` and
 #: ``options`` deliberately are not: the service profiles under its own
-#: (default) machine config, exactly like the CLI experiments.
+#: (default) machine config, exactly like the CLI experiments.  Nor is
+#: ``interp``: both interpreters give byte-identical profiles, so the
+#: choice cannot change a result.
 WIRE_SPEC_FIELDS = (
     "workloads", "schemes", "scale", "jobs", "cache", "cache_dir",
-    "timeout_s", "interp", "machine",
+    "timeout_s", "machine",
 )
 
 
 def spec_to_doc(spec: ExperimentSpec) -> Dict[str, Any]:
     """``spec`` as a wire document.  Raises for non-default ``config``
-    / ``options``, which have no JSON form."""
+    / ``options``, which have no JSON form; ``interp`` is left out, as
+    it changes no result."""
     if spec.config != MachineConfig():
         raise ValueError(
             "ExperimentSpec.config is not wire-representable; the "
@@ -124,7 +127,6 @@ def spec_to_doc(spec: ExperimentSpec) -> Dict[str, Any]:
         "cache": spec.cache,
         "cache_dir": spec.cache_dir,
         "timeout_s": spec.timeout_s,
-        "interp": spec.interp,
         "machine": spec.machine,
     }
 
@@ -162,7 +164,7 @@ def spec_from_doc(doc: Dict[str, Any]) -> ExperimentSpec:
 def tune_from_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a tune-job document into ``tune_workload`` kwargs."""
     allowed = ("workload", "objective", "strategy", "scheme", "scale",
-               "jobs", "cache", "cache_dir", "machine")
+               "cache", "cache_dir", "machine")
     if not isinstance(doc, dict):
         raise ValueError("tune must be a JSON object, got %r" % (doc,))
     unknown = set(doc) - set(allowed)
@@ -185,8 +187,8 @@ def job_key(kind: str, doc: Dict[str, Any]) -> str:
     """Content digest identical requests share (the coalescing key).
 
     Only result-determining knobs participate: execution knobs
-    (``jobs``, ``cache``, ``timeout_s``, ``interp`` — all bit-identical
-    by contract) are excluded, so e.g. a ``jobs=4`` and a ``jobs=1``
+    (``jobs``, ``cache``, ``timeout_s`` — all bit-identical by
+    contract) are excluded, so e.g. a ``jobs=4`` and a ``jobs=1``
     submission of the same matrix coalesce.
     """
     if kind == "experiment":

@@ -1,20 +1,18 @@
-"""The service's synchronous core: queue, coalescing, backoff, breaker.
+"""The service's synchronous core: the job queue and coalescing.
 
 Everything here is deliberately free of asyncio, sockets, and wall
-clocks: each class takes an injectable ``clock`` callable (defaulting
-to :func:`time.monotonic`) and the backoff jitter takes an injectable
-:class:`random.Random`, so the scheduling behaviour — FIFO-within-
-priority ordering, admission control, coalescing, retry delays, and
-circuit-breaker transitions — is testable under a fake clock with
-exact expected values.  The asyncio layer (:mod:`repro.service.server`
-/ :mod:`repro.service.workers`) is a thin shell over these types.
+clocks: the queue takes an injectable ``clock`` callable (defaulting
+to :func:`time.monotonic`), so the scheduling behaviour — FIFO-within-
+priority ordering, admission control and coalescing — is testable
+under a fake clock with exact expected values.  The asyncio layer
+(:mod:`repro.service.server` / :mod:`repro.service.workers`) is a thin
+shell over these types.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -25,9 +23,6 @@ __all__ = [
     "QueueFull",
     "PriorityJobQueue",
     "InFlightTable",
-    "backoff_delay",
-    "backoff_schedule",
-    "CircuitBreaker",
 ]
 
 Clock = Callable[[], float]
@@ -62,19 +57,17 @@ class Job:
     request: Dict[str, Any]
     priority: int = 0
     state: str = JobState.QUEUED
-    attempts: int = 0
     waiters: int = 1               # coalesced submissions, incl. the first
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     result_text: Optional[str] = None
     error: Optional[Dict[str, Any]] = None
-    degraded: bool = False         # ran serially under an open breaker
     #: Set by the server to an ``asyncio.Event`` completion latch; the
     #: queue core never touches it.
     done_event: Any = field(default=None, repr=False, compare=False)
-    #: Set by the worker while an attempt is in flight: a zero-argument
-    #: callable requesting cooperative cancellation of that attempt.
+    #: Set by the worker while the job runs: a zero-argument callable
+    #: requesting cooperative cancellation of the run.
     cancel_fn: Any = field(default=None, repr=False, compare=False)
 
     @property
@@ -90,9 +83,7 @@ class Job:
             "key": self.key,
             "state": self.state,
             "priority": self.priority,
-            "attempts": self.attempts,
             "waiters": self.waiters,
-            "degraded": self.degraded,
         }
         if self.error is not None:
             doc["error"] = self.error
@@ -194,98 +185,3 @@ class InFlightTable:
 
     def __len__(self) -> int:
         return len(self._active)
-
-
-# -- retry backoff -------------------------------------------------------------
-
-#: Module default jitter source; tests inject a seeded Random.
-_jitter_rng = random.Random()
-
-
-def backoff_delay(attempt: int, *, base: float = 0.25, cap: float = 8.0,
-                  factor: float = 2.0, jitter: float = 0.25,
-                  rng: Optional[random.Random] = None) -> float:
-    """Delay before retry number ``attempt`` (0-based), in seconds.
-
-    Exponential — ``base * factor**attempt`` capped at ``cap`` — plus
-    up to ``jitter`` fraction of additive random spread, so a burst of
-    failures does not retry in lockstep.  With ``jitter=0`` the
-    schedule is exact and deterministic.
-    """
-    if attempt < 0:
-        raise ValueError("attempt must be >= 0, got %r" % (attempt,))
-    delay = min(cap, base * (factor ** attempt))
-    if jitter:
-        delay += delay * jitter * (rng or _jitter_rng).random()
-    return delay
-
-
-def backoff_schedule(attempts: int, **kwargs) -> List[float]:
-    """The first ``attempts`` retry delays, as a list."""
-    return [backoff_delay(attempt, **kwargs) for attempt in range(attempts)]
-
-
-# -- circuit breaker -----------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Closed / open / half-open breaker guarding the process pool.
-
-    ``failure_threshold`` consecutive failures open the circuit; while
-    open, :meth:`allow` returns ``False`` (the service degrades those
-    jobs to serial in-process execution).  After ``reset_after_s`` the
-    next :meth:`allow` call becomes the half-open probe: exactly one
-    caller gets ``True``; its success closes the circuit, its failure
-    re-opens it for another full ``reset_after_s``.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(self, failure_threshold: int = 3,
-                 reset_after_s: float = 30.0,
-                 clock: Clock = time.monotonic):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.reset_after_s = reset_after_s
-        self.clock = clock
-        self.state = self.CLOSED
-        self.failures = 0
-        self.opened_at = 0.0
-        #: Lifetime transition counters (exported as service metrics).
-        self.opens = 0
-        self.closes = 0
-
-    def allow(self) -> bool:
-        """May the next job use the pool?  (May transition to half-open.)"""
-        if self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN:
-            if self.clock() - self.opened_at >= self.reset_after_s:
-                self.state = self.HALF_OPEN
-                return True  # the single probe
-            return False
-        return False  # HALF_OPEN: probe already in flight
-
-    def record_success(self) -> None:
-        if self.state in (self.HALF_OPEN, self.OPEN):
-            self.closes += 1
-        self.state = self.CLOSED
-        self.failures = 0
-
-    def record_failure(self) -> None:
-        if self.state == self.HALF_OPEN:
-            self._open()
-            return
-        self.failures += 1
-        if self.state == self.CLOSED and \
-                self.failures >= self.failure_threshold:
-            self._open()
-
-    def _open(self) -> None:
-        self.state = self.OPEN
-        self.opened_at = self.clock()
-        self.failures = 0
-        self.opens += 1

@@ -14,8 +14,10 @@ of the same spec run **one** profiling job, and every waiter receives
 the byte-identical stored result text.  Completed engine jobs are
 recorded into the PR 5 run ledger (``kind="service"``), every request
 can be appended to a JSONL request log, and the whole lifecycle is
-mirrored into ``service.*`` metrics (queue-depth / running / breaker
-gauges, job latency histograms, submit/coalesce/reject counters).
+mirrored into ``service.*`` metrics (queue-depth / running gauges,
+job latency histograms, submit/coalesce/reject counters).  Each job
+runs once under its timeout: retrying and falling back to serial are
+the engine's job (:mod:`repro.engine.pool`), not the service's.
 
 Shutdown is graceful by default: ``shutdown`` (or SIGINT/SIGTERM in
 the CLI wrapper) stops admissions, drains queued and in-flight jobs,
@@ -56,14 +58,7 @@ from .protocol import (
     spec_from_doc,
     tune_from_doc,
 )
-from .queue import (
-    CircuitBreaker,
-    InFlightTable,
-    Job,
-    JobState,
-    PriorityJobQueue,
-    QueueFull,
-)
+from .queue import InFlightTable, Job, JobState, PriorityJobQueue, QueueFull
 from .workers import WorkerSupervisor
 
 __all__ = ["ServiceConfig", "EvaluationService", "ServiceThread"]
@@ -77,12 +72,6 @@ class ServiceConfig:
     workers: int = 2                     # concurrent jobs
     max_queue: int = 64                  # admission-control bound
     job_timeout_s: float = 900.0
-    max_attempts: int = 3
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 8.0
-    backoff_jitter: float = 0.25
-    breaker_threshold: int = 3
-    breaker_reset_s: float = 30.0
     engine_workers: int = 2              # reusable process-pool width
     cache_dir: Optional[str] = None      # default profile-cache root
     ledger: bool = True                  # record completed engine jobs
@@ -97,8 +86,8 @@ class ServiceConfig:
 class EvaluationService:
     """The daemon: socket front, queue middle, supervised workers back.
 
-    ``runner`` is injectable for tests: a callable ``(job, degraded)
-    -> (Future[str], cancel_callable)`` replacing the engine-backed
+    ``runner`` is injectable for tests: a callable ``(job) ->
+    (Future[str], cancel_callable)`` replacing the engine-backed
     default (crash injection, blocking stubs, counting executions).
     """
 
@@ -111,11 +100,6 @@ class EvaluationService:
         self.queue = PriorityJobQueue(self.config.max_queue, clock=clock)
         self.inflight = InFlightTable()
         self.jobs: Dict[str, Job] = {}
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            reset_after_s=self.config.breaker_reset_s,
-            clock=clock,
-        )
         self.engine_pool = EnginePool(self.config.engine_workers)
         # Headroom over `workers`: a timed-out job's thread may linger
         # until the engine observes its cancel token.
@@ -127,11 +111,6 @@ class EvaluationService:
             self.queue, runner or self._engine_runner,
             workers=self.config.workers,
             job_timeout_s=self.config.job_timeout_s,
-            max_attempts=self.config.max_attempts,
-            backoff_base=self.config.backoff_base_s,
-            backoff_cap=self.config.backoff_cap_s,
-            backoff_jitter=self.config.backoff_jitter,
-            breaker=self.breaker,
             heartbeat_s=self.config.heartbeat_s,
             registry=self.registry,
             clock=clock,
@@ -198,24 +177,17 @@ class EvaluationService:
 
     # -- the engine-backed runner ----------------------------------------------
 
-    def _engine_runner(self, job: Job, degraded: bool):
+    def _engine_runner(self, job: Job):
         token = CancelToken()
-        future = self._dispatcher.submit(
-            self._execute_job, job, degraded, token,
-        )
+        future = self._dispatcher.submit(self._execute_job, job, token)
         return future, token.cancel
 
-    def _execute_job(self, job: Job, degraded: bool,
-                     token: CancelToken) -> str:
+    def _execute_job(self, job: Job, token: CancelToken) -> str:
         """Dispatcher-thread body: compute, serialize, record."""
         if job.kind == "experiment":
             spec = spec_from_doc(job.request["spec"])
             if spec.cache_dir is None and self.config.cache_dir:
                 spec = spec.replace(cache_dir=self.config.cache_dir)
-            if degraded and spec.jobs != 1:
-                # Open breaker: the pool is unhealthy — run serially
-                # in-process rather than risk another pool failure.
-                spec = spec.replace(jobs=1)
             result = run_experiment(
                 spec,
                 pool=self.engine_pool if spec.jobs > 1 else None,
@@ -229,8 +201,6 @@ class EvaluationService:
             kwargs = dict(tune_from_doc(job.request["tune"]))
             if self.config.cache_dir and "cache_dir" not in kwargs:
                 kwargs["cache_dir"] = self.config.cache_dir
-            if degraded:
-                kwargs["jobs"] = 1
             result = tune_workload(**kwargs)
             return canonical_dumps({
                 "kind": "tune",
@@ -453,7 +423,7 @@ class EvaluationService:
         return canonical_dumps(error_doc(
             str(error.get("error", ERROR_JOB_FAILED)),
             str(error.get("detail", "")),
-            id=job.id, state=job.state, attempts=job.attempts,
+            id=job.id, state=job.state,
         ))
 
     def _op_cancel(self, doc: Dict[str, Any]) -> str:
@@ -525,11 +495,6 @@ class EvaluationService:
             "workers": self.config.workers,
             "jobs": states,
             "inflight_keys": len(self.inflight),
-            "breaker": {
-                "state": self.breaker.state,
-                "opens": self.breaker.opens,
-                "closes": self.breaker.closes,
-            },
             "heartbeat_age_s": {
                 str(index): round(now - beat, 3)
                 for index, beat in sorted(

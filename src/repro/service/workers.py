@@ -12,37 +12,29 @@ means:
   restarts any worker task that died (``service.worker.restarted``);
 * **per-job timeout** — ``asyncio.wait_for`` around the job future;
   on expiry the job's cancel callable fires (cooperative engine
-  cancellation) and the attempt counts as a failure;
-* **retry with backoff** — up to ``max_attempts`` tries per job, spaced
-  by :func:`~repro.service.queue.backoff_delay` (exponential + jitter);
-* **circuit breaker** — before each attempt the breaker is consulted;
-  while open, the attempt runs *degraded* (the runner is told to use
-  serial in-process execution instead of the process pool), and only
-  non-degraded attempts feed the breaker back.
+  cancellation) and the job fails with ``timeout``.
+
+Each job runs once.  Retries and the serial fallback belong to the
+engine (:func:`~repro.engine.pool.run_experiment` retries a crashed or
+timed-out pool job once, then computes it in-process), so a failure
+that reaches this layer would only repeat on retry.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from typing import Callable, Dict, Optional
 
 from ..engine.jobs import JobCancelled
 from ..obs.events import get_collector
 from ..obs.metrics import MetricsRegistry, get_registry
-from .queue import (
-    CircuitBreaker,
-    Job,
-    JobState,
-    PriorityJobQueue,
-    backoff_delay,
-)
+from .queue import Job, JobState, PriorityJobQueue
 
 __all__ = ["WorkerSupervisor"]
 
-#: runner(job, degraded) -> (Future[str], cancel_callable)
-Runner = Callable[[Job, bool], tuple]
+#: runner(job) -> (Future[str], cancel_callable)
+Runner = Callable[[Job], tuple]
 
 
 class WorkerSupervisor:
@@ -51,30 +43,16 @@ class WorkerSupervisor:
     def __init__(self, queue: PriorityJobQueue, runner: Runner, *,
                  workers: int = 2,
                  job_timeout_s: float = 900.0,
-                 max_attempts: int = 3,
-                 backoff_base: float = 0.25,
-                 backoff_cap: float = 8.0,
-                 backoff_jitter: float = 0.25,
-                 rng: Optional[random.Random] = None,
-                 breaker: Optional[CircuitBreaker] = None,
                  heartbeat_s: float = 1.0,
                  registry: Optional[MetricsRegistry] = None,
                  clock: Callable[[], float] = time.monotonic,
                  on_job_done: Optional[Callable[[Job], None]] = None):
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.queue = queue
         self.runner = runner
         self.workers = workers
         self.job_timeout_s = job_timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
-        self.rng = rng
-        self.breaker = breaker or CircuitBreaker(clock=clock)
         self.heartbeat_s = heartbeat_s
         self.registry = registry if registry is not None else get_registry()
         self.clock = clock
@@ -172,69 +150,32 @@ class WorkerSupervisor:
 
         failure = None
         cancelled = False
-        for attempt in range(self.max_attempts):
-            self.heartbeats[index] = self.clock()
-            job.attempts = attempt + 1
-            degraded = not self.breaker.allow()
-            job.degraded = degraded
-            if degraded:
-                self.registry.counter(
-                    "service.jobs.degraded",
-                    "attempts run serially under an open circuit breaker",
-                ).inc()
-            self._breaker_gauge()
-            future, cancel_fn = self.runner(job, degraded)
-            job.cancel_fn = cancel_fn
-            try:
-                job.result_text = await asyncio.wait_for(
-                    asyncio.wrap_future(future), timeout=self.job_timeout_s,
-                )
-                if not degraded:
-                    self.breaker.record_success()
-                job.state = JobState.DONE
-                failure = None
-                break
-            except asyncio.TimeoutError:
-                cancel_fn()
-                failure = {
-                    "error": "timeout",
-                    "detail": "job exceeded %.1fs (attempt %d/%d)"
-                              % (self.job_timeout_s, attempt + 1,
-                                 self.max_attempts),
-                }
-                if not degraded:
-                    self.breaker.record_failure()
-            except JobCancelled as exc:
-                cancelled = True
-                failure = {"error": "cancelled", "detail": str(exc)}
-                break
-            except asyncio.CancelledError:
-                job.state = JobState.FAILED
-                job.error = {"error": "worker-stopped",
-                             "detail": "worker task cancelled mid-job"}
-                self._finish(job, collector)
-                raise
-            except Exception as exc:
-                failure = {
-                    "error": "job-failed",
-                    "detail": "%s: %s" % (type(exc).__name__, exc),
-                }
-                if not degraded:
-                    self.breaker.record_failure()
-            if attempt + 1 < self.max_attempts:
-                self.registry.counter(
-                    "service.jobs.retried", "job attempts after a failure",
-                ).inc()
-                collector.instant(
-                    "service.job.retry", cat="service",
-                    args={"id": job.id, "reason": failure["error"]},
-                )
-                await asyncio.sleep(backoff_delay(
-                    attempt, base=self.backoff_base, cap=self.backoff_cap,
-                    jitter=self.backoff_jitter, rng=self.rng,
-                ))
+        future, cancel_fn = self.runner(job)
+        job.cancel_fn = cancel_fn
+        try:
+            job.result_text = await asyncio.wait_for(
+                asyncio.wrap_future(future), timeout=self.job_timeout_s,
+            )
+            job.state = JobState.DONE
+        except asyncio.TimeoutError:
+            cancel_fn()
+            failure = {"error": "timeout",
+                       "detail": "job exceeded %.1fs" % self.job_timeout_s}
+        except JobCancelled as exc:
+            cancelled = True
+            failure = {"error": "cancelled", "detail": str(exc)}
+        except asyncio.CancelledError:
+            job.state = JobState.FAILED
+            job.error = {"error": "worker-stopped",
+                         "detail": "worker task cancelled mid-job"}
+            self._finish(job, collector)
+            raise
+        except Exception as exc:
+            failure = {
+                "error": "job-failed",
+                "detail": "%s: %s" % (type(exc).__name__, exc),
+            }
 
-        self._breaker_gauge()
         if job.state != JobState.DONE:
             job.state = (JobState.CANCELLED if cancelled
                          else JobState.FAILED)
@@ -261,7 +202,7 @@ class WorkerSupervisor:
         collector.instant(
             "service.job.done", cat="service",
             args={"id": job.id, "state": job.state,
-                  "attempts": job.attempts, "waiters": job.waiters},
+                  "waiters": job.waiters},
         )
         if job.done_event is not None:
             job.done_event.set()
@@ -307,11 +248,3 @@ class WorkerSupervisor:
         self.registry.gauge(
             "service.jobs.running", "jobs currently executing",
         ).set(len(self.running))
-
-    def _breaker_gauge(self) -> None:
-        self.registry.gauge(
-            "service.breaker.open",
-            "circuit breaker state: 0 closed, 0.5 half-open, 1 open",
-        ).set({CircuitBreaker.CLOSED: 0.0,
-               CircuitBreaker.HALF_OPEN: 0.5,
-               CircuitBreaker.OPEN: 1.0}[self.breaker.state])

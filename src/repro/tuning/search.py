@@ -223,10 +223,10 @@ def coordinate_descent(evaluate: Callable[[CandidatePair], float],
 
     Within one coordinate scan the other coordinate is constant, so the
     scan's whole candidate list is known up front; when ``prefetch`` is
-    given it receives that list before the scan — the tuner points it at
-    the batch evaluator, which fans cache misses over the process pool.
-    The scan itself then reads memoized values, preserving the serial
-    probe order (and therefore the result) exactly.
+    given it receives that list before the scan (the tuner points it at
+    its evaluator's ``prefetch``).  The scan itself then reads memoized
+    values, preserving the probe order (and therefore the result)
+    exactly.
 
     Monotonicity: the running best only improves, so seeding with a
     baseline guarantees the outcome is never worse than the seed.

@@ -1,23 +1,21 @@
 """``tune_workload``: the end-to-end auto-tuning driver.
 
-One call profiles a workload through the evaluation engine (process
-pool + persistent profile cache, PR 2), evaluates candidate operating
-points at *schedule level* — full :meth:`DAEScheduler.run`, work
-stealing and DVFS-transition energy included — under a pluggable
+One call profiles a workload through the evaluation engine (with its
+persistent profile cache), evaluates candidate operating points at
+*schedule level* — full :meth:`DAEScheduler.run`, work stealing and
+DVFS-transition energy included — under a pluggable
 :class:`~repro.tuning.objectives.Objective`, and installs the winner as
 the ``"tuned"`` frequency policy.
 
-Candidate evaluations are themselves engineered like the engine's jobs:
+Candidate evaluations are:
 
 * **memoized** — each distinct (access, execute) pair is scheduled once
   per process;
 * **persistently cached** — keyed on the candidate point pair plus the
   same material that keys the profile cache, so a warm rerun re-profiles
   nothing and re-schedules nothing;
-* **fanned out** — with ``jobs > 1`` cache-missing candidates are
-  scheduled in a ``ProcessPoolExecutor``, collected in submission order
-  (byte-identical to the serial path), degrading to serial on any pool
-  failure.
+* **scheduled in-process, in request order** — one candidate schedule
+  costs well under a process pool's dispatch and result traffic.
 
 Why schedule-level: the paper's per-phase exhaustive EDP search
 (Section 6.1, :class:`OptimalEDPPolicy`) optimizes each phase in
@@ -36,20 +34,19 @@ all-big and all-LITTLE placements (see :func:`tune_workload`).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
 from ..engine.cache import _config_material, cache_key, key_material
-from ..engine.products import phase_from_dict, phase_to_dict, profile_workload
+from ..engine.products import profile_workload
 from ..interp.trace import TraceStore
 from ..machines import MachineModel, homogeneous_machine, machine_stream
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
 from ..runtime.scheduler import DAEScheduler, ScheduleResult
-from ..runtime.task import Scheme, TaskProfile, TaskRef
-from ..sim.config import MachineConfig, OperatingPoint
+from ..runtime.task import Scheme, TaskProfile
+from ..sim.config import MachineConfig
 from ..sim.timing import PhaseProfile
 from ..transform.access_phase import AccessPhaseOptions
 from ..workloads import Workload
@@ -166,8 +163,6 @@ class TuningStats:
     schedule_evals: int = 0    # scheduler.run calls actually executed
     cache_hits: int = 0
     cache_misses: int = 0
-    pool_evals: int = 0
-    serial_evals: int = 0
     phase_evals: int = 0       # phase-local power-model evaluations
     engine: dict = field(default_factory=dict)
 
@@ -177,8 +172,6 @@ class TuningStats:
             "schedule_evals": self.schedule_evals,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "pool_evals": self.pool_evals,
-            "serial_evals": self.serial_evals,
             "phase_evals": self.phase_evals,
             "engine": dict(self.engine),
         }
@@ -324,37 +317,9 @@ def _result_payload(result: ScheduleResult) -> dict:
     }
 
 
-def _candidate_worker(args: tuple) -> list:
-    """Top-level (picklable) pool worker: schedule a chunk of candidate
-    pairs over the slim task payload; return one payload per pair."""
-    tasks_doc, scheme_value, machine, placement, pair_keys = args
-    tasks = [
-        TaskProfile(
-            instance=TaskRef(name=doc["name"]),
-            execute=phase_from_dict(doc["execute"]),
-            access=(phase_from_dict(doc["access"])
-                    if doc["access"] is not None else None),
-        )
-        for doc in tasks_doc
-    ]
-    scheduler = DAEScheduler(machine=machine, placement=placement)
-    out = []
-    for access_f, access_v, execute_f, execute_v in pair_keys:
-        policy = TunedPolicy(
-            OperatingPoint(access_f, access_v),
-            OperatingPoint(execute_f, execute_v),
-        )
-        result = scheduler.run(
-            tasks, Scheme(scheme_value), policy, record_timeline=False
-        )
-        out.append(_result_payload(result))
-    return out
-
-
 class _CandidateEvaluator:
     """Schedules candidate pairs on one placement of a machine, with
-    memoization, persistent caching, and optional process-pool
-    fan-out.
+    memoization and persistent caching.
 
     ``placement`` is an (access, execute) core-type name pair;
     ``prefix`` starts every candidate label (heterogeneous machines
@@ -368,7 +333,7 @@ class _CandidateEvaluator:
                  stats: TuningStats,
                  cache: Optional[ProfileCache] = None,
                  material_base: Optional[dict] = None,
-                 jobs: int = 1, prefix: str = ""):
+                 prefix: str = ""):
         self.tasks = tasks
         self.run_scheme = run_scheme
         self.machine = machine
@@ -383,11 +348,9 @@ class _CandidateEvaluator:
         self.stats = stats
         self.cache = cache if material_base is not None else None
         self.material_base = material_base
-        self.jobs = jobs
         self.prefix = prefix
         self.collector = get_collector()
         self._memo: dict = {}
-        self._tasks_doc: Optional[list] = None
         self._scheduler = DAEScheduler(machine=machine, placement=placement)
 
     # -- public API ------------------------------------------------------------
@@ -416,113 +379,38 @@ class _CandidateEvaluator:
         return self._memo[pair.key]
 
     def prefetch(self, pairs: List[CandidatePair]) -> None:
-        """Ensure every pair is memoized; cache misses are computed in
-        the pool when ``jobs > 1`` allows, serially otherwise, and the
-        results are identical either way (asserted by test)."""
-        missing: List[CandidatePair] = []
-        seen: set = set()
+        """Ensure every pair is memoized: served from the persistent
+        cache, or scheduled in-process in request order."""
         for pair in pairs:
-            if pair.key in self._memo or pair.key in seen:
+            if pair.key in self._memo:
                 continue
-            seen.add(pair.key)
             self.stats.requests += 1
+            args = {"workload": self.workload_name, "pair": pair_label(pair)}
             payload = self._cache_load(pair)
             if payload is not None:
                 self.stats.cache_hits += 1
-                self.collector.instant(
-                    "tuning.cache.hit", cat="tuning.cache",
-                    args={"workload": self.workload_name,
-                          "pair": pair_label(pair)},
-                )
+                self.collector.instant("tuning.cache.hit", cat="tuning.cache",
+                                       args=args)
                 self._memo[pair.key] = self._candidate(
                     pair, payload, from_cache=True
                 )
                 continue
             if self.cache is not None:
                 self.stats.cache_misses += 1
-                self.collector.instant(
-                    "tuning.cache.miss", cat="tuning.cache",
-                    args={"workload": self.workload_name,
-                          "pair": pair_label(pair)},
-                )
-            missing.append(pair)
-        if not missing:
-            return
-        payloads = self._compute(missing)
-        for pair, payload in zip(missing, payloads):
+                self.collector.instant("tuning.cache.miss",
+                                       cat="tuning.cache", args=args)
+            self.stats.schedule_evals += 1
+            payload = _result_payload(self.run(TunedPolicy.from_pair(pair)))
             self._cache_store(pair, payload)
             self._memo[pair.key] = self._candidate(pair, payload)
             self.collector.instant(
                 "tuning.candidate", cat="tuning",
-                args={"workload": self.workload_name,
-                      "pair": pair_label(pair),
-                      "value": self._memo[pair.key].value},
+                args={**args, "value": self._memo[pair.key].value},
             )
 
     def candidates(self) -> List[TuningCandidate]:
         """Every distinct evaluated candidate, sorted by pair key."""
         return [self._memo[key] for key in sorted(self._memo)]
-
-    # -- computation -----------------------------------------------------------
-
-    def _compute(self, pairs: List[CandidatePair]) -> List[dict]:
-        self.stats.schedule_evals += len(pairs)
-        if self.jobs > 1 and len(pairs) > 1:
-            payloads = self._compute_pool(pairs)
-            if payloads is not None:
-                return payloads
-        self.stats.serial_evals += len(pairs)
-        return [self._compute_serial(pair) for pair in pairs]
-
-    def _compute_serial(self, pair: CandidatePair) -> dict:
-        return _result_payload(self.run(TunedPolicy.from_pair(pair)))
-
-    def _compute_pool(self, pairs: List[CandidatePair]) -> Optional[list]:
-        """Fan ``pairs`` over a process pool in submission-order chunks;
-        ``None`` means "pool unavailable, go serial"."""
-        workers = min(self.jobs, len(pairs))
-        chunks: List[List[CandidatePair]] = [[] for _ in range(workers)]
-        for index, pair in enumerate(pairs):
-            chunks[index % workers].append(pair)
-        chunks = [chunk for chunk in chunks if chunk]
-        try:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as executor:
-                futures = [
-                    executor.submit(_candidate_worker, (
-                        self._tasks_payload(), self.run_scheme.value,
-                        self.machine, self.placement,
-                        [pair.key[:1] + (pair.access.voltage,)
-                         + pair.key[1:] + (pair.execute.voltage,)
-                         for pair in chunk],
-                    ))
-                    for chunk in chunks
-                ]
-                results = [future.result() for future in futures]
-        except Exception as exc:
-            self.collector.instant(
-                "tuning.pool.unavailable", cat="tuning.pool",
-                args={"error": "%s: %s" % (type(exc).__name__, exc)},
-            )
-            return None
-        by_key: dict = {}
-        for chunk, payloads in zip(chunks, results):
-            for pair, payload in zip(chunk, payloads):
-                by_key[pair.key] = payload
-        self.stats.pool_evals += len(pairs)
-        return [by_key[pair.key] for pair in pairs]
-
-    def _tasks_payload(self) -> list:
-        if self._tasks_doc is None:
-            self._tasks_doc = [
-                {
-                    "name": task.instance.name,
-                    "execute": phase_to_dict(task.execute),
-                    "access": (phase_to_dict(task.access)
-                               if task.access is not None else None),
-                }
-                for task in self.tasks
-            ]
-        return self._tasks_doc
 
     def _candidate(self, pair: CandidatePair, payload: dict,
                    from_cache: bool = False) -> TuningCandidate:
@@ -614,7 +502,6 @@ def tune_workload(workload: Union[Workload, str, type], *,
                   scheme: Union[Scheme, str] = Scheme.DAE,
                   config: Optional[MachineConfig] = None,
                   scale: int = 1,
-                  jobs: int = 1,
                   cache: bool = True,
                   cache_dir: Optional[str] = None,
                   options: Optional[AccessPhaseOptions] = None,
@@ -624,10 +511,9 @@ def tune_workload(workload: Union[Workload, str, type], *,
     """Auto-tune ``workload``'s operating points under ``objective``.
 
     ``strategy`` is one of :data:`STRATEGIES` or ``"all"``.  Profiling
-    goes through the evaluation engine (``jobs`` worker processes,
-    persistent cache); candidate schedules are memoized, persistently
-    cached per point pair, and fanned through a process pool.  The
-    winning pair is installed as the ``"tuned"`` frequency policy
+    goes through the evaluation engine (persistent cache); candidate
+    schedules are memoized, persistently cached per point pair, and
+    run in-process in request order.  The winning pair is installed as the ``"tuned"`` frequency policy
     unless ``install=False`` (or no candidate is feasible).  ``interp``
     picks the profiling interpreter (``"replay"``, the default, or
     ``"reference"``); it cannot change any profile, only the wall-clock
@@ -682,12 +568,11 @@ def tune_workload(workload: Union[Workload, str, type], *,
     stats = TuningStats()
     with collector.span("tuning.run", cat="tuning", args={
         "objective": objective.spec, "strategy": strategy,
-        "scheme": scheme.value, "scale": scale, "jobs": jobs,
-        "machine": machine.name,
+        "scheme": scheme.value, "scale": scale, "machine": machine.name,
     }) as span:
         spec = ExperimentSpec(
             workloads=(workload,), schemes=(stream,), scale=scale,
-            config=config, options=options, jobs=jobs,
+            config=config, options=options,
             cache=cache and not heterogeneous, cache_dir=cache_dir,
             interp=interp,
         )
@@ -722,7 +607,7 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 workload_name=resolved.name, stats=stats,
                 cache=(ProfileCache(cache_dir)
                        if material_base is not None else None),
-                material_base=material_base, jobs=jobs,
+                material_base=material_base,
                 prefix="%s->%s " % placed if heterogeneous else "",
             )
             for placed, tasks in zip(placements, streams)

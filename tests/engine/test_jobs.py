@@ -1,5 +1,6 @@
 """Asynchronous engine runs: handles, cancellation, the reusable pool."""
 
+import os
 import threading
 
 import pytest
@@ -21,6 +22,10 @@ def _spec(**kw):
     kw.setdefault("workloads", (TinyWorkload(),))
     kw.setdefault("cache", False)
     return ExperimentSpec(**kw)
+
+
+def _dying_worker(payload):
+    os._exit(1)  # the worker process dies: the executor breaks
 
 
 class TestCancelToken:
@@ -131,5 +136,23 @@ class TestEnginePool:
             assert second["tiny"].task_count == TinyWorkload.chunks
             # The second run reused the first run's worker processes.
             assert pool.created == created_after_first <= 1
+        finally:
+            pool.shutdown()
+
+    def test_shared_pool_recovers_after_a_worker_dies(self, monkeypatch):
+        import repro.engine.pool as pool_module
+
+        pool = EnginePool(max_workers=2)
+        spec = _spec(jobs=2, workloads=(TinyWorkload(), TinyWorkload()))
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(pool_module, "_pool_worker", _dying_worker)
+                crashed = run_experiment(spec, pool=pool)
+            # The engine fell back to serial, and discarded the executor.
+            assert crashed.stats.fallbacks == 2
+            assert pool.broken == 1
+            recovered = run_experiment(spec, pool=pool)
+            assert recovered.stats.parallel_jobs == 2
+            assert pool.created == 2
         finally:
             pool.shutdown()

@@ -50,6 +50,8 @@ class TestCLI:
         ["fuzz", "replay", "--interp", "reference"],
         ["runs", "record", "cigar", "--trace", "t.json"],
         ["runs", "record", "cigar", "--events", "e.jsonl"],
+        ["tune", "cg", "--jobs", "2"],
+        ["serve", "--attempts", "3"],
     ], ids=" ".join)
     def test_flags_only_where_they_are_read(self, argv, tmp_path,
                                             monkeypatch):
@@ -78,7 +80,7 @@ class TestCLI:
         parser = _build_parser()
         for experiment in (["table1"], ["figure1"], ["figure2"],
                            ["figure3"], ["figure4"], ["headline"], ["all"],
-                           ["runs", "record"], ["tune", "cg"]):
+                           ["runs", "record"]):
             args = parser.parse_args(
                 experiment + ["--scale", "2", "--jobs", "3", "--no-cache",
                               "--cache-dir", "/tmp/x",
@@ -86,6 +88,13 @@ class TestCLI:
             )
             assert (args.scale, args.jobs, args.no_cache) == (2, 3, True)
             assert args.interp == "reference"
+        # tune profiles one workload, so it takes all of them but --jobs.
+        args = parser.parse_args(
+            ["tune", "cg", "--scale", "2", "--no-cache", "--cache-dir",
+             "/tmp/x", "--interp", "reference"]
+        )
+        assert (args.scale, args.no_cache, args.interp) \
+            == (2, True, "reference")
 
     def test_cache_stats_and_clear(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

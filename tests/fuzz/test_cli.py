@@ -64,6 +64,14 @@ class TestFuzzReplay:
         assert code == 0
         assert "no oracle violations" in capsys.readouterr().out
 
+    def test_cli_replay_of_no_entries_fails(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "replay", "--corpus", str(tmp_path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "no corpus entries under %s" % tmp_path in captured.err
+        assert "no oracle violations" not in captured.out
+
 
 class TestFuzzReduce:
     def test_injected_failure_reduces_to_quarter(self, tmp_path):

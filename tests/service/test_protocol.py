@@ -46,11 +46,14 @@ class TestSpecDocuments:
             spec_from_doc(["cg"])
 
     def test_retired_interp_choice_rejected(self):
-        assert spec_from_doc(
-            {"workloads": ["cg"], "interp": "reference"}
-        ).interp == "reference"
-        with pytest.raises(ValueError, match="'replay', 'reference'"):
-            spec_from_doc({"workloads": ["cg"], "interp": "fast"})
+        # Both interpreters give the same bytes, so the wire has no
+        # interp field: any value is an unknown field.
+        for value in ("replay", "reference", "fast"):
+            with pytest.raises(EngineError, match="'interp'"):
+                spec_from_doc({"workloads": ["cg"], "interp": value})
+        doc = spec_to_doc(ExperimentSpec(workloads=("cg",),
+                                         interp="reference"))
+        assert "interp" not in doc
 
     def test_tune_doc_validates(self):
         kwargs = tune_from_doc({"workload": "cg", "objective": "edp"})
@@ -59,6 +62,8 @@ class TestSpecDocuments:
             tune_from_doc({"objective": "edp"})        # no workload
         with pytest.raises(ValueError):
             tune_from_doc({"workload": "cg", "bogus": 1})
+        with pytest.raises(ValueError, match="'jobs'"):
+            tune_from_doc({"workload": "cg", "jobs": 2})
 
 
 class TestJobKey:

@@ -2,38 +2,29 @@
 
 Everything in :mod:`repro.service.queue` is wall-clock-free by
 construction; these tests pin the exact scheduling contract — FIFO
-within priority, admission control, coalescing, the backoff schedule's
-numeric values, and every circuit-breaker transition — without a
-single ``sleep``.
+within priority, admission control and coalescing — without a single
+``sleep``.
 """
-
-import random
 
 import pytest
 
 from repro.service.queue import (
-    CircuitBreaker,
     InFlightTable,
     Job,
     JobState,
     PriorityJobQueue,
     QueueFull,
-    backoff_delay,
-    backoff_schedule,
 )
 
 
 class FakeClock:
-    """A monotonic clock the test advances by hand."""
+    """A monotonic clock that reads whatever the test set."""
 
     def __init__(self, start: float = 100.0):
         self.now = start
 
     def __call__(self) -> float:
         return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
 
 
 def make_job(job_id: str, priority: int = 0, key: str = "") -> Job:
@@ -136,86 +127,3 @@ class TestInFlightTable:
         assert table.get("k") is second
         table.remove(second)
         assert table.get("k") is None
-
-
-class TestBackoff:
-    def test_exact_schedule_without_jitter(self):
-        schedule = backoff_schedule(6, base=0.25, cap=8.0, jitter=0.0)
-        assert schedule == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-
-    def test_cap_applies(self):
-        assert backoff_delay(50, base=0.25, cap=8.0, jitter=0.0) == 8.0
-
-    def test_jitter_bounds_with_seeded_rng(self):
-        rng = random.Random(1234)
-        for attempt in range(8):
-            bare = backoff_delay(attempt, jitter=0.0)
-            jittered = backoff_delay(attempt, jitter=0.25, rng=rng)
-            assert bare <= jittered <= bare * 1.25
-
-    def test_jitter_is_deterministic_under_a_seed(self):
-        first = backoff_schedule(5, jitter=0.25, rng=random.Random(7))
-        second = backoff_schedule(5, jitter=0.25, rng=random.Random(7))
-        assert first == second
-
-    def test_negative_attempt_rejected(self):
-        with pytest.raises(ValueError):
-            backoff_delay(-1)
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_after_s=30.0,
-                                 clock=clock)
-        assert breaker.allow()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opens == 1
-        assert not breaker.allow()
-
-    def test_success_resets_the_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_single_probe_then_close(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=30.0,
-                                 clock=clock)
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        clock.advance(29.9)
-        assert not breaker.allow()            # still open
-        clock.advance(0.2)
-        assert breaker.allow()                # the half-open probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert not breaker.allow()            # only ONE probe
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.closes == 1
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens_for_full_window(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=30.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(30.0)
-        assert breaker.allow()                # probe
-        breaker.record_failure()              # probe failed
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opens == 2
-        clock.advance(29.9)
-        assert not breaker.allow()            # full window restarts
-        clock.advance(0.2)
-        assert breaker.allow()
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)

@@ -3,9 +3,9 @@
 Each test runs a real :class:`EvaluationService` (real unix socket,
 real asyncio workers) on a background thread via
 :class:`ServiceThread`, but swaps the engine-backed runner for a stub
-so the scheduling behaviour — coalescing, retry, admission control,
-breaker degradation, graceful drain — is exercised in milliseconds and
-with injectable failures.
+so the scheduling behaviour — coalescing, one run per job, the per-job
+timeout, admission control, graceful drain — is exercised in
+milliseconds and with injectable failures.
 """
 
 import json
@@ -38,19 +38,21 @@ class StubRunner:
         #: Set by the first call: a worker popped a job and ran it.
         self.started = threading.Event()
         self.calls = 0
-        self.degraded_seen = []
         self.cancel_calls = 0
         self._lock = threading.Lock()
 
-    def __call__(self, job, degraded):
+    def __call__(self, job):
         with self._lock:
             self.calls += 1
             call = self.calls
         self.started.set()
-        self.degraded_seen.append(degraded)
         future = Future()
 
         def body():
+            # Running, like a dispatcher thread's future: the service's
+            # timeout can no longer cancel it, so setting it is safe.
+            if not future.set_running_or_notify_cancel():
+                return
             if self.block:
                 self.release.wait(timeout=30.0)
             if call <= self.fail_times:
@@ -74,12 +76,6 @@ def fast_config(path, **overrides) -> ServiceConfig:
         workers=2,
         max_queue=8,
         job_timeout_s=10.0,
-        max_attempts=3,
-        backoff_base_s=0.005,
-        backoff_cap_s=0.02,
-        backoff_jitter=0.0,
-        breaker_threshold=10,
-        breaker_reset_s=60.0,
         ledger=False,
         heartbeat_s=0.05,
     )
@@ -112,7 +108,6 @@ class TestBasics:
                 stats = client.stats()
                 assert stats["queue_depth"] == 0
                 assert stats["workers"] == 2
-                assert stats["breaker"]["state"] == "closed"
 
     def test_submit_run_roundtrip(self, socket_path):
         runner = StubRunner(result={"answer": 7})
@@ -205,24 +200,10 @@ class TestCoalescing:
                 assert runner.calls == 2
 
 
-class TestRetry:
-    def test_crashing_job_retries_then_succeeds(self, socket_path):
-        runner = StubRunner(fail_times=2, result={"ok_after": 3})
-        registry = MetricsRegistry()
-        with ServiceThread(fast_config(socket_path), runner=runner,
-                           registry=registry):
-            with ServiceClient(socket_path) as client:
-                doc = client.run(SPEC, timeout_s=10.0)
-                assert doc == {"ok_after": 3}
-                assert runner.calls == 3
-                stats = client.stats()
-                assert stats["metrics"][
-                    "service.jobs.retried"]["value"] == 2
-                assert stats["metrics"][
-                    "service.jobs.completed"]["value"] == 1
-
-    def test_exhausted_retries_fail_structurally(self, socket_path):
-        runner = StubRunner(fail_times=99)
+class TestFailure:
+    def test_failing_job_runs_once_and_fails_structurally(
+            self, socket_path):
+        runner = StubRunner(fail_times=1)
         with ServiceThread(fast_config(socket_path), runner=runner,
                            registry=MetricsRegistry()):
             with ServiceClient(socket_path) as client:
@@ -230,9 +211,26 @@ class TestRetry:
                 with pytest.raises(ServiceError) as err:
                     client.result(ack["id"], timeout_s=10.0)
                 assert err.value.code == "job-failed"
-                assert "injected crash" in err.value.detail
-                assert err.value.doc["attempts"] == 3
-                assert runner.calls == 3
+                assert "RuntimeError: injected crash #1" in err.value.detail
+                assert runner.calls == 1
+                stats = client.stats()
+                assert stats["metrics"][
+                    "service.jobs.failed"]["value"] == 1
+
+    def test_job_past_its_timeout_is_cancelled_and_fails(self, socket_path):
+        runner = StubRunner(block=True)
+        config = fast_config(socket_path, job_timeout_s=0.1)
+        with ServiceThread(config, runner=runner,
+                           registry=MetricsRegistry()):
+            with ServiceClient(socket_path) as client:
+                ack = client.submit(SPEC)
+                with pytest.raises(ServiceError) as err:
+                    client.result(ack["id"], timeout_s=10.0)
+                assert err.value.code == "timeout"
+                assert err.value.doc["state"] == JobState.FAILED
+                assert "exceeded 0.1s" in err.value.detail
+                assert runner.calls == 1
+                assert runner.cancel_calls == 1
 
 
 class TestAdmissionControl:
@@ -291,25 +289,6 @@ class TestAdmissionControl:
                 runner.release.set()
                 doc = client.result(ack["id"], timeout_s=10.0)
                 assert doc == {"value": 42}
-
-
-class TestBreakerDegradation:
-    def test_open_breaker_degrades_to_serial(self, socket_path):
-        runner = StubRunner(fail_times=1)
-        config = fast_config(socket_path, workers=1, breaker_threshold=1)
-        with ServiceThread(config, runner=runner,
-                           registry=MetricsRegistry()):
-            with ServiceClient(socket_path) as client:
-                doc = client.run(SPEC, timeout_s=10.0)
-                assert doc == {"value": 42}
-                # Attempt 1 (pool path) crashed and opened the breaker;
-                # attempt 2 ran degraded.
-                assert runner.degraded_seen == [False, True]
-                stats = client.stats()
-                assert stats["breaker"]["state"] == "open"
-                assert stats["breaker"]["opens"] == 1
-                assert stats["metrics"][
-                    "service.jobs.degraded"]["value"] == 1
 
 
 class TestShutdown:

@@ -28,20 +28,6 @@ class TestTuneVerb:
         assert {s["name"] for s in doc["strategies"]} \
             == {"phase-local", "exhaustive", "golden", "descent"}
 
-    def test_jobs_run_is_byte_identical_to_serial(
-            self, tmp_path, tuning_cache_dir, dae_runs, capsys):
-        main(["tune", "cg", "--cache-dir", tuning_cache_dir,
-              "--out", str(tmp_path / "serial")])
-        serial_out = capsys.readouterr().out
-        main(["tune", "cg", "--cache-dir", tuning_cache_dir, "--jobs", "2",
-              "--out", str(tmp_path / "pooled")])
-        pooled_out = capsys.readouterr().out
-        assert serial_out == pooled_out
-        assert (tmp_path / "serial-tuning.md").read_bytes() \
-            == (tmp_path / "pooled-tuning.md").read_bytes()
-        assert (tmp_path / "serial-tuning.json").read_bytes() \
-            == (tmp_path / "pooled-tuning.json").read_bytes()
-
     def test_missing_app_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["tune"])

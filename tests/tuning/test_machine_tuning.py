@@ -1,8 +1,6 @@
 """Tuning on a machine model: homogeneous pass-through and the
 heterogeneous placement × per-type point search."""
 
-import json
-
 import pytest
 
 from repro.machines import little_config
@@ -81,16 +79,6 @@ class TestBigLittleTuning:
         entry = biglittle_result.manifest_entry()
         assert entry["tuning"]["machine"] == "biglittle"
         assert entry["tuning"]["placement"] == biglittle_result.placement
-
-    def test_pooled_placement_search_matches_serial(self,
-                                                    biglittle_result):
-        pooled = tune_workload(
-            TinyWorkload(), machine="biglittle", cache=False,
-            install=False, jobs=2,
-        )
-        assert pooled.stats.pool_evals > 0
-        assert (json.dumps(pooled.as_dict(), sort_keys=True)
-                == json.dumps(biglittle_result.as_dict(), sort_keys=True))
 
     def test_unknown_machine_name_raises(self):
         with pytest.raises(KeyError, match="registered"):
