@@ -279,9 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workload size multiplier (default 1)",
     )
     submit.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=int, default=None, metavar="N",
         help="engine process-pool width for a profiling job (default 1; "
-             "a --tune job ignores it)",
+             "not with --tune)",
     )
     submit.add_argument(
         "--priority", type=int, default=0, metavar="P",
@@ -305,11 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "(takes exactly one APP)",
     )
     submit.add_argument(
-        "--objective", metavar="SPEC", default="edp",
+        "--objective", metavar="SPEC", default=None,
         help="tuning objective for --tune (default edp)",
     )
     submit.add_argument(
-        "--strategy", default="all",
+        "--strategy", default=None,
         help="tuning search strategy for --tune (default all)",
     )
     status = sub.add_parser(
@@ -578,22 +578,34 @@ def _run_submit(args, parser) -> int:
                 "unknown workload %r; choose from: %s"
                 % (name, ", ".join(sorted(w.name for w in ALL_WORKLOADS)))
             )
+    # Each job kind reads its own flags; a flag it would not read is an
+    # error, not a silent no-op.
+    if args.tune:
+        if args.jobs is not None:
+            parser.error("--jobs applies to a profiling job, not --tune")
+        if len(args.workloads) != 1:
+            parser.error("--tune takes exactly one workload name")
+    else:
+        for flag, value in (("--objective", args.objective),
+                            ("--strategy", args.strategy)):
+            if value is not None:
+                parser.error("%s applies only with --tune" % flag)
     client = ServiceClient(args.socket)
     try:
         if args.tune:
-            if len(args.workloads) != 1:
-                parser.error("--tune takes exactly one workload name")
             ack = client.submit_tune({
                 "workload": args.workloads[0],
-                "objective": args.objective,
-                "strategy": args.strategy,
+                "objective": ("edp" if args.objective is None
+                              else args.objective),
+                "strategy": ("all" if args.strategy is None
+                             else args.strategy),
                 "scale": args.scale,
             }, priority=args.priority)
         else:
             ack = client.submit({
                 "workloads": list(args.workloads),
                 "scale": args.scale,
-                "jobs": args.jobs,
+                "jobs": 1 if args.jobs is None else args.jobs,
             }, priority=args.priority)
         print("job %s: %s%s" % (
             ack["id"], ack["state"],

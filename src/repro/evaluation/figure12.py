@@ -143,8 +143,11 @@ def _range_cells(polys: list[Polyhedron], strides, params: dict) -> int:
 
 def analyze_kernel(spec: KernelSpec) -> AnalysisDemo:
     """All three analyses on one kernel."""
-    source, task_name, params = spec.source, spec.task, spec.params
-    by_class, strides_by_class = _access_polyhedra(source, task_name)
+    return _analyze(spec, *_access_polyhedra(spec.source, spec.task))
+
+
+def _analyze(spec: KernelSpec, by_class, strides_by_class) -> AnalysisDemo:
+    params = spec.params
     exact = 0
     hull = 0
     range_total = 0
@@ -154,7 +157,7 @@ def analyze_kernel(spec: KernelSpec) -> AnalysisDemo:
         hull += hull_poly.count_points(params)
         range_total += _range_cells(polys, strides_by_class[key], params)
     return AnalysisDemo(
-        kernel=task_name, params=params,
+        kernel=spec.task, params=params,
         exact_cells=exact, hull_cells=hull, range_cells=range_total,
         classes=len(by_class),
     )
@@ -167,6 +170,10 @@ def single_hull_cells(spec: KernelSpec) -> int:
     combined hull is only bounded once the parameters are instantiated.
     """
     by_class, _ = _access_polyhedra(spec.source, spec.task)
+    return _single_hull_cells(spec, by_class)
+
+
+def _single_hull_cells(spec: KernelSpec, by_class) -> int:
     all_polys = [
         p.with_param_values(spec.params)
         for polys in by_class.values() for p in polys
@@ -181,15 +188,18 @@ def figure1_demo() -> list[AnalysisDemo]:
 
 
 def figure2_demo() -> dict:
-    """Per-class hulls vs one global hull on the two-block kernel."""
-    demo = analyze_kernel(FIGURE2_SPEC)
-    merged = single_hull_cells(FIGURE2_SPEC)
+    """Per-class hulls vs one global hull on the two-block kernel, from
+    one compile and analysis of it."""
+    by_class, strides_by_class = _access_polyhedra(
+        FIGURE2_SPEC.source, FIGURE2_SPEC.task
+    )
+    demo = _analyze(FIGURE2_SPEC, by_class, strides_by_class)
     return {
         "params": dict(FIGURE2_SPEC.params),
         "classes": demo.classes,
         "exact_cells": demo.exact_cells,
         "per_class_hull_cells": demo.hull_cells,
-        "single_hull_cells": merged,
+        "single_hull_cells": _single_hull_cells(FIGURE2_SPEC, by_class),
     }
 
 

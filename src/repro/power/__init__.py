@@ -15,6 +15,7 @@ from .model import (
     edp,
     effective_capacitance,
     phase_energy,
+    phase_energy_at,
     static_power,
     total_power,
     transition_energy,
@@ -24,5 +25,6 @@ __all__ = [
     "FixedPolicy", "FrequencyPolicy", "MinMaxPolicy", "OptimalEDPPolicy",
     "fixed_policy_at", "optimal_edp_point", "phase_edp_at",
     "EnergyBreakdown", "dynamic_power", "edp", "effective_capacitance",
-    "phase_energy", "static_power", "total_power", "transition_energy",
+    "phase_energy", "phase_energy_at", "static_power", "total_power",
+    "transition_energy",
 ]

@@ -16,16 +16,14 @@ from typing import Callable, Optional
 
 from ..sim.config import MachineConfig, OperatingPoint
 from ..sim.timing import PhaseProfile
-from .model import phase_energy
+from .model import edp, phase_energy_at
 
 
 def phase_edp_at(profile: PhaseProfile, point: OperatingPoint,
                  config: MachineConfig) -> float:
     """Local EDP of one phase at one operating point."""
-    time = profile.time_ns(point, config)
-    ipc = profile.ipc(point, config)
-    breakdown = phase_energy(time, point, ipc, config)
-    return (breakdown.energy_nj * 1e-9) * (time * 1e-9)
+    breakdown = phase_energy_at(profile.terms(config), point)
+    return edp(breakdown.time_ns, breakdown.energy_nj)
 
 
 def optimal_edp_point(profile: PhaseProfile,
@@ -35,17 +33,22 @@ def optimal_edp_point(profile: PhaseProfile,
     Ties are broken toward the *lower-frequency* point (the cheaper
     voltage), and the scan runs over the points sorted by frequency, so
     the choice is deterministic regardless of how
-    ``config.operating_points`` happens to be ordered.
+    ``config.operating_points`` happens to be ordered.  The search runs
+    once per (phase, config): its choice is kept on the phase's terms.
     """
-    best: Optional[OperatingPoint] = None
-    best_edp = float("inf")
-    for point in sorted(config.operating_points, key=lambda p: p.freq_ghz):
-        value = phase_edp_at(profile, point, config)
-        if value < best_edp:
-            best_edp = value
-            best = point
-    assert best is not None
-    return best
+    terms = profile.terms(config)
+    if terms.edp_point is None:
+        best: Optional[OperatingPoint] = None
+        best_edp = float("inf")
+        for point in sorted(config.operating_points,
+                            key=lambda p: p.freq_ghz):
+            value = phase_edp_at(profile, point, config)
+            if value < best_edp:
+                best_edp = value
+                best = point
+        assert best is not None
+        terms.edp_point = best
+    return terms.edp_point
 
 
 #: name -> factory(config) for :meth:`FrequencyPolicy.from_name`.

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..sim.config import MachineConfig, OperatingPoint
+from ..sim.timing import PhaseTerms
 
 
 def effective_capacitance(ipc: float, config: MachineConfig) -> float:
@@ -111,6 +112,18 @@ def phase_energy(time_ns: float, point: OperatingPoint, ipc: float,
         dynamic_nj=dynamic_w * time_ns,
         static_nj=static_w * time_ns,
     )
+
+
+def phase_energy_at(terms: PhaseTerms,
+                    point: OperatingPoint) -> EnergyBreakdown:
+    """One phase at ``point`` on one core, from its frequency terms.
+
+    The scheduler, the optimal-EDP policy and the tuner's phase-local
+    searches all cost a phase here, so they agree bit for bit.
+    """
+    time_ns = terms.time_ns(point)
+    return phase_energy(time_ns, point, terms.ipc(point, time_ns),
+                        terms.config)
 
 
 def transition_energy(config: MachineConfig, point: OperatingPoint,

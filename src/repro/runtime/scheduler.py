@@ -35,7 +35,7 @@ from ..power.frequency import FrequencyPolicy
 from ..power.model import (
     EnergyBreakdown,
     migration_energy,
-    phase_energy,
+    phase_energy_at,
     static_energy,
     static_power,
     transition_energy,
@@ -349,7 +349,8 @@ class DAEScheduler:
             target = access_type
             config = target.config
             access_point = policy.access_point(profile.access, config)
-            predicted = profile.access.time_ns(access_point, config)
+            terms = profile.access.terms(config)
+            predicted = terms.time_ns(access_point)
             migrating = (
                 core.core_type is not None and core.core_type is not target
             )
@@ -361,6 +362,7 @@ class DAEScheduler:
                 target = core.core_type
                 config = target.config
                 access_point = policy.access_point(profile.access, config)
+                terms = profile.access.terms(config)
             elif not migrating and predicted < config.dvfs_transition_ns:
                 # DVFS flavour: downclocking for a phase shorter than
                 # the ramp itself can never pay off; stay where the
@@ -375,14 +377,10 @@ class DAEScheduler:
             # The ramp into a (DRAM-bound) access phase overlaps the
             # phase's own memory time when the hardware keeps clocking
             # during the transition.
-            time = profile.access.time_ns(access_point, config)
-            hide = profile.access.prefetch_mem_ns(config) + (
-                profile.access.demand_mem_ns(config)
-            )
             self._place(core, target, access_point, result, timeline,
-                        hide_ns=hide)
-            ipc = profile.access.ipc(access_point, config)
-            breakdown = phase_energy(time, access_point, ipc, config)
+                        hide_ns=terms.prefetch_ns + terms.demand_ns)
+            breakdown = phase_energy_at(terms, access_point)
+            time = breakdown.time_ns
             start = core.clock_ns
             core.clock_ns += time
             if timeline is not None:
@@ -401,9 +399,9 @@ class DAEScheduler:
         # (prefetches still in flight when the switch is requested).
         self._place(core, execute_type, execute_point, result, timeline,
                     hide_ns=access_time)
-        time = profile.execute.time_ns(execute_point, config)
-        ipc = profile.execute.ipc(execute_point, config)
-        breakdown = phase_energy(time, execute_point, ipc, config)
+        breakdown = phase_energy_at(profile.execute.terms(config),
+                                    execute_point)
+        time = breakdown.time_ns
         start = core.clock_ns
         core.clock_ns += time
         if timeline is not None:

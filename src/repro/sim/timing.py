@@ -17,6 +17,11 @@ scale with frequency, DRAM time does not.  A phase is summarized as
   compute (``max``) instead of adding to it.
 
 IPC(f) = instructions / (T(f) · f) feeds the power model.
+
+The four terms depend only on the phase and its config, never on f, so
+each (phase, config) computes them once: :meth:`PhaseProfile.terms`
+returns a :class:`PhaseTerms`, and every per-point time and IPC comes
+from it.
 """
 
 from __future__ import annotations
@@ -43,6 +48,61 @@ def issue_slots(trace: ExecutionTrace) -> int:
     for opcode, count in trace.by_opcode.items():
         total += SLOT_COSTS.get(opcode, 1) * count
     return total
+
+
+class PhaseTerms:
+    """One phase's frequency terms under one config: C, M_pf, M_demand
+    and M_store, plus the EDP-optimal point once it has been picked.
+
+    It is the only place that turns a phase into time and IPC at an
+    operating point; a point off the config's table (an interpolated
+    V/f point) works like any other.
+    """
+
+    __slots__ = ("config", "instructions", "core_cycles", "prefetch_ns",
+                 "demand_ns", "store_ns", "edp_point")
+
+    def __init__(self, profile: "PhaseProfile", config: MachineConfig):
+        counts = profile.counts
+        loads = counts.loads
+        self.config = config
+        self.instructions = profile.instructions
+        cycles = profile.slots / config.issue_width
+        cycles += (
+            loads["l2"] * config.l2.latency_cycles * (1.0 - config.l2_hidden)
+        )
+        cycles += (
+            loads["llc"]
+            * config.llc.latency_cycles * (1.0 - config.llc_hidden)
+        )
+        self.core_cycles = cycles
+        random_ns = loads["mem"] * config.mem_latency_ns / config.mlp_demand
+        stream_ns = (
+            loads["mem_stream"] * config.mem_latency_ns / config.mlp_hw_stream
+        )
+        self.demand_ns = random_ns + stream_ns
+        stores = counts.stores["mem"] + counts.stores["mem_stream"]
+        self.store_ns = stores * config.mem_latency_ns / config.mlp_store
+        prefetches = (
+            counts.prefetches["mem"] + counts.prefetches["mem_stream"]
+        )
+        self.prefetch_ns = (
+            prefetches * config.mem_latency_ns / config.mlp_prefetch
+        )
+        #: Set by :func:`repro.power.frequency.optimal_edp_point`.
+        self.edp_point = None
+
+    def time_ns(self, point: OperatingPoint) -> float:
+        core_ns = self.core_cycles / point.freq_ghz
+        busy = max(core_ns, self.prefetch_ns)
+        return busy + self.demand_ns + self.store_ns
+
+    def ipc(self, point: OperatingPoint, time_ns: float) -> float:
+        """IPC at ``point``, whose phase time is ``time_ns``."""
+        if time_ns <= 0.0:
+            return 0.0
+        cycles = time_ns * point.freq_ghz
+        return self.instructions / cycles
 
 
 @dataclass
@@ -84,61 +144,34 @@ class PhaseProfile:
 
     # -- timing -------------------------------------------------------------------
 
-    def core_cycles(self, config: MachineConfig) -> float:
-        """Frequency-scaled cycles (C)."""
-        cycles = self.slots / config.issue_width
-        cycles += (
-            self.counts.loads["l2"]
-            * config.l2.latency_cycles * (1.0 - config.l2_hidden)
-        )
-        cycles += (
-            self.counts.loads["llc"]
-            * config.llc.latency_cycles * (1.0 - config.llc_hidden)
-        )
-        return cycles
+    #: The terms under the config asked for last (see :meth:`terms`).
+    #: Not a dataclass field: equality and payloads ignore it.
+    _terms = None
 
-    def demand_mem_ns(self, config: MachineConfig) -> float:
-        random_ns = (
-            self.counts.loads["mem"] * config.mem_latency_ns / config.mlp_demand
-        )
-        stream_ns = (
-            self.counts.loads["mem_stream"]
-            * config.mem_latency_ns / config.mlp_hw_stream
-        )
-        return random_ns + stream_ns
+    def terms(self, config: MachineConfig) -> PhaseTerms:
+        """This phase's frequency terms under ``config``, computed once.
 
-    def store_mem_ns(self, config: MachineConfig) -> float:
-        misses = self.counts.stores["mem"] + self.counts.stores["mem_stream"]
-        return misses * config.mem_latency_ns / config.mlp_store
-
-    def prefetch_mem_ns(self, config: MachineConfig) -> float:
-        misses = (
-            self.counts.prefetches["mem"]
-            + self.counts.prefetches["mem_stream"]
-        )
-        return misses * config.mem_latency_ns / config.mlp_prefetch
+        One slot holds the terms of the config asked for last, keyed by
+        identity: another config object, even an equal one such as a
+        ``dataclasses.replace`` copy, gets terms of its own.
+        """
+        terms = self._terms
+        if terms is None or terms.config is not config:
+            terms = self._terms = PhaseTerms(self, config)
+        return terms
 
     def time_ns(self, point: OperatingPoint, config: MachineConfig) -> float:
-        core_ns = self.core_cycles(config) / point.freq_ghz
-        busy = max(core_ns, self.prefetch_mem_ns(config))
-        return busy + self.demand_mem_ns(config) + self.store_mem_ns(config)
+        return self.terms(config).time_ns(point)
 
     def ipc(self, point: OperatingPoint, config: MachineConfig) -> float:
-        time = self.time_ns(point, config)
-        if time <= 0.0:
-            return 0.0
-        cycles = time * point.freq_ghz
-        return self.instructions / cycles
+        terms = self.terms(config)
+        return terms.ipc(point, terms.time_ns(point))
 
     def memory_boundedness(self, config: MachineConfig) -> float:
         """Fraction of fmax time spent waiting on DRAM (diagnostic)."""
-        fmax = config.fmax
-        total = self.time_ns(fmax, config)
+        terms = self.terms(config)
+        total = terms.time_ns(config.fmax)
         if total <= 0.0:
             return 0.0
-        mem = (
-            self.demand_mem_ns(config)
-            + self.store_mem_ns(config)
-            + self.prefetch_mem_ns(config)
-        )
+        mem = terms.demand_ns + terms.store_ns + terms.prefetch_ns
         return min(1.0, mem / total)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..power.model import phase_energy
+from ..power.model import phase_energy_at
 from ..runtime.scheduler import ScheduleResult
 from ..sim.config import MachineConfig, OperatingPoint
 from ..sim.timing import PhaseProfile
@@ -65,10 +65,9 @@ class Objective:
         costed with the paper's power model (single core, no
         transitions) — the search space of Section 6.1's exhaustive
         per-phase search."""
-        time_ns = profile.time_ns(point, config)
-        ipc = profile.ipc(point, config)
-        breakdown = phase_energy(time_ns, point, ipc, config)
-        return self.evaluate(time_ns * 1e-9, breakdown.energy_nj * 1e-9)
+        breakdown = phase_energy_at(profile.terms(config), point)
+        return self.evaluate(breakdown.time_ns * 1e-9,
+                             breakdown.energy_nj * 1e-9)
 
     @property
     def spec(self) -> str:

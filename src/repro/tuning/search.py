@@ -19,8 +19,8 @@ evaluations (the currency tuning budgets are measured in):
   energy included), where the phase-local optimum is no longer optimal.
 
 Strategies receive an ``evaluate`` callable and never touch the
-scheduler or the power model themselves; the tuner wires them to cached
-(and process-pool fanned) evaluators.
+scheduler or the power model themselves; the tuner wires them to
+memoized, persistently cached evaluators.
 """
 
 from __future__ import annotations
@@ -209,10 +209,7 @@ def golden_section(evaluate: Callable[[float], float], lo: float, hi: float,
 def coordinate_descent(evaluate: Callable[[CandidatePair], float],
                        points: Sequence[OperatingPoint],
                        seed: CandidatePair,
-                       max_rounds: int = 16,
-                       prefetch: Optional[
-                           Callable[[List[CandidatePair]], None]
-                       ] = None) -> SearchOutcome:
+                       max_rounds: int = 16) -> SearchOutcome:
     """Alternating minimization over the (access, execute) pair.
 
     Each round scans the access coordinate (execute held fixed), then
@@ -220,13 +217,6 @@ def coordinate_descent(evaluate: Callable[[CandidatePair], float],
     descent stops at the first round with no move.  Distinct candidates
     are evaluated once (memoized), so ``evaluations`` measures real
     work and a round that rediscovers known pairs costs nothing.
-
-    Within one coordinate scan the other coordinate is constant, so the
-    scan's whole candidate list is known up front; when ``prefetch`` is
-    given it receives that list before the scan (the tuner points it at
-    its evaluator's ``prefetch``).  The scan itself then reads memoized
-    values, preserving the probe order (and therefore the result)
-    exactly.
 
     Monotonicity: the running best only improves, so seeding with a
     baseline guarantees the outcome is never worse than the seed.
@@ -257,8 +247,6 @@ def coordinate_descent(evaluate: Callable[[CandidatePair], float],
             else:
                 scan = [CandidatePair(current.access, point)
                         for point in ordered]
-            if prefetch is not None:
-                prefetch([pair for pair in scan if pair.key not in memo])
             for candidate in scan:
                 value = probe(candidate)
                 if value < best_value:

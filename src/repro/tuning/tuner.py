@@ -744,7 +744,6 @@ def _run_strategy(name: str, evaluator: _CandidateEvaluator,
             detail="per-phase grid (Section 6.1 baseline)",
         )
     if name == "exhaustive":
-        evaluator.prefetch(evaluator.grid())
         outcome = grid_search_pair(evaluator.value, config.operating_points)
         return _summary_from_outcome(name, outcome)
     if name.startswith("placement:"):
@@ -761,8 +760,7 @@ def _run_strategy(name: str, evaluator: _CandidateEvaluator,
         return _run_golden(evaluator, config, objective)
     if name == "descent":
         outcome = coordinate_descent(
-            evaluator.value, config.operating_points, seed,
-            prefetch=evaluator.prefetch,
+            evaluator.value, config.operating_points, seed
         )
         return _summary_from_outcome(name, outcome)
     raise ValueError("unknown strategy %r" % name)

@@ -52,6 +52,9 @@ class TestCLI:
         ["runs", "record", "cigar", "--events", "e.jsonl"],
         ["tune", "cg", "--jobs", "2"],
         ["serve", "--attempts", "3"],
+        ["submit", "cg", "--tune", "--jobs", "2"],
+        ["submit", "cg", "--objective", "energy"],
+        ["submit", "cg", "--strategy", "golden"],
     ], ids=" ".join)
     def test_flags_only_where_they_are_read(self, argv, tmp_path,
                                             monkeypatch):

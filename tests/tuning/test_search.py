@@ -147,23 +147,3 @@ class TestCoordinateDescent:
         outcome = coordinate_descent(evaluate, POINTS, self._seed())
         assert len(calls) == len(set(calls))
         assert outcome.evaluations == len(calls)
-
-    def test_prefetch_sees_each_scan_before_probes(self):
-        prefetched = []
-        probed = []
-
-        def evaluate(pair):
-            probed.append(pair.key)
-            return pair.access.freq_ghz + pair.execute.freq_ghz
-
-        coordinate_descent(
-            evaluate, POINTS, self._seed(),
-            prefetch=lambda scan: prefetched.append(
-                [pair.key for pair in scan]
-            ),
-        )
-        # Every probed pair (bar the seed) appeared in a prefetch batch,
-        # and batches only ever contain not-yet-probed pairs.
-        flat = [key for batch in prefetched for key in batch]
-        assert set(probed) - {self._seed().key} <= set(flat)
-        assert len(flat) == len(set(flat))
