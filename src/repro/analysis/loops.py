@@ -52,14 +52,6 @@ class Loop:
     def contains(self, block: BasicBlock) -> bool:
         return block in self.blocks
 
-    def contains_loop(self, other: "Loop") -> bool:
-        current: Optional[Loop] = other
-        while current is not None:
-            if current is self:
-                return True
-            current = current.parent
-        return False
-
     def exiting_blocks(self) -> list[BasicBlock]:
         return [
             b for b in self.blocks
@@ -186,13 +178,6 @@ class LoopInfo:
 
     def top_level(self) -> list[Loop]:
         return [l for l in self.loops if l.parent is None]
-
-    def loop_depth(self, block: BasicBlock) -> int:
-        loop = self.loop_for(block)
-        return loop.depth if loop is not None else 0
-
-    def loops_outside_in(self) -> list[Loop]:
-        return sorted(self.loops, key=lambda l: l.depth)
 
     def __repr__(self) -> str:
         return "<LoopInfo %s: %d loops>" % (self.func.name, len(self.loops))

@@ -26,7 +26,7 @@ from ..ir import (
     Phi,
     Value,
 )
-from .loops import InductionVariable, Loop, LoopInfo
+from .loops import InductionVariable, LoopInfo
 
 #: A monomial over parameters: canonically sorted tuple of parameter values.
 ParamMonomial = tuple
@@ -128,18 +128,6 @@ class LinearExpr:
         }
         return sorted(params, key=_monomial_sort_key)
 
-    def is_loop_invariant(self) -> bool:
-        return not self.induction_phis()
-
-    def coefficient_of(self, iv: Optional[Phi]) -> "LinearExpr":
-        """The (parameter-level) coefficient multiplying ``iv``."""
-        picked = {
-            (None, mono): c
-            for (term_iv, mono), c in self.terms.items()
-            if term_iv is iv
-        }
-        return LinearExpr(picked)._cleaned()
-
     def split_by_monomial(self, sym: Value):
         """Split into (with_sym / sym, without_sym) for delinearization.
 
@@ -204,16 +192,6 @@ class ScalarEvolution:
             iv = loop.induction_variable()
             if iv is not None:
                 self._ivs[id(iv.phi)] = iv
-
-    def induction_for(self, phi: Phi) -> Optional[InductionVariable]:
-        return self._ivs.get(id(phi))
-
-    def loop_of_iv(self, phi: Phi) -> Optional[Loop]:
-        for loop in self.loop_info.loops:
-            iv = loop.induction_variable()
-            if iv is not None and iv.phi is phi:
-                return loop
-        return None
 
     def linear(self, value: Value) -> Optional[LinearExpr]:
         """Linear form of ``value`` or None if it is not linear."""

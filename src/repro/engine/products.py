@@ -135,9 +135,7 @@ def profile_workload(workload: Workload, scale: int = 1,
     each scheme is re-simulated through the machine's per-type cache
     hierarchy (:func:`repro.machines.replay.machine_stream`) so access
     phases meet the access cluster's caches and execute phases the
-    execute cluster's.  A workload that records a non-replayable phase
-    cannot be profiled on a heterogeneous machine and raises
-    :class:`EngineError`.
+    execute cluster's.
     """
     if machine is None:
         machine = homogeneous_machine(
@@ -173,12 +171,6 @@ def profile_workload(workload: Workload, scale: int = 1,
                 % (workload.name, len(tasks), scheme.value, task_count)
             )
     if heterogeneous:
-        if not store.fully_replayable():
-            raise EngineError(
-                "workload %r recorded a non-replayable phase; "
-                "heterogeneous machine %r requires full trace replay"
-                % (workload.name, machine.name)
-            )
         profiles = {
             scheme: machine_stream(store, scheme, machine)
             for scheme in profiles

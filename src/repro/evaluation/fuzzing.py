@@ -38,7 +38,6 @@ from ..fuzz import (
     reduce_program,
     run_oracles,
     save_program,
-    statement_count,
 )
 from ..fuzz.generator import MARKER_TEXT, GeneratorConfig
 from ..obs.events import get_collector
@@ -278,11 +277,6 @@ def render_reduce_report(report: dict) -> str:
         "",
         report["source"].rstrip(),
     ])
-
-
-def statement_count_of(report: dict) -> int:
-    """Statement count of a reduce report's program (for tests)."""
-    return statement_count(report["source"])
 
 
 __all__ = [

@@ -6,11 +6,12 @@ re-simulates it under every requested
 :class:`~repro.machines.model.MachineModel` by trace replay
 (:func:`~repro.machines.replay.machine_stream`, the one replay path
 for single-type and heterogeneous machines alike) and schedules the
-run-ledger configurations on each.  On a fully-replayable workload not
-a single instruction is re-interpreted per machine (the report carries
-the :class:`~repro.interp.trace.TraceStore` counters that prove it).
-:class:`MachineSweep` is that record-once, re-simulate-per-machine
-loop; the ``ablate`` verb runs its config variants through it too.
+run-ledger configurations on each.  Every recorded phase replays, so
+not a single instruction is re-interpreted per machine (the report
+carries the :class:`~repro.interp.trace.TraceStore` counters that
+prove it).  :class:`MachineSweep` is that record-once,
+re-simulate-per-machine loop; the ``ablate`` verb runs its config
+variants through it too.
 
 Every scheduled result records a timeline and passes both timeline
 validation and the exact energy roll-up check, so migration charges on
@@ -52,43 +53,27 @@ class MachineSweep:
     def __init__(self, workload: Workload, scale: int = 1,
                  config: Optional[MachineConfig] = None):
         self.workload = workload
-        self.scale = scale
         self.store = TraceStore()
         self.run = profile_workload(
             workload, scale, config, schemes=ALL_SCHEMES,
             trace_store=self.store,
         )
-        self.replayed = self.store.fully_replayable()
 
-    def runs(self, machines: Sequence[MachineModel],
-             ) -> Iterator[Optional[WorkloadRun]]:
-        """One :class:`WorkloadRun` per machine, in order.
-
-        Profiles come from trace replay when every recorded phase is
-        replayable, else from re-profiling on the machine.  ``None``
-        marks a heterogeneous machine on a non-replayable workload:
-        its per-phase cache placement exists only on the replay path.
-        Replay keeps only the private passes a later machine reuses.
+    def runs(self, machines: Sequence[MachineModel]) -> Iterator[WorkloadRun]:
+        """One :class:`WorkloadRun` per machine, in order, by trace
+        replay.  Replay keeps only the private passes a later machine
+        reuses.
         """
         recorded = self.store.recorded_phases
         for index, machine in enumerate(machines):
-            if self.replayed:
-                profiles = machine_profiles(self.store, machine)
-                prune_private_passes(self.store, machines[index + 1:])
-                # Replay must never touch the recorder: a drifted
-                # counter means a machine was silently re-interpreted.
-                assert self.store.recorded_phases == recorded, (
-                    "machine %r re-interpreted %r"
-                    % (machine.name, self.workload.name)
-                )
-            elif machine.heterogeneous:
-                yield None
-                continue
-            else:
-                profiles = profile_workload(
-                    self.workload, self.scale, schemes=ALL_SCHEMES,
-                    machine=machine,
-                ).profiles
+            profiles = machine_profiles(self.store, machine)
+            prune_private_passes(self.store, machines[index + 1:])
+            # Replay must never touch the recorder: a drifted counter
+            # means a machine was silently re-interpreted.
+            assert self.store.recorded_phases == recorded, (
+                "machine %r re-interpreted %r"
+                % (machine.name, self.workload.name)
+            )
             yield WorkloadRun(
                 workload=self.workload, compiled=self.run.compiled,
                 profiles=profiles, task_count=self.run.task_count,
@@ -101,9 +86,7 @@ def compare_machines(workloads: Sequence[Workload],
     """Profile ``workloads`` once each; schedule on every machine.
 
     Returns a JSON-able report (render with
-    :func:`render_machines_report`).  A workload that records a
-    non-replayable phase falls back to re-profiling for homogeneous
-    machines and marks heterogeneous columns as skipped.
+    :func:`render_machines_report`).
     """
     names = [n.lower() for n in (machine_names
                                  or MachineModel.registered_names())]
@@ -116,24 +99,15 @@ def compare_machines(workloads: Sequence[Workload],
     }
     for workload in workloads:
         sweep = MachineSweep(workload, scale)
-        columns = {}
-        for name, machine, run in zip(names, machines,
-                                      sweep.runs(machines)):
-            if run is None:
-                columns[name] = {
-                    "skipped": (
-                        "workload recorded a non-replayable phase; "
-                        "heterogeneous machines require trace replay"
-                    ),
-                }
-                continue
-            columns[name] = {
-                "source": "replay" if sweep.replayed else "reprofile",
-                "schedules": _schedule_machine(run, machine),
-            }
+        columns = {
+            name: {"source": "replay",
+                   "schedules": _schedule_machine(run, machine)}
+            for name, machine, run in zip(names, machines,
+                                          sweep.runs(machines))
+        }
         report["workloads"][workload.name] = {
             "task_count": sweep.run.task_count,
-            "replayed": sweep.replayed,
+            "replayed": True,
             "recorded_phases": sweep.store.recorded_phases,
             "recorded_events": sweep.store.recorded_events,
             "machines": columns,
@@ -185,7 +159,7 @@ def machines_manifest(report: dict, machine_name: str) -> dict:
     )
     for name, doc in report["workloads"].items():
         column = doc["machines"].get(machine_name)
-        if column is None or "schedules" not in column:
+        if column is None:
             continue
         manifest.workloads[name] = {
             "task_count": doc["task_count"],
@@ -210,37 +184,20 @@ def render_machines_report(report: dict) -> str:
         "",
     ]
     for name, doc in report["workloads"].items():
-        if doc["replayed"]:
-            provenance = (
-                "recorded once (%d phases, %d events); every machine "
-                "simulated by trace replay, zero re-interpretation"
-                % (doc["recorded_phases"], doc["recorded_events"])
-            )
-        else:
-            provenance = (
-                "a recorded phase was non-replayable; homogeneous "
-                "machines re-profiled, heterogeneous columns skipped"
-            )
         lines += [
             "## %s — %d tasks" % (name, doc["task_count"]),
             "",
-            provenance + ".",
+            "recorded once (%d phases, %d events); every machine "
+            "simulated by trace replay, zero re-interpretation."
+            % (doc["recorded_phases"], doc["recorded_events"]),
             "",
             "| machine | schedule | time (ms) | energy (mJ) | EDP (uJ*s) "
             "| EDP vs CAE | placement | migrations |",
             "|---|---|---:|---:|---:|---:|---|---:|",
         ]
         for machine_name in report["machines"]:
-            column = doc["machines"].get(machine_name)
-            if column is None:
-                continue
-            if "skipped" in column:
-                lines.append(
-                    "| %s | — | — | — | — | — | %s | — |"
-                    % (machine_name, column["skipped"])
-                )
-                continue
-            for label, entry in column["schedules"].items():
+            schedules = doc["machines"][machine_name]["schedules"]
+            for label, entry in schedules.items():
                 summary = entry["summary"]
                 placement = summary.get("placement")
                 placement_text = (

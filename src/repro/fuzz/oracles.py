@@ -21,10 +21,12 @@ them on *every* generated program:
 ``trace-invariance``
     the record/replay engine's load-bearing assumption — the execute
     phase emits the identical memory-event stream whether or not the
-    access phase ran first — and its end-to-end consequence: profiling
+    access phase ran first — and its end-to-end consequences: profiling
     the scheme matrix (execute phases replayed from the donor scheme's
     recorded trace) serializes byte-identical to direct interpretation
-    (one single-scheme profile per scheme, which records nothing).
+    (one single-scheme profile per scheme, which records nothing), and
+    so does replaying that recording on the single-type machine of the
+    config (:func:`~repro.machines.replay.machine_profiles`).
 ``schedule-invariants``
     profiling + scheduling under CAE and DAE with real frequency
     policies yields a timeline whose segments tile [0, time] exactly
@@ -62,8 +64,9 @@ from ..frontend import compile_source
 from ..interp.fast import FastInterpreter
 from ..interp.interpreter import Interpreter
 from ..interp.memory import SimMemory
-from ..interp.trace import KIND_NAMES
+from ..interp.trace import KIND_NAMES, TraceStore
 from ..ir import Function, Module, verify_function
+from ..machines import homogeneous_machine, machine_profiles
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
 from ..runtime.profiler import TaskStreamProfiler
@@ -303,7 +306,8 @@ def _check_trace_invariance(case: FuzzCase,
                             config: MachineConfig) -> list:
     """The replay engine's invariant, checked both microscopically
     (execute-phase event streams match with and without a preceding
-    access phase) and end-to-end (the replayed matrix's payload is
+    access phase) and end-to-end (the replayed matrix's payload, and
+    that of its recording replayed on the machine of ``config``, are
     byte-identical to direct interpretation)."""
     seed = case.program.seed
     problems = []
@@ -343,12 +347,20 @@ def _check_trace_invariance(case: FuzzCase,
         scheme: stream for run in runs
         for scheme, stream in run.profiles.items()
     })), sort_keys=True)
-    replayed = json.dumps(run_to_payload(profile_workload(
-        workload, config=config, schemes=ORACLE_SCHEMES,
-    )), sort_keys=True)
-    if direct != replayed:
+    store = TraceStore()
+    matrix = profile_workload(
+        workload, config=config, schemes=ORACLE_SCHEMES, trace_store=store,
+    )
+    if direct != json.dumps(run_to_payload(matrix), sort_keys=True):
         problems.append(
             "replayed profile payload differs from direct interpretation"
+        )
+    machine = homogeneous_machine("fuzz", config)
+    resimulated = replace(matrix, profiles=machine_profiles(store, machine))
+    if direct != json.dumps(run_to_payload(resimulated), sort_keys=True):
+        problems.append(
+            "machine-replayed profile payload differs from direct "
+            "interpretation"
         )
     return [
         OracleViolation("trace-invariance", seed, p, case.program.source)

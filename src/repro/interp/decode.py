@@ -13,8 +13,9 @@ loop — so this module hoists all of it into a single decode pass per
   numbered into a slot; the slot *template* holds each constant's
   value, so the code generator can turn constants into literals;
 * each basic block becomes a dense tuple of operation records —
-  ``(opcode_int, slot indices, pre-resolved immediates, pre-bound
-  semantic function)``;
+  ``(opcode_int, slot indices, pre-resolved immediates)``, where a
+  binop or compare carries its op or predicate name and a cast its
+  conversion function;
 * per-block dynamic-counter deltas (instruction total plus the
   ``by_opcode`` histogram) are precomputed, so the generated code
   counts block executions and folds the histogram once per call;
@@ -101,26 +102,12 @@ def invalidate_decode(func: Function) -> None:
     func.__dict__.pop(_CACHE_ATTR, None)
 
 
-# -- binop semantics, pre-bound per op -----------------------------------------
+# -- the binops the generated code calls --------------------------------------
 #
 # Each function replicates one branch of the reference interpreter's
 # ``_binop`` verbatim (coercions, error messages, IEEE division edge
-# cases) so pre-binding changes *which code runs*, never *what it does*.
-# The generated code inlines the plain arithmetic ones as operators and
-# calls ``sdiv``, ``srem``, ``fdiv`` (and ``fptosi``) through the
-# function its record holds.
-
-
-def _op_add(a, b):
-    return int(a) + int(b)
-
-
-def _op_sub(a, b):
-    return int(a) - int(b)
-
-
-def _op_mul(a, b):
-    return int(a) * int(b)
+# cases).  The generated code inlines the other binops and every
+# compare as operators, and calls these three (and ``fptosi``) by name.
 
 
 def _op_sdiv(a, b):
@@ -136,81 +123,11 @@ def _op_srem(a, b):
     return int(a) - _op_sdiv(a, b) * int(b)
 
 
-def _op_fadd(a, b):
-    return float(a) + float(b)
-
-
-def _op_fsub(a, b):
-    return float(a) - float(b)
-
-
-def _op_fmul(a, b):
-    return float(a) * float(b)
-
-
 def _op_fdiv(a, b):
     if b == 0.0:
         return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
     return float(a) / float(b)
 
-
-def _op_and(a, b):
-    return int(a) & int(b)
-
-
-def _op_or(a, b):
-    return int(a) | int(b)
-
-
-def _op_xor(a, b):
-    return int(a) ^ int(b)
-
-
-def _op_shl(a, b):
-    return int(a) << int(b)
-
-
-def _op_ashr(a, b):
-    return int(a) >> int(b)
-
-
-BINOP_FNS = {
-    "add": _op_add, "sub": _op_sub, "mul": _op_mul,
-    "sdiv": _op_sdiv, "srem": _op_srem,
-    "fadd": _op_fadd, "fsub": _op_fsub, "fmul": _op_fmul, "fdiv": _op_fdiv,
-    "and": _op_and, "or": _op_or, "xor": _op_xor,
-    "shl": _op_shl, "ashr": _op_ashr,
-}
-
-
-def _cmp_eq(a, b):
-    return int(a == b)
-
-
-def _cmp_ne(a, b):
-    return int(a != b)
-
-
-def _cmp_slt(a, b):
-    return int(a < b)
-
-
-def _cmp_sle(a, b):
-    return int(a <= b)
-
-
-def _cmp_sgt(a, b):
-    return int(a > b)
-
-
-def _cmp_sge(a, b):
-    return int(a >= b)
-
-
-CMP_FNS = {
-    "eq": _cmp_eq, "ne": _cmp_ne, "slt": _cmp_slt,
-    "sle": _cmp_sle, "sgt": _cmp_sgt, "sge": _cmp_sge,
-}
 
 CAST_FNS = {
     "sext": int, "trunc": int, "bitcast": int, "fptosi": fptosi,
@@ -387,7 +304,7 @@ def _decode_inst(inst, slot_of) -> tuple:
     """One non-terminator instruction to its operation record."""
     if isinstance(inst, BinOp):
         return (OP_BINOP, slot_of(inst), slot_of(inst.lhs),
-                slot_of(inst.rhs), BINOP_FNS[inst.op])
+                slot_of(inst.rhs), inst.op)
     if isinstance(inst, GEP):
         return (OP_GEP, slot_of(inst), slot_of(inst.base),
                 slot_of(inst.index), inst.element_size)
@@ -396,7 +313,7 @@ def _decode_inst(inst, slot_of) -> tuple:
                 inst.type.size_bytes, inst.type.is_float())
     if isinstance(inst, Cmp):
         return (OP_CMP, slot_of(inst), slot_of(inst.lhs),
-                slot_of(inst.rhs), CMP_FNS[inst.pred])
+                slot_of(inst.rhs), inst.pred)
     if isinstance(inst, Store):
         return (OP_STORE, slot_of(inst.value), slot_of(inst.pointer),
                 inst.value.type.size_bytes, inst.value.type.is_float())

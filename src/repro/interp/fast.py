@@ -61,8 +61,6 @@ from typing import Optional
 from ..ir import Function, GlobalVariable
 from .decode import (
     _CACHE_ATTR,
-    BINOP_FNS,
-    CMP_FNS,
     OP_ALLOCA,
     OP_BINOP,
     OP_CALL,
@@ -76,6 +74,9 @@ from .decode import (
     OP_RET,
     OP_SELECT,
     OP_STORE,
+    _op_fdiv,
+    _op_sdiv,
+    _op_srem,
     decode_function,
 )
 from .interpreter import UNDEF, ExecutionTrace, InterpError
@@ -204,18 +205,16 @@ def _fold(trace: ExecutionTrace, instructions: int, deltas: tuple) -> None:
 
 # -- code generation -----------------------------------------------------------
 
-_BINOP_NAMES = {fn: name for name, fn in BINOP_FNS.items()}
 _INT_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
             "xor": "^", "shl": "<<", "ashr": ">>"}
 _FLOAT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
 #: Binops (and ``fptosi``) whose zero, sign and non-finite corners
-#: stay in the op functions the decoded records hold.
-_CALLED_OPS = {"sdiv": "_sdiv", "srem": "_srem", "fdiv": "_fdiv"}
+#: stay in functions, bound in the generated code by these names.
+_CALLED_OPS = {"sdiv": ("_sdiv", _op_sdiv), "srem": ("_srem", _op_srem),
+               "fdiv": ("_fdiv", _op_fdiv)}
 _FLOAT_RESULTS = ("fadd", "fsub", "fmul", "fdiv")
-_CMP_OPS = {CMP_FNS[pred]: text for pred, text in (
-    ("eq", "=="), ("ne", "!="), ("slt", "<"),
-    ("sle", "<="), ("sgt", ">"), ("sge", ">="),
-)}
+_CMP_OPS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
+            "sge": ">="}
 #: Lattice top for slot types: "any Python value".
 _ANY = object()
 #: Inlining depth past which a block is dispatched as a head instead
@@ -422,7 +421,7 @@ class _Codegen:
         code = op[0]
         names = self.names
         if code == OP_BINOP:
-            name = _BINOP_NAMES[op[4]]
+            name = op[4]
             a, b = op[2], op[3]
             if name in _INT_OPS:
                 expr = "%s %s %s" % (self._int(a), _INT_OPS[name],
@@ -431,7 +430,7 @@ class _Codegen:
                 expr = "%s %s %s" % (self._float(a), _FLOAT_OPS[name],
                                      self._float(b))
             else:
-                expr = "%s(%s, %s)" % (self._bind(_CALLED_OPS[name], op[4]),
+                expr = "%s(%s, %s)" % (self._bind(*_CALLED_OPS[name]),
                                        names[a], names[b])
             self._assign(out, depth, op[1], expr, a, b)
         elif code == OP_GEP:
@@ -582,7 +581,7 @@ def _transfer(op, kind: dict, undef: set) -> tuple:
     """``(dest, type, may be UNDEF)`` of one record (dest -1: none)."""
     code = op[0]
     if code == OP_BINOP:
-        ty = float if _BINOP_NAMES[op[4]] in _FLOAT_RESULTS else int
+        ty = float if op[4] in _FLOAT_RESULTS else int
         return op[1], ty, op[2] in undef or op[3] in undef
     if code in (OP_GEP, OP_CMP):
         return op[1], int, op[2] in undef or op[3] in undef

@@ -7,11 +7,17 @@ interpreter's observer appends each event's fields.  The profiler packs
 that list into a single ``array('q')`` — three signed 64-bit words per
 event, no per-event objects — and counts it on the cache model with
 :func:`repro.sim.replay.replay_phase`.  Kept as a :class:`PhaseTrace`,
-the same packed stream lets a phase interpreted *once* be pushed
-through the cache model again, either under another execution scheme
-or under a different machine configuration (the ``ablate`` sweeps).
+the same stream lets a phase interpreted *once* be pushed through the
+cache model again, either under another execution scheme or under a
+different machine (the ``machines`` and ``ablate`` sweeps).
 
-What makes a recorded phase safely replayable:
+Every recorded phase keeps its events, so every recording replays on
+any machine.  A phase with a value beyond the signed 64-bit range
+(generated programs can prefetch arbitrary computed addresses) keeps
+the flat list itself, which replays event by event.
+
+What lets another scheme replay a recorded phase in place of its own
+interpretation (``PhaseTrace.shareable``):
 
 * **The event stream must be a pure function of pre-phase memory.**
   Within one scheme that is trivially true; *across* schemes it is the
@@ -29,19 +35,16 @@ What makes a recorded phase safely replayable:
   exactly what they would have.  Loads and prefetches never mutate
   memory, so the delta is the phase's entire memory effect.
 * **No allocations.**  A phase that executes ``alloca`` bumps the
-  allocator and grows the region table; replay would skip that and
-  desynchronize every later address.  Such phases record as
-  non-replayable (``valid=False``) and always re-interpret.
-* **Addresses must fit a signed 64-bit word** (generated programs can
-  prefetch arbitrary computed addresses).  Out-of-range events poison
-  the trace; the phase falls back to interpretation, which counts the
-  unpacked list.
+  allocator and grows the region table; a replay amid interpreted
+  phases would skip that and desynchronize every later address, so
+  such a phase is never shared.  A machine replay interprets nothing,
+  so it replays that phase like any other.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Optional
+from typing import Optional, Union
 
 #: Event kind codes, index-aligned with :data:`KIND_NAMES`.
 KIND_LOAD = 0
@@ -56,16 +59,14 @@ _I64_MAX = (1 << 63) - 1
 
 
 class PhaseTrace:
-    """One recorded phase: packed events plus everything a replay needs
+    """One recorded phase: its events plus everything a replay needs
     to rebuild the identical :class:`~repro.sim.timing.PhaseProfile`.
 
-    ``data`` is ``None`` when the phase is unreplayable (alloca, or an
-    event outside the signed 64-bit range); the rest of the record —
-    instruction counts and the memory ``delta`` — is still meaningful,
-    so a non-replayable task falls back to interpretation without
-    breaking the memory evolution of its neighbours.
+    ``data`` is the packed ``array('q')`` of events, or the flat event
+    list when a value does not fit a signed 64-bit word
+    (:func:`pack_events`).
 
-    A replayable execute trace in a :class:`TraceStore` also keeps its
+    A packed execute trace in a :class:`TraceStore` also keeps its
     ``strip`` (:mod:`repro.sim.replay`): the events whose L1 outcome
     depends on the cache state at phase start, for one L1 geometry.
     The recording scheme builds it, and every later replay of the trace
@@ -78,7 +79,7 @@ class PhaseTrace:
         "shareable", "strip",
     )
 
-    def __init__(self, data: Optional[array], instructions: int,
+    def __init__(self, data: Union[array, list], instructions: int,
                  slots: int, by_opcode: dict, mem_events: int,
                  dropped_prefetches: int, stores: int, delta: dict,
                  shareable: bool = True):
@@ -93,11 +94,12 @@ class PhaseTrace:
         #: address -> final value for every cell this phase stored.
         self.delta = delta
         #: Whether another scheme may replay this trace in place of its
-        #: own interpretation.  False when some *earlier* access phase
-        #: of the recording scheme stored (memory evolution diverged
-        #: from the scheme-invariant baseline, so this stream is only
-        #: valid within its own scheme — still fine for config-ablation
-        #: replays, never for cross-scheme reuse).
+        #: own interpretation.  False when the phase allocated, or when
+        #: some *earlier* access phase of the recording scheme stored
+        #: (memory evolution diverged from the scheme-invariant
+        #: baseline, so this stream is only valid within its own scheme
+        #: — still fine for machine replays, never for cross-scheme
+        #: reuse).
         self.shareable = shareable
         #: The :class:`~repro.sim.replay.Strip` of ``data`` for the last
         #: L1 geometry an execute replay asked for
@@ -107,13 +109,8 @@ class PhaseTrace:
         self.strip = None
 
     @property
-    def valid(self) -> bool:
-        """Whether the packed event stream can stand in for a re-run."""
-        return self.data is not None
-
-    @property
     def events(self) -> int:
-        return len(self.data) // 3 if self.data is not None else 0
+        return len(self.data) // 3
 
     def snapshot(self) -> dict:
         """Mirror of :meth:`ExecutionTrace.snapshot` for obs counters,
@@ -132,17 +129,16 @@ class PhaseTrace:
         }
 
 
-def pack_events(flat: list) -> Optional[array]:
+def pack_events(flat: list) -> Union[array, list]:
     """Pack a flat ``[code, address, size, ...]`` list into ``array('q')``.
 
-    Returns ``None`` when any value falls outside the signed 64-bit
-    range — the caller marks the phase non-replayable instead of
-    crashing mid-profile.
+    Returns ``flat`` itself when any value falls outside the signed
+    64-bit range: such a phase is counted, and replays, event by event.
     """
     try:
         return array("q", flat)
     except OverflowError:
-        return None
+        return flat
 
 
 class TaskTrace:
@@ -204,20 +200,6 @@ class TraceStore:
         # Replays of the old records must not outlive them.
         self.private_stages.clear()
         return records, donor
-
-    def fully_replayable(self) -> bool:
-        """Whether every recorded phase of every scheme can replay.
-
-        The gate for trace-backed ablation sweeps: one non-replayable
-        phase (alloca, out-of-range address) means a machine-config
-        variant must fall back to full re-interpretation.
-        """
-        for records in self.schemes.values():
-            for task in records:
-                for phase_trace in (task.access, task.execute):
-                    if phase_trace is not None and phase_trace.data is None:
-                        return False
-        return True
 
     def note_recorded(self, trace: PhaseTrace) -> None:
         self.recorded_phases += 1

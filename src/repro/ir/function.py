@@ -106,10 +106,6 @@ class Module:
         self.functions[func.name] = func
         return func
 
-    def remove_function(self, name: str) -> None:
-        func = self.functions.pop(name)
-        func.parent = None
-
     def add_global(self, gv: GlobalVariable) -> GlobalVariable:
         if gv.name in self.globals:
             raise ValueError("duplicate global %s" % gv.name)

@@ -36,22 +36,24 @@ the miss streams.  :func:`prune_private_passes` lets a sweep drop the
 passes no later machine reuses, so the memo holds only what it will
 serve again.
 
-A private pass that does run replays each execute phase from its
-trace's strip (:func:`repro.sim.replay.strip_for`): only the events
-whose L1 outcome depends on the cache state.  The recording built the
-strips for its own L1, so an ``l2_kb`` variant reuses them; an
-``l1_kb`` variant rebuilds each one for its L1 once, and the trace then
-keeps that one.  Access phases replay every event.
+A private pass that does run replays each execute phase through
+:func:`repro.sim.replay.replay_recorded`: from its trace's strip, only
+the events whose L1 outcome depends on the cache state, or event by
+event when the trace is unpacked.  The recording built the strips for
+its own L1, so an ``l2_kb`` variant reuses them; an ``l1_kb`` variant
+rebuilds each one for its L1 once, and the trace then keeps that one.
+Access phases replay every event.  Every recorded phase keeps its
+events, so any recording replays on any machine.
 """
 
 from __future__ import annotations
 
 from ..interp.trace import TraceStore
-from ..runtime.profiler import ProfileError, StreamProfile
+from ..runtime.profiler import StreamProfile
 from ..runtime.task import TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, Cache, CoreCaches
 from ..sim.config import MachineConfig
-from ..sim.replay import replay_llc, replay_private, replay_stripped, strip_for
+from ..sim.replay import replay_llc, replay_private, replay_recorded
 from ..sim.timing import PhaseProfile
 from .model import MachineModel
 
@@ -110,11 +112,6 @@ def machine_stream(store: TraceStore, scheme: str,
     execute) core types (the tuner's placement search uses this).  The
     result is exactly the :class:`StreamProfile` a full profiling run
     on the machine would produce, with zero interpretation.
-
-    Raises :class:`~repro.runtime.profiler.ProfileError` when a
-    recorded phase is non-replayable (``PhaseTrace.data is None``);
-    callers fall back to re-profiling
-    (``TraceStore.fully_replayable`` pre-checks this).
     """
     scheme = str(scheme)
     access_type, execute_type, width, flush, key = _layout(
@@ -140,7 +137,7 @@ def machine_stream(store: TraceStore, scheme: str,
 
     private = store.private_stages.get(key)
     if private is None:
-        private = _private_pass(phases(), scheme, machine)
+        private = _private_pass(phases())
         store.private_stages[key] = private
     return _llc_pass(phases(), private, records, scheme)
 
@@ -156,28 +153,22 @@ def prune_private_passes(store: TraceStore, upcoming) -> None:
         del store.private_stages[key]
 
 
-def _private_pass(phases, scheme: str, machine: MachineModel) -> tuple:
+def _private_pass(phases) -> tuple:
     """The private stage over ``phases``: per phase its L1/L2 tallies
     and L2-miss stream, plus the MRU filter's total hits.
 
-    Execute phases replay their trace's strip for the core type's L1
-    geometry (:func:`~repro.sim.replay.strip_for`): the one the
-    recording built, or a new one that replaces it when this machine's
-    L1 differs.  Access phases replay every event."""
+    Execute phases replay through
+    :func:`~repro.sim.replay.replay_recorded`: a packed trace from its
+    strip for the core type's L1 geometry (the one the recording built,
+    or a new one that replaces it when this machine's L1 differs).
+    Access phases replay every event."""
     stages = []
     mru_hits = 0
     for task_trace, phase_trace, caches in phases:
-        if phase_trace.data is None:
-            raise ProfileError(
-                "task %r under scheme %r recorded a non-replayable "
-                "phase; machine %r needs a full re-profile instead"
-                % (task_trace.name, scheme, machine.name)
-            )
         tallies = AccessCounts()
         before = caches.mru_hits
         if phase_trace is task_trace.execute:
-            misses = replay_stripped(caches, strip_for(phase_trace, caches),
-                                     tallies)
+            misses = replay_recorded(caches, phase_trace, tallies)
         else:
             misses = replay_private(caches, phase_trace.data, tallies)
         stages.append((tallies, misses))

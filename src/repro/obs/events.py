@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "Event",
@@ -297,9 +297,3 @@ class collecting:
     def __exit__(self, *exc) -> None:
         if self._saved is not None:
             set_collector(self._saved)
-
-
-def iter_spans(events: List[Event]) -> Iterator[Event]:
-    for event in events:
-        if event.kind == "span":
-            yield event

@@ -75,9 +75,6 @@ class AffineExpr:
     def symbols(self) -> set[str]:
         return set(self.coeffs)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
     def drop(self, sym: str) -> "AffineExpr":
         coeffs = {s: c for s, c in self.coeffs.items() if s != sym}
         return AffineExpr(coeffs, self.const)

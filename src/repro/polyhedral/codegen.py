@@ -84,9 +84,6 @@ class ScanNest:
 
         yield from recurse(0, dict(param_values))
 
-    def trip_count_exprs(self) -> list[tuple[list[Bound], list[Bound]]]:
-        return [(l.lowers, l.uppers) for l in self.loops]
-
 
 class CodegenError(Exception):
     """Raised when a polyhedron cannot be scanned (unbounded dimension)."""

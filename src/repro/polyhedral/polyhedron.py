@@ -41,9 +41,6 @@ class Polyhedron:
 
     # -- basic ops ---------------------------------------------------------------
 
-    def with_constraints(self, extra: Iterable[Constraint]) -> "Polyhedron":
-        return Polyhedron(self.dims, list(self.constraints) + list(extra), self.params)
-
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.dims != other.dims:
             raise ValueError("dimension mismatch in intersection")

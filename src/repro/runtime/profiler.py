@@ -112,24 +112,25 @@ class TaskStreamProfiler:
         goes through :func:`~repro.sim.replay.replay_phase` on its
         core's caches (see :meth:`_run_phase`).  ``trace_store``
         enables record/replay across a multi-scheme matrix: the store
-        keeps every interpreted phase's packed event trace, and execute
+        keeps every interpreted phase's event trace, and execute
         phases whose stream is already recorded by an earlier scheme
         are *replayed* through the cache model instead of
         re-interpreted.  Replay is guarded by the
         access-phase-writes-nothing invariant — the first access-phase
         store (in either the recording or the consuming scheme)
         disables reuse from that task onward, falling back to full
-        interpretation — and replayed phases apply the recorded memory
-        delta so later interpreted phases see the exact memory an
-        interpreted run would have produced.  Without a store every
+        interpretation; a phase that allocates is never reused — and
+        replayed phases apply the recorded memory delta so later
+        interpreted phases see the exact memory an interpreted run
+        would have produced.  Without a store every
         phase is interpreted.  The store is ignored under
         ``interp="reference"``.
 
-        With a store, every execute phase is counted from its trace's
-        strip (:func:`~repro.sim.replay.strip_for`): the recording
-        scheme builds it inside the phase's ``replay_phase`` call, and
-        each later scheme's replay of the donor trace reuses it.
-        Access phases, which no later scheme replays, are counted
+        With a store, every packed execute phase is counted from its
+        trace's strip (:func:`~repro.sim.replay.strip_for`): the
+        recording scheme builds it inside the phase's ``replay_phase``
+        call, and each later scheme's replay of the donor trace reuses
+        it.  Access phases, which no later scheme replays, are counted
         event by event.
         """
         try:
@@ -190,8 +191,7 @@ class TaskStreamProfiler:
                 if replay_ok and donor is not None and index < len(donor)
                 else None
             )
-            if (donor_trace is not None and donor_trace.valid
-                    and donor_trace.shareable):
+            if donor_trace is not None and donor_trace.shareable:
                 execute_profile = self._replay_phase(
                     donor_trace, core,
                     phase="execute", task=instance.name,
@@ -242,14 +242,17 @@ class TaskStreamProfiler:
         a signed 64-bit word, the list itself otherwise, so an address
         beyond that range is still counted.  The store addresses in the
         list give the purity guard (``stores``) and the post-phase
-        memory ``delta``.  Whether the :class:`PhaseTrace` is kept is
-        the caller's choice (a :class:`TraceStore`).
+        memory ``delta``.  A phase that allocates is not ``shareable``:
+        a replay amid interpreted phases would skip its allocation.
+        Whether the :class:`PhaseTrace` is kept is the caller's choice
+        (a :class:`TraceStore`).
 
         ``strip`` is set for an execute phase recorded into a store,
         whose trace later schemes and machine sweeps replay again: the
-        count of a replayable trace then builds the trace's strip and
-        replays that (:func:`~repro.sim.replay.strip_for`), so every
-        later replay reuses it.
+        count then goes through the trace
+        (:func:`~repro.sim.replay.replay_recorded`), which builds a
+        packed trace's strip and replays that, so every later replay
+        reuses it.
         """
         counts = AccessCounts()
         collector = get_collector()
@@ -276,7 +279,7 @@ class TaskStreamProfiler:
                         "misses": decode_after["misses"] - decode_before["misses"],
                     },
                 )
-        packed = pack_events(flat)
+        data = pack_events(flat)
         kinds = bytes(flat[0::3])
         stores = kinds.count(KIND_STORE)
         delta = {}
@@ -289,11 +292,8 @@ class TaskStreamProfiler:
                 for a in compress(flat[1::3], kinds.translate(_STORES_ONLY))
                 if a in cells
             }
-        # An alloca bumps the memory allocator — replay would skip that
-        # and desynchronize every later address, so the phase records
-        # as non-replayable (it still interprets correctly everywhere).
         phase_trace = PhaseTrace(
-            data=None if trace.by_opcode.get("alloca") else packed,
+            data=data,
             instructions=trace.instructions,
             slots=issue_slots(trace),
             by_opcode=dict(trace.by_opcode),
@@ -301,13 +301,10 @@ class TaskStreamProfiler:
             dropped_prefetches=trace.dropped_prefetches,
             stores=stores,
             delta=delta,
-            shareable=shareable,
+            shareable=shareable and not trace.by_opcode.get("alloca"),
         )
         mru_before = core.mru_hits
-        if strip and phase_trace.valid:
-            replay_phase(core, packed, counts, phase_trace)
-        else:
-            replay_phase(core, flat if packed is None else packed, counts)
+        replay_phase(core, data, counts, phase_trace if strip else None)
         if collector.enabled:
             if self.interp != "reference":
                 collector.counter(
@@ -335,7 +332,8 @@ class TaskStreamProfiler:
         """Replay a recorded phase through ``core`` — no interpretation.
 
         Only execute phases replay here, so the private stage replays
-        the trace's strip, which the recording scheme built.  Applies
+        the trace's strip, which the recording scheme built, or every
+        event of an unpacked trace.  Applies
         the trace's memory delta afterwards, so a later
         *interpreted* phase (an access phase reading index arrays this
         phase wrote) sees exactly the memory a full interpretation

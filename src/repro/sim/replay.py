@@ -45,7 +45,10 @@ real L1 and L2 and returns the same L2-miss stream as
 ``mru_hits`` as it would; its docstring gives the argument.  A strip
 costs about as much as one full private replay, so only traces
 replayed again use one: :func:`strip_for` keeps it on the trace for
-the last L1 geometry asked for.
+the last L1 geometry asked for.  :func:`replay_recorded` is the private
+stage of a recorded trace: its strip when the trace is packed, every
+event when it is the unpacked list of a phase beyond the signed 64-bit
+range.
 """
 
 from __future__ import annotations
@@ -341,28 +344,41 @@ def replay_stripped(core: CoreCaches, strip: Strip,
     return misses
 
 
+def replay_recorded(core: CoreCaches, trace, counts: AccessCounts):
+    """The private stage of ``trace``, a recorded
+    :class:`~repro.interp.trace.PhaseTrace`, on ``core``.
+
+    A packed trace replays its strip for ``core``'s L1 geometry,
+    building it first when the trace holds none for it
+    (:func:`strip_for`); an unpacked event list replays event by event.
+    Either way the tallies, the L2-miss stream and the private state
+    are those of :func:`replay_private` over every event.
+    """
+    if isinstance(trace.data, array):
+        return replay_stripped(core, strip_for(trace, core), counts)
+    return replay_private(core, trace.data, counts)
+
+
 def replay_phase(core: CoreCaches, data, counts: AccessCounts,
                  trace=None) -> int:
     """Replay a packed trace on ``core``, tallying into ``counts``.
 
     The private stage and then the LLC stage over the same trace.
     With ``trace``, the :class:`~repro.interp.trace.PhaseTrace` whose
-    packed ``data`` this is, the private stage replays the trace's
-    strip for ``core``'s L1 geometry, building it first when the trace
-    holds none for it (:func:`strip_for`).  Returns the number of
-    events the phase stands for, stripped or not.  All cache state
-    (including the shared LLC) is mutated exactly as interpretation
-    would.
+    ``data`` this is, the private stage is :func:`replay_recorded`.
+    Returns the number of events the phase stands for, stripped or
+    not.  All cache state (including the shared LLC) is mutated exactly
+    as interpretation would.
     """
     if trace is None:
         misses = replay_private(core, data, counts)
     else:
-        misses = replay_stripped(core, strip_for(trace, core), counts)
+        misses = replay_recorded(core, trace, counts)
     replay_llc(core, misses, counts)
     return len(data) // 3
 
 
 __all__ = [
     "Strip", "build_strip", "replay_llc", "replay_phase", "replay_private",
-    "replay_stripped", "strip_for",
+    "replay_recorded", "replay_stripped", "strip_for",
 ]

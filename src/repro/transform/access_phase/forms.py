@@ -58,9 +58,6 @@ class SymbolTable:
     def params(self) -> dict[str, Value]:
         return dict(self._params)
 
-    def known_ivs(self) -> dict[int, str]:
-        return dict(self._iv_names)
-
 
 def linear_to_affine(expr: LinearExpr, symtab: SymbolTable) -> AffineExpr:
     """Convert a pure-affine linear form to a polyhedral expression.

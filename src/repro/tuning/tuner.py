@@ -44,8 +44,9 @@ from ..interp.trace import TraceStore
 from ..machines import MachineModel, homogeneous_machine, machine_stream
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
+from ..runtime.profiler import StreamProfile
 from ..runtime.scheduler import DAEScheduler, ScheduleResult
-from ..runtime.task import Scheme, TaskProfile
+from ..runtime.task import Scheme
 from ..sim.config import MachineConfig
 from ..sim.timing import PhaseProfile
 from ..transform.access_phase import AccessPhaseOptions
@@ -327,14 +328,14 @@ class _CandidateEvaluator:
     per placement).
     """
 
-    def __init__(self, tasks: List[TaskProfile], run_scheme: Scheme,
+    def __init__(self, stream: StreamProfile, run_scheme: Scheme,
                  machine: MachineModel, placement: tuple[str, str],
                  objective: Objective, workload_name: str,
                  stats: TuningStats,
                  cache: Optional[ProfileCache] = None,
                  material_base: Optional[dict] = None,
                  prefix: str = ""):
-        self.tasks = tasks
+        self.stream = stream
         self.run_scheme = run_scheme
         self.machine = machine
         self.placement = placement
@@ -368,7 +369,7 @@ class _CandidateEvaluator:
     def run(self, policy) -> ScheduleResult:
         """One schedule of the placement's tasks under ``policy``."""
         return self._scheduler.run(
-            self.tasks, self.run_scheme, policy, record_timeline=False,
+            self.stream.tasks, self.run_scheme, policy, record_timeline=False,
         )
 
     def value(self, pair: CandidatePair) -> float:
@@ -482,17 +483,14 @@ def _candidate_material(profile_material: dict, workload_name: str,
     }
 
 
-def _aggregate_profiles(
-    tasks: List[TaskProfile],
-) -> tuple[PhaseProfile, PhaseProfile]:
+def _phase_totals(stream: StreamProfile) -> tuple[PhaseProfile, PhaseProfile]:
     """Whole-run (access, execute) profiles: the per-phase totals the
-    continuous strategies optimize over."""
-    access = PhaseProfile()
-    execute = PhaseProfile()
-    for task in tasks:
-        execute = execute.merged(task.execute)
-        if task.access is not None:
-            access = access.merged(task.access)
+    continuous strategies optimize over.  A CAE stream has no access
+    total, so its execute total stands in (the access coordinate is
+    inert)."""
+    access, execute = stream.aggregate_access(), stream.aggregate_execute()
+    if access.instructions == 0 and access.slots == 0:
+        access = execute
     return access, execute
 
 
@@ -585,15 +583,15 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 resolved, scale, options=options, schemes=(stream,),
                 interp=interp, trace_store=store, machine=machine,
             )
-            streams = [run.profiles[stream.value].tasks] + [
-                machine_stream(store, stream.value, machine, placed).tasks
+            profiles = [run.profiles[stream.value]] + [
+                machine_stream(store, stream.value, machine, placed)
                 for placed in placements[1:]
             ]
         else:
             engine_result = run_experiment(spec)
             stats.engine = engine_result.stats.as_dict()
-            streams = [engine_result[resolved.name].profiles[
-                stream.value].tasks]
+            profiles = [engine_result[resolved.name].profiles[
+                stream.value]]
             if cache:
                 material_base = _candidate_material(
                     key_material(resolved, spec.scale, config,
@@ -602,7 +600,7 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 )
         evaluators = [
             _CandidateEvaluator(
-                tasks=tasks, run_scheme=run_scheme, machine=machine,
+                stream=profiled, run_scheme=run_scheme, machine=machine,
                 placement=placed, objective=objective,
                 workload_name=resolved.name, stats=stats,
                 cache=(ProfileCache(cache_dir)
@@ -610,7 +608,7 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 material_base=material_base,
                 prefix="%s->%s " % placed if heterogeneous else "",
             )
-            for placed, tasks in zip(placements, streams)
+            for placed, profiled in zip(placements, profiles)
         ]
         declared = evaluators[0]
         phase_local = _phase_local_candidate(declared, objective)
@@ -620,7 +618,8 @@ def tune_workload(workload: Union[Workload, str, type], *,
             searches = [(evaluator, "placement:%s->%s" % evaluator.placement)
                         for evaluator in evaluators]
         else:
-            seed = _phase_local_seed(declared.tasks, config, objective, stats)
+            seed = _phase_local_seed(declared.stream, config, objective,
+                                     stats)
             searches = [(declared, name) for name in selected]
         summaries: List[StrategySummary] = []
         for evaluator, name in searches:
@@ -709,12 +708,10 @@ def _phase_local_candidate(evaluator: _CandidateEvaluator,
     )
 
 
-def _phase_local_seed(tasks, config, objective, stats) -> CandidatePair:
+def _phase_local_seed(stream, config, objective, stats) -> CandidatePair:
     """Descent seed: the phase-local argmin over the *aggregate* access
     and execute profiles (one pair summarizing the baseline)."""
-    access, execute = _aggregate_profiles(tasks)
-    if access.instructions == 0 and access.slots == 0:
-        access = execute  # CAE stream: the access coordinate is inert
+    access, execute = _phase_totals(stream)
     outcomes = [
         grid_search_point(
             lambda point, profile=profile: objective.phase_value(
@@ -770,9 +767,7 @@ def _run_golden(evaluator: _CandidateEvaluator, config: MachineConfig,
                 objective: Objective) -> StrategySummary:
     """Golden-section on the continuous V/f line per aggregate phase,
     snapped to discrete points and evaluated at schedule level."""
-    access, execute = _aggregate_profiles(evaluator.tasks)
-    if access.instructions == 0 and access.slots == 0:
-        access = execute
+    access, execute = _phase_totals(evaluator.stream)
     lo = config.fmin.freq_ghz
     hi = config.fmax.freq_ghz
     outcomes = [

@@ -132,8 +132,3 @@ class TestRenderAblationReport:
         assert "| mem_ns |" in text
         for value in (40, 65, 120):
             assert "| %g |" % value in text
-
-    def test_fallback_wording(self, report):
-        fallback = dict(report, replayed=False)
-        text = render_ablation_report(fallback)
-        assert "full re-interpretation" in text

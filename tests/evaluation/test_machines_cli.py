@@ -125,7 +125,6 @@ class TestSweepReplaysOnlyWhatChanged:
         ]
         sweep = MachineSweep(TinyWorkload(), self.SCALE)
         store = sweep.store
-        assert sweep.replayed
         machines = [machine for machine, _, _ in variants]
         payloads = []
         for (machine, new, kept), run in zip(variants,

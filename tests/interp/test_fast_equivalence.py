@@ -33,7 +33,9 @@ from repro.interp import (
     resolve_interp,
 )
 from repro.ir import (
+    BINARY_OPS,
     BOOL,
+    CMP_PREDICATES,
     F64,
     I64,
     VOID,
@@ -251,6 +253,37 @@ class TestArithmeticCorners:
             with pytest.raises(InterpError) as excinfo:
                 make(SimMemory()).run(func, [0])
             assert str(excinfo.value) == message
+
+    def test_every_binop_and_predicate_matches_reference(self):
+        """Each binop name and compare predicate, as direct IR over
+        mixed-sign and zero operands: same result and result type, or
+        the same error."""
+        float_ops = {"fadd", "fsub", "fmul", "fdiv"}
+        cases = [(op, F64 if op in float_ops else I64, None)
+                 for op in sorted(BINARY_OPS)]
+        cases += [("cmp", ty, pred) for pred in sorted(CMP_PREDICATES)
+                  for ty in (I64, F64)]
+        for op, ty, pred in cases:
+            result_type = BOOL if pred else ty
+            func = Function("f", [ty, ty], ["a", "b"], result_type)
+            b = IRBuilder(func.add_block("entry"))
+            a, c = func.args
+            b.ret(b.cmp(pred, a, c, "r") if pred else b.binop(op, a, c, "r"))
+            operands = [(7, 3), (-7, 3), (7, -3), (3, 7), (5, 5), (0, 2),
+                        (6, 0)]
+            if ty is F64:
+                operands = [(float(x), float(y)) for x, y in operands]
+            for args in operands:
+                outcomes = []
+                for make in (Interpreter, FastInterpreter):
+                    try:
+                        value = make(SimMemory()).run(func, list(args))
+                        outcomes.append((type(value.return_value),
+                                         value.return_value))
+                    except (InterpError, ValueError) as exc:
+                        # A negative shift count raises ValueError.
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1], (op, pred, ty, args)
 
     def test_truncating_signed_division(self):
         # Python's // floors; the IR sdiv truncates toward zero.  Every

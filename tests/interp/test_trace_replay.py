@@ -9,8 +9,10 @@ in the results: the serialized profile payload (the exact dict the
 engine cache stores and every figure reads) is equal to a full
 per-scheme interpretation on every bundled workload, and every guard
 that protects the invariant (access-phase stores, donor poisoning,
-memory deltas, alloca, out-of-range addresses) falls back to
-interpretation rather than producing subtly wrong numbers.
+memory deltas, alloca) falls back to interpretation rather than
+producing subtly wrong numbers.  Every recorded phase keeps its
+events, so every recording replays on a machine — an allocating phase
+and one beyond the signed 64-bit range included.
 
 The direct-interpretation baseline profiles one scheme per
 ``profile_workload`` call: a single-scheme matrix builds no trace
@@ -18,6 +20,7 @@ store, so the fast core interprets every phase.
 """
 
 import json
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -238,7 +241,7 @@ def test_memory_delta_feeds_later_interpreted_phases():
     assert len(build.execute.delta) == DeltaDependencyWorkload.elems
 
 
-# -- profiler-level fallbacks (direct IR) --------------------------------------
+# -- allocating and out-of-range phases (direct IR) ----------------------------
 
 
 def _alloca_kind() -> TaskKind:
@@ -282,27 +285,43 @@ def _profile_matrix(make_kind, store=None):
     return result
 
 
-def test_alloca_phase_records_as_non_replayable():
+def _assert_replays_to(store, profiled):
+    """Every recorded scheme of ``store`` replays on the single-type
+    machine of the default config to its profiled execute counts."""
+    for scheme, phases in profiled.items():
+        stream = machine_stream(store, scheme, _single_type(MachineConfig()))
+        assert [phase_to_dict(t.execute) for t in stream.tasks] == phases
+
+
+def test_alloca_phase_records_but_is_never_shared():
+    """An allocating phase keeps its packed events, but no other scheme
+    replays it: a replay amid interpreted phases would skip the
+    allocation.  A machine replay interprets nothing, so it does."""
     store = TraceStore()
     replayed = _profile_matrix(_alloca_kind, store)
     direct = _profile_matrix(_alloca_kind)
     assert replayed == direct
     assert store.replayed_phases == 0
     trace = store.schemes["cae"][0].execute
-    assert not trace.valid
+    assert not trace.shareable
     assert trace.by_opcode.get("alloca", 0) > 0
-    # The rest of the record stays meaningful for the fallback path.
-    assert trace.instructions > 0
+    assert isinstance(trace.data, array) and trace.events == 3
+    _assert_replays_to(store, replayed)
 
 
-def test_out_of_range_address_records_as_non_replayable():
+def test_out_of_range_address_records_its_event_list():
+    """A phase with an address beyond the signed 64-bit range keeps the
+    unpacked event list; the next scheme replays it event by event."""
     store = TraceStore()
     replayed = _profile_matrix(_overflow_kind, store)
     direct = _profile_matrix(_overflow_kind)
     assert replayed == direct
-    assert store.replayed_phases == 0
-    assert not store.schemes["cae"][0].execute.valid
-    assert not store.fully_replayable()
+    trace = store.schemes["cae"][0].execute
+    assert type(trace.data) is list and trace.events == 2
+    assert trace.shareable and trace.strip is None
+    assert store.replayed_phases == 2
+    assert store.schemes["dae"][0].execute is trace
+    _assert_replays_to(store, replayed)
 
 
 def test_line_beyond_int64_counts_like_per_event_access():
@@ -344,7 +363,6 @@ def test_single_type_machine_stream_reproduces_the_recorded_profiles():
     config = MachineConfig()
     store = TraceStore()
     run = profile_workload(ALL_WORKLOADS[0](), 1, config, trace_store=store)
-    assert store.fully_replayable()
     for scheme, stream in run.profiles.items():
         rebuilt = machine_stream(
             store, scheme, _single_type(config)
@@ -382,17 +400,6 @@ def test_single_type_machine_stream_matches_full_reprofile_under_variant():
         ], scheme
 
 
-def test_single_type_machine_stream_refuses_non_replayable_traces():
-    from repro.runtime.profiler import ProfileError
-
-    store = TraceStore()
-    _profile_matrix(_alloca_kind, store)
-    with pytest.raises(ProfileError):
-        machine_stream(
-            store, "cae", _single_type(MachineConfig())
-        )
-
-
 # -- engine integration --------------------------------------------------------
 
 
@@ -410,7 +417,7 @@ def test_pooled_engine_unchanged_by_replay():
 
 def test_phase_trace_snapshot_matches_execution_trace_shape():
     trace = PhaseTrace(
-        data=None, instructions=10, slots=12,
+        data=array("q"), instructions=10, slots=12,
         by_opcode={"fadd": 3, "load": 4}, mem_events=4,
         dropped_prefetches=1, stores=0, delta={},
     )
@@ -419,4 +426,4 @@ def test_phase_trace_snapshot_matches_execution_trace_shape():
     assert snap["flops"] == 3
     assert snap["mem_events"] == 4
     assert snap["dropped_prefetches"] == 1
-    assert trace.events == 0 and not trace.valid
+    assert trace.events == 0

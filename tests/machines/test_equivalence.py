@@ -1,9 +1,12 @@
 """The pinned collapse rule: ``sandybridge`` (and every machine whose
 placed types are behaviourally identical) reproduces the plain
 homogeneous paths bit-for-bit — scheduler summaries, serialized
-profiling payloads, and replayed streams."""
+profiling payloads, and replayed streams.  Every recording replays on
+every machine, a phase that allocates or addresses beyond the signed
+64-bit range included."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +14,9 @@ from repro.engine.pool import run_experiment
 from repro.engine.products import phase_to_dict, profile_workload, run_to_payload
 from repro.engine.spec import ExperimentSpec
 from repro.interp.trace import TraceStore
+from repro.ir import (
+    F64, I64, VOID, Constant, Function, IRBuilder, pointer_to,
+)
 from repro.machines import (
     CoreType,
     MachineModel,
@@ -62,6 +68,50 @@ def _degenerate(config):
         access_type="little",
         execute_type="big",
     ).validate()
+
+
+class _WrappedTinyWorkload(TinyWorkload):
+    """TinyWorkload whose execute phase runs :meth:`prologue`, then
+    calls ``tiny_scale``; the compiler's access phase for
+    ``tiny_scale`` stays the task's access phase."""
+
+    def prologue(self, builder: IRBuilder, array_arg) -> None:
+        raise NotImplementedError
+
+    def build(self, memory, scale, kinds):
+        tiny = kinds["tiny_scale"]
+        func = Function(self.name, [pointer_to(F64), I64], ["A", "n"], VOID)
+        builder = IRBuilder(func.add_block("entry"))
+        self.prologue(builder, func.args[0])
+        builder.call(tiny.execute, list(func.args))
+        builder.ret()
+        kind = replace(tiny, name=self.name, execute=func)
+        return [TaskInstance(kind, instance.args)
+                for instance in super().build(memory, scale, kinds)]
+
+
+class AllocaWorkload(_WrappedTinyWorkload):
+    name = "tiny-alloca"
+
+    def prologue(self, builder, array_arg):
+        builder.store(Constant(F64, 1.5), builder.alloca(F64, "tmp"))
+
+
+class FarAddressWorkload(_WrappedTinyWorkload):
+    """Prefetches a line beyond the signed 64-bit range."""
+
+    name = "tiny-far"
+
+    def prologue(self, builder, array_arg):
+        builder.prefetch(builder.gep(array_arg, Constant(I64, 2 ** 70)))
+
+
+def _phases(stream) -> list:
+    return [
+        (phase_to_dict(task.execute),
+         None if task.access is None else phase_to_dict(task.access))
+        for task in stream.tasks
+    ]
 
 
 class TestSchedulerEquivalence:
@@ -144,7 +194,6 @@ class TestProfilingEquivalence:
             TinyWorkload(), 1, config, schemes=SCHEMES,
             interp="replay", trace_store=store,
         )
-        assert store.fully_replayable()
         degenerate = _degenerate(config)
         for scheme in SCHEMES:
             via_machine = machine_stream(
@@ -163,3 +212,35 @@ class TestProfilingEquivalence:
                 else:
                     assert phase_to_dict(left.access) == phase_to_dict(
                         right.access)
+
+
+class TestEveryRecordingReplays:
+    def test_biglittle_profiles_a_workload_whose_execute_allocates(self):
+        store = TraceStore()
+        plain = profile_workload(AllocaWorkload(), 1)
+        run = profile_workload(
+            AllocaWorkload(), 1, trace_store=store,
+            machine=MachineModel.from_name("biglittle"),
+        )
+        recorded = store.schemes["cae"][0].execute
+        assert recorded.by_opcode["alloca"] == 1
+        assert not recorded.shareable
+        assert list(run.profiles) == list(SCHEMES)
+        for scheme in SCHEMES:
+            tasks = run.profiles[scheme].tasks
+            assert [t.execute.instructions for t in tasks] == [
+                t.execute.instructions
+                for t in plain.profiles[scheme].tasks]
+            assert all((t.access is not None) == (scheme != "cae")
+                       for t in tasks)
+
+    @pytest.mark.parametrize("workload_cls",
+                             [AllocaWorkload, FarAddressWorkload])
+    def test_degenerate_machine_replays_to_the_single_type_profile(
+            self, workload_cls):
+        config = MachineConfig()
+        store = TraceStore()
+        run = profile_workload(workload_cls(), 1, config, trace_store=store)
+        for scheme in SCHEMES:
+            replayed = machine_stream(store, scheme, _degenerate(config))
+            assert _phases(replayed) == _phases(run.profiles[scheme])

@@ -65,7 +65,6 @@ def test_matrix_strips_each_execute_phase_once(builds):
                      trace_store=store)
     executes = _execute_traces(store)
     assert store.replayed_phases >= len(executes) > 0
-    assert all(trace.valid for trace in executes)
     assert len(builds) == len(executes)
     assert {id(data) for data, _ in builds} == {
         id(trace.data) for trace in executes}
