@@ -44,8 +44,9 @@ def _bench_leg(workload, replay: bool, scale: int,
                config: MachineConfig) -> dict:
     """Profile the full scheme matrix with the fast core; time only the
     profiling (compile and instantiate are untimed).  The ``replay``
-    leg gets its own :class:`TraceStore`; the ``fast`` leg gets none,
-    so it re-interprets every scheme."""
+    leg shares one :class:`TraceStore` across the schemes; the ``fast``
+    leg passes none, so each scheme records into a store of its own
+    and re-interprets every phase."""
     compiled = workload.compile(None)
     store = TraceStore() if replay else None
     elapsed = 0.0

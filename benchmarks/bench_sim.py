@@ -47,8 +47,9 @@ def _bench_leg(workload, interp: Optional[str], scale: int,
                config: MachineConfig) -> dict:
     """Profile ``workload`` under every scheme with one interpreter —
     ``"reference"``, or ``None`` for the fast core (one scheme per
-    profiler and no trace store, so every phase is interpreted); time
-    only the profiling (compile and instantiate are untimed)."""
+    profiler, each recording into a store of its own, so no scheme has
+    a donor and every phase is interpreted); time only the profiling
+    (compile and instantiate are untimed)."""
     compiled = workload.compile(None)
     elapsed = 0.0
     instructions = 0

@@ -10,12 +10,8 @@
 
 import math
 
-import pytest
-
-from repro.evaluation import run_workload, schedule
 from repro.power import FixedPolicy, OptimalEDPPolicy
 from repro.runtime import DAEScheduler, TaskStreamProfiler
-from repro.sim import MachineConfig
 from repro.transform.access_phase import (
     AccessPhaseOptions,
     SkeletonOptions,

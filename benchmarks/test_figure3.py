@@ -11,8 +11,6 @@ qualitative results of Section 6.1:
   stay coupled to the compute in the execute phase).
 """
 
-import pytest
-
 from repro.evaluation import figure3_rows, render_figure3
 
 CAE_OPT = "CAE (Optimal f.)"

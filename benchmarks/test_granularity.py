@@ -7,8 +7,6 @@ tasks whose prefetched working set overflows L1+L2 evict their own data
 before the execute phase consumes it.
 """
 
-import pytest
-
 from repro.power import FixedPolicy, OptimalEDPPolicy
 from repro.runtime import DAEScheduler, TaskStreamProfiler
 from repro.workloads import LibQuantumWorkload

@@ -5,8 +5,6 @@ TA µs) and checks the reproducible half exactly (loop classification)
 plus the modeled half in shape (TA% ordering, µs-scale phases).
 """
 
-import pytest
-
 from repro.evaluation import render_table1, table1_rows
 
 PAPER_AFFINE = {

@@ -3,10 +3,10 @@
 The engine's unit of work is one workload profiled under every scheme at
 one scale on one machine (:func:`profile_workload`).  A bare
 :class:`~repro.sim.config.MachineConfig` is the single-type machine
-built from it; a heterogeneous machine's profiles come from recording
-the matrix once and replaying it through the machine's per-type cache
-hierarchy.  The result, :class:`WorkloadRun`, is consumed by every
-figure and table in the evaluation layer.
+built from it.  On any machine a profile is the matrix's recording
+replayed through the machine's per-type cache hierarchy.  The result,
+:class:`WorkloadRun`, is consumed by every figure and table in the
+evaluation layer.
 
 Because runs must cross process boundaries (the pool) and sessions (the
 on-disk cache), this module also defines the *slim* representation: a
@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ..interp.fast import resolve_interp
 from ..interp.trace import TraceStore
-from ..machines import MachineModel, homogeneous_machine, machine_stream
-from ..runtime.profiler import StreamProfile, TaskStreamProfiler
-from ..runtime.task import Scheme, TaskProfile, TaskRef
+from ..machines import MachineModel
+from ..runtime.profiler import TaskStreamProfiler
+from ..runtime.task import Scheme, StreamProfile, TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, LEVELS
 from ..sim.config import MachineConfig
 from ..sim.timing import PhaseProfile
@@ -116,48 +115,29 @@ def profile_workload(workload: Workload, scale: int = 1,
 
     ``interp`` picks the interpreter (``"replay"``, the default, or
     ``"reference"``).  Both produce byte-identical profiles — the
-    choice is deliberately *not* part of the engine's cache key.  Under
-    ``"replay"`` a multi-scheme matrix records each phase's event trace
-    in the first scheme, and the remaining schemes replay the
-    (scheme-invariant) execute streams through the cache model instead
-    of re-interpreting them; access phases, which differ per scheme,
-    always interpret.  A single-scheme matrix builds no store, so every
-    phase is interpreted.
-
-    ``trace_store`` keeps the recorded traces for the caller (the
-    machine sweeps and the profiling benchmark read them); passing one
-    forces recording even for a single-scheme matrix.
+    choice is deliberately *not* part of the engine's cache key.  Every
+    scheme records into one :class:`TraceStore` (``trace_store``, or a
+    fresh one): under ``"replay"`` the first scheme's execute traces
+    are replayed by the remaining schemes (scheme-invariant streams)
+    instead of re-interpreted; access phases, which differ per scheme,
+    always interpret.  The machine sweeps read a caller's store after
+    the call.
 
     ``machine`` is the :class:`~repro.machines.model.MachineModel` to
     profile on; without one, ``config`` is wrapped as a single-type
-    machine.  A heterogeneous machine forces the record-and-replay
-    path: the matrix is interpreted once (recording every phase), then
-    each scheme is re-simulated through the machine's per-type cache
-    hierarchy (:func:`repro.machines.replay.machine_stream`) so access
-    phases meet the access cluster's caches and execute phases the
-    execute cluster's.
+    machine.  Every profile is counted by replaying its recording on
+    the machine (:func:`repro.machines.replay.machine_stream`), so on a
+    heterogeneous machine access phases meet the access cluster's
+    caches and execute phases the execute cluster's.
     """
-    if machine is None:
-        machine = homogeneous_machine(
-            "homogeneous", config or MachineConfig()
-        )
-    heterogeneous = machine.heterogeneous
-    resolved_interp = resolve_interp(interp)
-    if heterogeneous:
-        resolved_interp = "replay"
-    store = trace_store
-    if store is None and (heterogeneous or (
-            resolved_interp == "replay" and len(tuple(schemes)) > 1)):
-        store = TraceStore()
+    store = TraceStore() if trace_store is None else trace_store
     compiled = workload.compile(options)
     profiles: dict[str, StreamProfile] = {}
     task_count: Optional[int] = None
     for scheme in schemes:
         scheme = Scheme(scheme)
         memory, tasks, _ = workload.instantiate(scale=scale, compiled=compiled)
-        profiler = TaskStreamProfiler(
-            memory, machine.config, interp=resolved_interp,
-        )
+        profiler = TaskStreamProfiler(memory, machine or config, interp=interp)
         profiles[scheme.value] = profiler.profile(
             tasks, scheme, trace_store=store,
         )
@@ -170,11 +150,6 @@ def profile_workload(workload: Workload, scale: int = 1,
                 "deterministic across schemes"
                 % (workload.name, len(tasks), scheme.value, task_count)
             )
-    if heterogeneous:
-        profiles = {
-            scheme: machine_stream(store, scheme, machine)
-            for scheme in profiles
-        }
     return WorkloadRun(
         workload=workload, compiled=compiled, profiles=profiles,
         task_count=task_count or 0,

@@ -60,11 +60,10 @@ class ExperimentSpec:
     #: cached profiles are valid under either.
     interp: Optional[str] = None
     #: Registered :class:`~repro.machines.model.MachineModel` name to
-    #: profile on (``None`` = the plain ``config``).  A homogeneous
-    #: machine substitutes its config; a heterogeneous one forces the
-    #: record-and-replay profiling path so each phase meets its core
-    #: type's cache geometry.  Result-determining, so it is part of
-    #: the cache key.
+    #: profile on (``None`` = the plain ``config``).  Every profile
+    #: replays its recording on the machine, so on a heterogeneous one
+    #: each phase meets its core type's cache geometry.
+    #: Result-determining, so it is part of the cache key.
     machine: Optional[str] = None
 
     def __post_init__(self):

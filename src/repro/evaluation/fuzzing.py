@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from typing import Optional
 
 from ..fuzz import (
-    FuzzWorkload,  # noqa: F401  (re-exported for callers of this module)
     OracleViolation,
     check_engine_pool_equivalence,
     generate_program,

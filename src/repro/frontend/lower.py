@@ -8,8 +8,6 @@ This keeps the lowering simple and gives the pass pipeline real work.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .. import ir
 from . import ast
 

@@ -24,9 +24,9 @@ them on *every* generated program:
     access phase ran first — and its end-to-end consequences: profiling
     the scheme matrix (execute phases replayed from the donor scheme's
     recorded trace) serializes byte-identical to direct interpretation
-    (one single-scheme profile per scheme, which records nothing), and
-    so does replaying that recording on the single-type machine of the
-    config (:func:`~repro.machines.replay.machine_profiles`).
+    (one single-scheme profile per scheme, which has no donor to
+    replay), and every recorded phase counts the same replayed
+    unstripped, event by event (:func:`~repro.sim.replay.replay_phase`).
 ``schedule-invariants``
     profiling + scheduling under CAE and DAE with real frequency
     policies yields a timeline whose segments tile [0, time] exactly
@@ -66,13 +66,14 @@ from ..interp.interpreter import Interpreter
 from ..interp.memory import SimMemory
 from ..interp.trace import KIND_NAMES, TraceStore
 from ..ir import Function, Module, verify_function
-from ..machines import homogeneous_machine, machine_profiles
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
 from ..runtime.profiler import TaskStreamProfiler
 from ..runtime.scheduler import DAEScheduler
 from ..runtime.task import Scheme
+from ..sim.cache import AccessCounts, MachineCaches
 from ..sim.config import MachineConfig
+from ..sim.replay import replay_phase
 from ..transform import optimize_module
 from ..transform.access_phase import generate_access_phase
 from ..workloads.base import MANUAL_SUFFIX
@@ -306,9 +307,9 @@ def _check_trace_invariance(case: FuzzCase,
                             config: MachineConfig) -> list:
     """The replay engine's invariant, checked both microscopically
     (execute-phase event streams match with and without a preceding
-    access phase) and end-to-end (the replayed matrix's payload, and
-    that of its recording replayed on the machine of ``config``, are
-    byte-identical to direct interpretation)."""
+    access phase) and end-to-end (the replayed matrix's payload is
+    byte-identical to direct interpretation, and each phase's counts to
+    its recording replayed unstripped)."""
     seed = case.program.seed
     problems = []
     if case.access is not None:
@@ -340,7 +341,7 @@ def _check_trace_invariance(case: FuzzCase,
                    warm_events[where] if where < len(warm_events) else None)
             )
     workload = FuzzWorkload(case.program)
-    # A single-scheme matrix records nothing: every phase interprets.
+    # A single-scheme matrix has no donor scheme: every phase interprets.
     runs = [profile_workload(workload, config=config, schemes=(scheme,))
             for scheme in ORACLE_SCHEMES]
     direct = json.dumps(run_to_payload(replace(runs[0], profiles={
@@ -355,13 +356,24 @@ def _check_trace_invariance(case: FuzzCase,
         problems.append(
             "replayed profile payload differs from direct interpretation"
         )
-    machine = homogeneous_machine("fuzz", config)
-    resimulated = replace(matrix, profiles=machine_profiles(store, machine))
-    if direct != json.dumps(run_to_payload(resimulated), sort_keys=True):
-        problems.append(
-            "machine-replayed profile payload differs from direct "
-            "interpretation"
-        )
+    # Both profiles count execute phases from strips; the reference is
+    # every event through both replay stages, on the cores of one
+    # hierarchy (task ``i`` on core ``i % cores``).
+    for scheme, records in store.schemes.items():
+        cores = MachineCaches(config).cores
+        for index, (task, record) in enumerate(
+                zip(matrix.profiles[scheme].tasks, records)):
+            for phase in ("access", "execute"):
+                trace = getattr(record, phase)
+                if trace is None:
+                    continue
+                counts = AccessCounts()
+                replay_phase(cores[index % len(cores)], trace.data, counts)
+                if getattr(task, phase).counts != counts:
+                    problems.append(
+                        "%s %s phase of task %d counts differently "
+                        "replayed unstripped" % (scheme, phase, index)
+                    )
     return [
         OracleViolation("trace-invariance", seed, p, case.program.source)
         for p in problems

@@ -24,8 +24,8 @@ so :func:`~repro.interp.decode.decode_function` stays the only cache:
   ``by_opcode`` are folded into the trace when the function returns;
 * every memory event is appended as ``(code, address, size)`` (codes
   of :data:`~repro.interp.trace.KIND_NAMES`) to one flat list that the
-  caller passes in — the list the profiler hands to
-  :func:`~repro.sim.replay.replay_phase` — with no call per event;
+  caller passes in — the list the profiler keeps as the phase's
+  :class:`~repro.interp.trace.PhaseTrace` — with no call per event;
 * a bounds check keeps the last matched allocation's ``[base, end)``
   in two locals and looks an address up only when it falls outside.
 
@@ -87,10 +87,11 @@ _NO_RET = object()
 
 #: Accepted interpreter choices.  ``"replay"`` is this fast core plus
 #: cross-scheme trace reuse: when a profiling matrix spans several
-#: schemes, each execute phase is interpreted once and *replayed*
-#: through the cache model for the other schemes (see
-#: :mod:`repro.interp.trace`); a single-scheme matrix interprets every
-#: phase.  ``"reference"`` is the executable specification.
+#: schemes, each execute phase is interpreted once and the other
+#: schemes reuse its recording (see :mod:`repro.interp.trace`); a
+#: single-scheme matrix interprets every phase.  ``"reference"`` is
+#: the executable specification, which interprets every phase.  Either
+#: way each profile is its recording counted by machine replay.
 INTERP_CHOICES = ("replay", "reference")
 
 

@@ -15,7 +15,6 @@ from typing import Callable, Optional
 from ..ir import (
     GEP,
     Alloca,
-    Argument,
     BinOp,
     Call,
     Cast,
@@ -27,7 +26,6 @@ from ..ir import (
     Instruction,
     Jump,
     Load,
-    Phi,
     Prefetch,
     Ret,
     Select,

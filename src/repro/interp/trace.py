@@ -5,11 +5,12 @@ flat list, three scalars ``(kind code, address, size)`` per event: the
 fast interpreter's generated code extends it directly, the reference
 interpreter's observer appends each event's fields.  The profiler packs
 that list into a single ``array('q')`` — three signed 64-bit words per
-event, no per-event objects — and counts it on the cache model with
-:func:`repro.sim.replay.replay_phase`.  Kept as a :class:`PhaseTrace`,
-the same stream lets a phase interpreted *once* be pushed through the
-cache model again, either under another execution scheme or under a
-different machine (the ``machines`` and ``ablate`` sweeps).
+event, no per-event objects — and keeps it as a :class:`PhaseTrace` in
+a :class:`TraceStore`.  A profile is the store's records of one scheme
+counted on a machine by :func:`repro.machines.replay.machine_stream`,
+so a phase interpreted *once* can be counted again, under another
+execution scheme or on a different machine (the ``machines`` and
+``ablate`` sweeps).
 
 Every recorded phase keeps its events, so every recording replays on
 any machine.  A phase with a value beyond the signed 64-bit range
@@ -162,12 +163,14 @@ class TaskTrace:
 class TraceStore:
     """Recorded traces for one profiling matrix, keyed by scheme.
 
-    The first scheme profiled into the store becomes the *donor*: its
+    Every profile records into one (the caller's, or its own).  The
+    first scheme profiled into the store becomes the *donor*: its
     execute traces are replayed (not re-interpreted) by every later
-    scheme, because the execute stream is scheme-invariant as long as
-    access phases write nothing.  Every scheme keeps a full per-task
-    trace list of its own — replayed execute phases alias the donor's
-    records — so config-ablation sweeps can re-simulate any scheme.
+    scheme on the fast core, because the execute stream is
+    scheme-invariant as long as access phases write nothing.  Every
+    scheme keeps a full per-task trace list of its own — replayed
+    execute phases alias the donor's records — so config-ablation
+    sweeps can re-simulate any scheme.
     """
 
     def __init__(self) -> None:
@@ -179,8 +182,8 @@ class TraceStore:
         self.recorded_events = 0
         self.recorded_phases = 0
         #: The machine-replay memo (:func:`repro.machines.replay.
-        #: machine_stream`): private-stage results keyed by scheme and
-        #: private cache geometry.
+        #: machine_stream`): private-stage results keyed by scheme
+        #: (first) and private cache geometry.
         self.private_stages: dict = {}
 
     def begin_scheme(self, scheme: str) -> tuple:
@@ -197,8 +200,10 @@ class TraceStore:
                 break
         records: list[TaskTrace] = []
         self.schemes[scheme] = records
-        # Replays of the old records must not outlive them.
-        self.private_stages.clear()
+        # Replays of the old records must not outlive them; every other
+        # scheme's passes still match its records.
+        for key in [key for key in self.private_stages if key[0] == scheme]:
+            del self.private_stages[key]
         return records, donor
 
     def note_recorded(self, trace: PhaseTrace) -> None:

@@ -7,9 +7,8 @@ of findings on failure.
 
 from __future__ import annotations
 
-from .basicblock import BasicBlock
 from .function import Function, Module
-from .instructions import Instruction, Phi, Terminator
+from .instructions import Instruction, Phi
 from .values import Argument, Constant, GlobalVariable, Undef, Value
 
 

@@ -6,12 +6,14 @@ machine — a variant of the default config (the ``ablate`` verb), a
 registered single-type machine, or one whose access and execute phases
 run on different core types with different private caches.
 
-:func:`machine_stream` is the one replay path.  Each scheduling slot
-pairs one set of private caches per placed core type over a single
-shared LLC; a task's access phase replays through the access type's
-privates and its execute phase through the execute type's, so a
-decoupled run naturally shows the big.LITTLE shape — prefetches warm
-the *shared* LLC but not the sibling's privates.  With a
+:func:`machine_stream` is the one replay path, and the one counting
+path: every profile is its recording counted here
+(:mod:`repro.runtime.profiler`).  Each scheduling slot pairs one set
+of private caches per placed core type over a single shared LLC; a
+task's access phase replays through the access type's privates and
+its execute phase through the execute type's, so a decoupled run
+naturally shows the big.LITTLE shape — prefetches warm the *shared*
+LLC but not the sibling's privates.  With a
 ``flush``-ing migration the destination's private caches cold-start
 whenever a phase lands on the other cluster, modelling the in-kernel
 switcher's power-cycled inbound cluster.
@@ -19,7 +21,7 @@ switcher's power-cycled inbound cluster.
 Placed types with equal configs collapse to one type once per call —
 the same rule the scheduler applies — so a single-type machine (or a
 degenerate two-cluster one) keeps one private hierarchy per slot and
-never flushes: exactly the hierarchy a profiling run builds.
+never flushes.
 
 Replay runs the two stages of :mod:`repro.sim.replay` as two passes
 over a scheme's records.  A count depends only on cache *geometry*,
@@ -32,9 +34,10 @@ whole-config equality (which includes latencies).  Every call then
 runs one LLC pass: it replays the private pass's L2-miss streams
 through a fresh shared LLC.  So a variant that keeps the private
 geometry — another LLC size, latency, DRAM time or MLP — replays only
-the miss streams.  :func:`prune_private_passes` lets a sweep drop the
-passes no later machine reuses, so the memo holds only what it will
-serve again.
+the miss streams, starting with the pass the recording's own count
+left.  :func:`prune_private_passes` lets a sweep drop the passes no
+later machine reuses, so the memo holds only what it will serve
+again.
 
 A private pass that does run replays each execute phase through
 :func:`repro.sim.replay.replay_recorded`: from its trace's strip, only
@@ -49,8 +52,7 @@ events, so any recording replays on any machine.
 from __future__ import annotations
 
 from ..interp.trace import TraceStore
-from ..runtime.profiler import StreamProfile
-from ..runtime.task import TaskProfile, TaskRef
+from ..runtime.task import StreamProfile, TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, Cache, CoreCaches
 from ..sim.config import MachineConfig
 from ..sim.replay import replay_llc, replay_private, replay_recorded

@@ -9,7 +9,7 @@ maps IR induction variables and task arguments onto these symbols.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Number = Union[int, Fraction]
 

@@ -18,7 +18,7 @@ tile offsets).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..ir import Function
@@ -103,3 +103,27 @@ class TaskProfile:
     @property
     def has_access(self) -> bool:
         return self.access is not None
+
+
+@dataclass
+class StreamProfile:
+    """Profiles of a whole task stream under one scheme."""
+
+    scheme: str
+    tasks: list[TaskProfile] = field(default_factory=list)
+    #: Accesses served by the per-core MRU same-line filter (a replay
+    #: diagnostic, not part of the engine's persisted payload).
+    mru_shortcircuits: int = 0
+
+    def aggregate_execute(self) -> PhaseProfile:
+        total = PhaseProfile()
+        for task in self.tasks:
+            total = total.merged(task.execute)
+        return total
+
+    def aggregate_access(self) -> PhaseProfile:
+        total = PhaseProfile()
+        for task in self.tasks:
+            if task.access is not None:
+                total = total.merged(task.access)
+        return total

@@ -180,9 +180,10 @@ class CoreCaches:
         """Simulate one access; returns the level that served it.
 
         No profiling path calls this: every phase is counted by
-        :func:`repro.sim.replay.replay_phase`.  It stays as the
-        per-event reference that ``tests/sim/`` checks the replay
-        stages against, event for event.
+        replaying its recording (:func:`repro.machines.replay.
+        machine_stream`, over the stages of :mod:`repro.sim.replay`).
+        It stays as the per-event reference that ``tests/sim/`` checks
+        the replay stages against, event for event.
 
         The ``lookup``/``fill`` pair of every level is inlined here —
         on a miss path each fill inserts into the set whose membership
@@ -257,16 +258,3 @@ class MachineCaches:
         self.llc.flush()
         for core in self.cores:
             core.flush_private()
-
-    def snapshot(self) -> dict:
-        """Resident-line occupancy per cache, for obs counter events."""
-        return {
-            "llc_lines": self.llc.resident_lines(),
-            "cores": [
-                {
-                    "l1_lines": core.l1.resident_lines(),
-                    "l2_lines": core.l2.resident_lines(),
-                }
-                for core in self.cores
-            ],
-        }

@@ -14,10 +14,13 @@ The split is exact because nothing flows back up: the LLC is
 non-inclusive and never back-invalidates, so the private levels never
 read it, and the stream window moves only on LLC misses.  Over a
 sequence of phases, the private stage's output therefore depends on
-the traces and the private geometry alone.  A machine sweep
-(:func:`repro.machines.replay.machine_stream`) runs it once per private
-geometry and the LLC stage once per machine;
-:func:`replay_phase` runs the two back to back.
+the traces and the private geometry alone.  Every profile and every
+machine sweep counts through :func:`repro.machines.replay.
+machine_stream`, which runs the private stage once per private
+geometry and the LLC stage once per machine.  :func:`replay_phase`
+runs the two back to back over every event, with no strip: the
+unstripped reference the ``trace-invariance`` fuzz oracle and the
+tests count recordings with.
 
 Both loops bind every piece of hot state to a local and iterate the
 packed array a record at a time via ``zip`` of one shared iterator.
@@ -43,12 +46,13 @@ per-kind tally of those fixed hits and, in order, every other event.
 real L1 and L2 and returns the same L2-miss stream as
 :func:`replay_private`, leaving every set, the MRU line and
 ``mru_hits`` as it would; its docstring gives the argument.  A strip
-costs about as much as one full private replay, so only traces
-replayed again use one: :func:`strip_for` keeps it on the trace for
-the last L1 geometry asked for.  :func:`replay_recorded` is the private
-stage of a recorded trace: its strip when the trace is packed, every
-event when it is the unpacked list of a phase beyond the signed 64-bit
-range.
+costs about as much as one full private replay, so it pays on a trace
+replayed again: each recorded execute trace, which later schemes and
+machines replay after its own count.  :func:`strip_for` keeps it on
+the trace for the last L1 geometry asked for.  :func:`replay_recorded`
+is the private stage of a recorded trace: its strip when the trace is
+packed, every event when it is the unpacked list of a phase beyond the
+signed 64-bit range.
 """
 
 from __future__ import annotations
@@ -359,22 +363,15 @@ def replay_recorded(core: CoreCaches, trace, counts: AccessCounts):
     return replay_private(core, trace.data, counts)
 
 
-def replay_phase(core: CoreCaches, data, counts: AccessCounts,
-                 trace=None) -> int:
+def replay_phase(core: CoreCaches, data, counts: AccessCounts) -> int:
     """Replay a packed trace on ``core``, tallying into ``counts``.
 
-    The private stage and then the LLC stage over the same trace.
-    With ``trace``, the :class:`~repro.interp.trace.PhaseTrace` whose
-    ``data`` this is, the private stage is :func:`replay_recorded`.
-    Returns the number of events the phase stands for, stripped or
-    not.  All cache state (including the shared LLC) is mutated exactly
-    as interpretation would.
+    The private stage and then the LLC stage over every event of the
+    trace.  Returns the number of events.  All cache state (including
+    the shared LLC) is mutated exactly as feeding each event through
+    :meth:`~repro.sim.cache.CoreCaches.access` would.
     """
-    if trace is None:
-        misses = replay_private(core, data, counts)
-    else:
-        misses = replay_recorded(core, trace, counts)
-    replay_llc(core, misses, counts)
+    replay_llc(core, replay_private(core, data, counts), counts)
     return len(data) // 3
 
 

@@ -113,14 +113,6 @@ class PhaseProfile:
     slots: int = 0
     counts: AccessCounts = field(default_factory=AccessCounts)
 
-    @staticmethod
-    def from_run(trace: ExecutionTrace, counts: AccessCounts) -> "PhaseProfile":
-        return PhaseProfile(
-            instructions=trace.instructions,
-            slots=issue_slots(trace),
-            counts=counts,
-        )
-
     def merged(self, other: "PhaseProfile") -> "PhaseProfile":
         return PhaseProfile(
             instructions=self.instructions + other.instructions,

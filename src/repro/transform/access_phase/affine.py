@@ -14,16 +14,14 @@ single nest prefetches several arrays/classes (Listings 2(b), 3(b)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from ...analysis.loops import Loop
 from ...analysis.memory_access import AccessAnalysis, MemoryAccess
-from ...ir import Function, Value
+from ...ir import Value
 from ...polyhedral.affine import AffineExpr, Constraint
 from ...polyhedral.chernikova import convex_union
 from ...polyhedral.codegen import (
-    Bound,
     CodegenError,
     ScanNest,
     generate_scan_nest,

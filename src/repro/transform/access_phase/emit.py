@@ -7,13 +7,10 @@ style access version.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping
-
 from ... import ir
 from ...ir import Argument, Function, GlobalVariable, IRBuilder, Module, Value
 from ...polyhedral.affine import AffineExpr
-from ...polyhedral.codegen import Bound, ScanNest
+from ...polyhedral.codegen import Bound
 from .affine import AccessNest, AffinePlan
 from .forms import IndexForm
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from ...analysis.scalar_evolution import LinearExpr
-from ...ir import Argument, Phi, Value
+from ...ir import Phi, Value
 from ...polyhedral.affine import AffineExpr
 
 

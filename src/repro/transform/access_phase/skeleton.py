@@ -28,7 +28,6 @@ from ...ir import (
     Function,
     Jump,
     Load,
-    Phi,
     Prefetch,
     Store,
     Undef,

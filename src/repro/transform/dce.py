@@ -10,7 +10,7 @@ elimination to remove instructions that are not required").
 
 from __future__ import annotations
 
-from ..ir import Call, Function, Instruction, Phi
+from ..ir import Call, Function, Instruction
 
 
 def is_trivially_dead(inst: Instruction) -> bool:

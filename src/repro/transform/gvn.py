@@ -15,8 +15,6 @@ with side effects.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.dominators import DominatorTree
 from ..ir import (
     GEP,

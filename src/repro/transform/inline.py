@@ -15,7 +15,6 @@ from ..ir import (
     BasicBlock,
     Call,
     Function,
-    Instruction,
     Jump,
     Phi,
     Ret,

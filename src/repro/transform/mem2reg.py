@@ -8,14 +8,11 @@ see induction variables and the access analysis only sees real memory.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.dominators import DominatorTree
 from ..ir import (
     Alloca,
     BasicBlock,
     Function,
-    Instruction,
     Load,
     Phi,
     Store,

@@ -9,7 +9,7 @@ merging collapse the task body to plain loop control flow.
 from __future__ import annotations
 
 from ..analysis.cfg import remove_unreachable_blocks
-from ..ir import BinOp, Cast, Cmp, CondBr, Constant, Function, Jump, Phi, Select
+from ..ir import BinOp, Cast, Cmp, CondBr, Constant, Function, Jump, Select
 
 
 def simplify_cfg(func: Function) -> int:

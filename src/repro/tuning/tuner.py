@@ -44,9 +44,8 @@ from ..interp.trace import TraceStore
 from ..machines import MachineModel, homogeneous_machine, machine_stream
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
-from ..runtime.profiler import StreamProfile
 from ..runtime.scheduler import DAEScheduler, ScheduleResult
-from ..runtime.task import Scheme
+from ..runtime.task import Scheme, StreamProfile
 from ..sim.config import MachineConfig
 from ..sim.timing import PhaseProfile
 from ..transform.access_phase import AccessPhaseOptions

@@ -1,8 +1,6 @@
 """Affine access-phase generation: plans, hull decisions, merging, and
 the fundamental coverage guarantee (prefetches ⊇ loads)."""
 
-import pytest
-
 from repro.frontend import compile_source
 from repro.interp import Interpreter, SimMemory
 from repro.ir import Prefetch, Store, verify_function

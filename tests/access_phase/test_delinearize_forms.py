@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.analysis import AccessAnalysis, LoopInfo, ScalarEvolution
+from repro.analysis import AccessAnalysis
 from repro.frontend import compile_source
-from repro.ir import GEP
 from repro.transform import optimize_function
 from repro.transform.access_phase import (
     DelinearizeError,
@@ -93,7 +92,6 @@ class Test3D:
 
 class TestFailures:
     def test_iv_product_fails(self):
-        from repro.analysis.scalar_evolution import LinearExpr
         # craft i*j-like nonlinearity: multiply returns None upstream, so
         # delinearize never sees it; instead test an unfactorable mix.
         index, _ = index_expr(

@@ -1,8 +1,6 @@
 """Skeleton (non-affine) access generation: slicing, CFG simplification,
 prefetch insertion, legality bail-outs, line dedupe."""
 
-import pytest
-
 from repro.frontend import compile_source
 from repro.interp import Interpreter, SimMemory
 from repro.ir import Call, CondBr, Load, Prefetch, Store, verify_function

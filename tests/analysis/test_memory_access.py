@@ -3,7 +3,7 @@
 from repro.analysis import AccessAnalysis
 from repro.frontend import compile_source
 from repro.transform import optimize_function
-from tests.conftest import LU_KERNEL, POINTER_CHASE, compile_optimized
+from tests.conftest import LU_KERNEL, POINTER_CHASE
 
 
 def analysis_for(source, name):

@@ -111,8 +111,9 @@ class TestSweepReplaysOnlyWhatChanged:
         monkeypatch.setattr(machine_replay, "_private_pass", counted)
         variants = [
             # (machine, new private passes, passes kept after it);
-            # 3 schemes.
-            (self._variant("llc_kb", 12), 3, 3),
+            # 3 schemes.  The recording's passes serve the default
+            # private geometry.
+            (self._variant("llc_kb", 12), 0, 3),
             (self._variant("llc_kb", 48), 0, 3),
             (self._variant("llc_kb", 24), 0, 3),   # the default LLC
             (self._variant("l1_kb", 1), 3, 3),
@@ -124,6 +125,8 @@ class TestSweepReplaysOnlyWhatChanged:
             (MachineModel.from_name("ideal"), 0, 0),
         ]
         sweep = MachineSweep(TinyWorkload(), self.SCALE)
+        assert len(passes) == 3   # the recording counts each scheme
+        passes.clear()
         store = sweep.store
         machines = [machine for machine, _, _ in variants]
         payloads = []
@@ -132,15 +135,16 @@ class TestSweepReplaysOnlyWhatChanged:
             assert len(passes) == new, machine.name
             assert len(store.private_stages) == kept, machine.name
             payload = run_to_payload(run)
-            # A heterogeneous machine always profiles by replay, so for
-            # biglittle this checks the memo against a fresh store
-            # only; tests/machines/test_result_pins.py pins its result.
+            # Every profile is counted by machine replay, so this
+            # checks the memo against a fresh recording by the
+            # reference core; tests/machines/test_result_pins.py pins
+            # biglittle's result.
             reprofiled = profile_workload(
                 TinyWorkload(), self.SCALE, schemes=ALL_SCHEMES,
                 machine=machine, interp="reference",
             )
             assert payload == run_to_payload(reprofiled), machine.name
-            passes.clear()   # biglittle's re-profile replays too
+            passes.clear()   # the re-profile counts by replay too
             payloads.append(payload["profiles"])
         # The LLC size changes counts, so the equalities above are not
         # vacuous; the DRAM-latency variants reuse the default LLC's.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.interp import (
-    ExecutionTrace,
     InterpError,
     Interpreter,
     MemoryError_,

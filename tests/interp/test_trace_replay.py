@@ -15,8 +15,8 @@ events, so every recording replays on a machine — an allocating phase
 and one beyond the signed 64-bit range included.
 
 The direct-interpretation baseline profiles one scheme per
-``profile_workload`` call: a single-scheme matrix builds no trace
-store, so the fast core interprets every phase.
+``profile_workload`` call: a single-scheme matrix has no donor scheme,
+so the fast core interprets every phase.
 """
 
 import json
@@ -41,6 +41,7 @@ from repro.runtime.profiler import TaskStreamProfiler
 from repro.runtime.task import Scheme, TaskInstance, TaskKind
 from repro.sim.cache import AccessCounts, MachineCaches
 from repro.sim.config import CacheConfig, MachineConfig
+from repro.sim.replay import replay_phase
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import PaperRow, Workload, fill_floats
 
@@ -151,7 +152,10 @@ task gather(A: f64*, B: i64*, n: i64) {
 def test_replayed_profiles_byte_identical(workload_cls):
     """Every bundled workload, full three-scheme matrix: replay and
     direct interpretation serialize to the same bytes, and replay
-    actually replayed (it is not silently interpreting everything)."""
+    actually replayed (it is not silently interpreting everything).
+    Both count execute phases from strips, so every recorded phase is
+    also counted unstripped, every event through ``replay_phase`` on
+    the cores of one hierarchy, task ``i`` on core ``i % cores``."""
     config = MachineConfig()
     direct = _direct(workload_cls(), config)
     store = TraceStore()
@@ -162,6 +166,17 @@ def test_replayed_profiles_byte_identical(workload_cls):
     # Two non-donor schemes, every execute phase shareable.
     assert store.replayed_phases > 0
     assert store.replayed_events > 0
+    for scheme, records in store.schemes.items():
+        cores = MachineCaches(config).cores
+        for index, (task, record) in enumerate(
+                zip(replayed.profiles[scheme].tasks, records)):
+            for phase in ("access", "execute"):
+                trace = getattr(record, phase)
+                if trace is not None:
+                    counts = AccessCounts()
+                    replay_phase(cores[index % len(cores)], trace.data,
+                                 counts)
+                    assert getattr(task, phase).counts == counts
 
 
 def test_replay_is_the_default_and_autocreates_a_store():

@@ -13,6 +13,7 @@ import pytest
 from repro.engine.pool import run_experiment
 from repro.engine.products import phase_to_dict, profile_workload, run_to_payload
 from repro.engine.spec import ExperimentSpec
+from repro.interp.interpreter import Interpreter
 from repro.interp.trace import TraceStore
 from repro.ir import (
     F64, I64, VOID, Constant, Function, IRBuilder, pointer_to,
@@ -25,11 +26,13 @@ from repro.machines import (
     migrate,
     sandybridge_machine,
 )
+from repro.machines import replay as machine_replay
 from repro.machines.replay import machine_stream
 from repro.power.frequency import FrequencyPolicy
 from repro.runtime import DAEScheduler, TaskProfile
 from repro.runtime.task import TaskInstance, TaskKind
 from repro.sim import AccessCounts, MachineConfig, PhaseProfile
+from repro.sim import replay as sim_replay
 
 from ..engine.tinywork import TinyWorkload
 
@@ -244,3 +247,58 @@ class TestEveryRecordingReplays:
         for scheme in SCHEMES:
             replayed = machine_stream(store, scheme, _degenerate(config))
             assert _phases(replayed) == _phases(run.profiles[scheme])
+
+
+class TestOneCountingPath:
+    """A profile is its recording counted by machine replay, on a
+    heterogeneous machine as on any other: each phase's private stage
+    runs once, and the interpreter asked for is the one that runs."""
+
+    def test_heterogeneous_profile_replays_each_private_stage_once(
+            self, monkeypatch):
+        calls = []
+
+        def counted(original):
+            def stage(*args):
+                calls.append(original.__name__)
+                return original(*args)
+            return stage
+
+        # Every binding of the two private stages, each counted once.
+        for module, name in ((sim_replay, "replay_private"),
+                             (sim_replay, "replay_stripped"),
+                             (machine_replay, "replay_private")):
+            monkeypatch.setattr(module, name,
+                                counted(getattr(module, name)))
+        store = TraceStore()
+        profile_workload(TinyWorkload(), 1, trace_store=store,
+                         machine=MachineModel.from_name("biglittle"))
+        phases = [phase for records in store.schemes.values()
+                  for task in records
+                  for phase in (task.access, task.execute)
+                  if phase is not None]
+        assert list(store.schemes) == list(SCHEMES)
+        assert len(phases) == 10   # 2 tasks: cae 2 phases, dae/manual 4
+        assert len(calls) == len(phases)
+        assert "replay_stripped" in calls
+
+    def test_reference_core_runs_on_a_heterogeneous_machine(
+            self, monkeypatch):
+        runs = []
+        run = Interpreter.run
+
+        def spy(self, func, args, *rest):
+            runs.append(func.name)
+            return run(self, func, args, *rest)
+
+        monkeypatch.setattr(Interpreter, "run", spy)
+        biglittle = MachineModel.from_name("biglittle")
+        reference = profile_workload(TinyWorkload(), machine=biglittle,
+                                     interp="reference")
+        # 2 tasks: cae interprets 2 phases, dae and manual 4 each.
+        assert len(runs) == 10
+        replayed = profile_workload(TinyWorkload(), machine=biglittle,
+                                    interp="replay")
+        assert len(runs) == 10   # the fast core is not the spied one
+        assert (json.dumps(run_to_payload(reference), sort_keys=True)
+                == json.dumps(run_to_payload(replayed), sort_keys=True))

@@ -7,7 +7,9 @@ These tests count the builds.  A three-scheme matrix strips each
 recorded execute phase once and no access phase.  Machine variants
 that keep the L1 geometry reuse the strips.  An ``l1_kb`` sweep builds
 one per execute trace per new L1 size, and a trace keeps only the
-strip of the last size asked for.
+strip of the last size asked for.  A variant with the recording's
+private geometry reuses the recording's private pass, so it builds no
+strip whatever the traces keep.
 """
 
 import pytest
@@ -92,20 +94,21 @@ def test_l1_sweep_builds_one_strip_per_trace_per_size(builds):
     sweep = MachineSweep(TinyWorkload(), 128)
     executes = _execute_traces(sweep.store)
     builds.clear()
-    # The default L1 after l1_kb=4 is a new size again for the traces:
-    # each keeps one strip, so it rebuilds.
+    # After l1_kb=4 the default-geometry variants replay only the LLC
+    # stage of the recording's own private pass: they build no strip,
+    # so each trace keeps l1_kb=4's.
     machines = [_variant("l1_kb", 1), _variant("l1_kb", 4),
                 _variant("llc_kb", 12), _variant("llc_kb", 48)]
-    last = _geometry(MachineConfig())
+    kept = None
     for machine, _ in zip(machines, sweep.runs(machines)):
         geometry = _geometry(machine.config)
-        if geometry != last:
+        if geometry != _geometry(MachineConfig()):
             assert len(builds) == len(executes), machine.name
             assert {id(data) for data, _ in builds} == {
                 id(trace.data) for trace in executes}
             assert {g for _, g in builds} == {geometry}
+            kept = geometry
         else:
             assert builds == [], machine.name
-        assert all(trace.strip.geometry == geometry for trace in executes)
-        last = geometry
+        assert all(trace.strip.geometry == kept for trace in executes)
         builds.clear()

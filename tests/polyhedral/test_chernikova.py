@@ -1,7 +1,5 @@
 """Double description: generators, H↔V round trips, convex union."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
 from repro.polyhedral import (

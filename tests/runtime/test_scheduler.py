@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.power import FixedPolicy, MinMaxPolicy, OptimalEDPPolicy
+from repro.power import FixedPolicy, MinMaxPolicy
 from repro.runtime import DAEScheduler, TaskProfile
 from repro.runtime.task import TaskInstance, TaskKind
 from repro.sim import AccessCounts, MachineConfig, PhaseProfile

@@ -269,7 +269,7 @@ class TestSplitStages:
 
 
 class TestStrippedReplay:
-    """A strip replayed through ``replay_phase`` on interleaved phases
+    """A strip replayed through ``replay_recorded`` on interleaved phases
     of several cores over one LLC, against per-event ``access`` calls
     (counts, final state) and against the full private stage (miss
     streams), on random L1/L2/LLC geometries.  Traces are reused, so a
@@ -301,6 +301,7 @@ class TestStrippedReplay:
             build_strip,
             replay_llc,
             replay_private,
+            replay_recorded,
             replay_stripped,
         )
 
@@ -336,7 +337,7 @@ class TestStrippedReplay:
                 if strip is not None:
                     # A fresh strip must equal the one the trace keeps,
                     # and the stages driven by hand must match
-                    # ``replay_phase``.
+                    # ``replay_recorded`` and ``replay_llc``.
                     rebuilt = build_strip(packed[pick], stripped.cores[core])
                     assert rebuilt.kinds == strip.kinds
                     assert rebuilt.lines == strip.lines
@@ -346,10 +347,10 @@ class TestStrippedReplay:
                     assert misses == full_misses, (seed, step)
                     replay_llc(stripped.cores[core], misses, strip_counts)
                 else:
-                    assert replay_phase(
-                        stripped.cores[core], packed[pick], strip_counts,
-                        phase_traces[pick],
-                    ) == len(traces[pick])
+                    misses = replay_recorded(stripped.cores[core],
+                                             phase_traces[pick], strip_counts)
+                    assert misses == full_misses, (seed, step)
+                    replay_llc(stripped.cores[core], misses, strip_counts)
                 assert full_counts.snapshot() == want.snapshot()
                 assert strip_counts.snapshot() == want.snapshot(), (seed,
                                                                     step)
@@ -367,6 +368,7 @@ class TestStrippedReplay:
         from array import array
 
         from repro.interp.trace import PhaseTrace
+        from repro.sim.replay import replay_llc, replay_recorded
 
         for seed in range(6):
             rng = random.Random(7000 + seed)
@@ -383,7 +385,8 @@ class TestStrippedReplay:
                 for kind_code, address, _size in events:
                     direct[pick].cores[0].access(
                         address, KIND_NAMES[kind_code], want)
-                replay_phase(stripped[pick].cores[0], data, got, trace)
+                core = stripped[pick].cores[0]
+                replay_llc(core, replay_recorded(core, trace, got), got)
                 assert got.snapshot() == want.snapshot(), (seed, step)
                 assert trace.strip.geometry == (
                     configs[pick].l1.sets, configs[pick].l1.ways,

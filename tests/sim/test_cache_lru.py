@@ -12,7 +12,7 @@ checks the served-level sequence is unchanged.
 
 import random
 
-from repro.sim.cache import AccessCounts, Cache, CoreCaches, MachineCaches
+from repro.sim.cache import AccessCounts, Cache, MachineCaches
 from repro.sim.config import CacheConfig, MachineConfig
 
 
@@ -152,7 +152,7 @@ class TestMRUFilterTransparent:
         from array import array
 
         from repro.interp.trace import PhaseTrace
-        from repro.sim.replay import replay_phase
+        from repro.sim.replay import replay_llc, replay_phase, replay_recorded
 
         def by_access(core, counts):
             assert core.access(-8, "prefetch", counts) in ("mem",
@@ -164,7 +164,7 @@ class TestMRUFilterTransparent:
         def by_strip(core, counts):
             data = array("q", [2, -8, 8])
             trace = PhaseTrace(data, 0, 0, {}, 1, 0, 0, {})
-            assert replay_phase(core, data, counts, trace) == 1
+            replay_llc(core, replay_recorded(core, trace, counts), counts)
             assert trace.strip is not None
 
         for run in (by_access, by_replay, by_strip):

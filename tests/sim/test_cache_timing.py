@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.interp.interpreter import ExecutionTrace
 from repro.sim import (
     AccessCounts,
     Cache,

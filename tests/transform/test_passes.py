@@ -1,6 +1,5 @@
 """mem2reg, DCE, CFG simplification, cloning."""
 
-from repro.analysis import reachable_blocks
 from repro.frontend import compile_source
 from repro.interp import Interpreter, SimMemory
 from repro.ir import (
@@ -8,8 +7,6 @@ from repro.ir import (
     CondBr,
     Constant,
     I64,
-    Jump,
-    Load,
     Phi,
     Store,
     verify_function,
