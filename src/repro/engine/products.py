@@ -121,7 +121,8 @@ def profile_workload(workload: Workload, scale: int = 1,
     are replayed by the remaining schemes (scheme-invariant streams)
     instead of re-interpreted; access phases, which differ per scheme,
     always interpret.  The machine sweeps read a caller's store after
-    the call.
+    the call; a store made here drops each scheme's memoized private
+    passes once the scheme is counted, since nothing else can read them.
 
     ``machine`` is the :class:`~repro.machines.model.MachineModel` to
     profile on; without one, ``config`` is wrapped as a single-type
@@ -141,6 +142,8 @@ def profile_workload(workload: Workload, scale: int = 1,
         profiles[scheme.value] = profiler.profile(
             tasks, scheme, trace_store=store,
         )
+        if trace_store is None:
+            store.private_stages.clear()   # no other scheme reads them
         if task_count is None:
             task_count = len(tasks)
         elif task_count != len(tasks):

@@ -445,28 +445,28 @@ def headline_numbers(runs: Mapping[str, WorkloadRun],
     config = config or MachineConfig()
     zero_latency = replace(config, dvfs_transition_ns=0.0)
 
-    def geomean_ratios(cfg: MachineConfig, stream: Scheme):
-        times, edps = [], []
+    def geomean_ratios(cfg: MachineConfig):
+        """DAE's and MANUAL's (time, EDP) geomeans, over one baseline each."""
+        ratios = {Scheme.DAE: ([], []), Scheme.MANUAL: ([], [])}
         for run in runs.values():
             scheduler = DAEScheduler(cfg)
             base = scheduler.run(
                 run.profiles[Scheme.CAE.value].tasks, Scheme.CAE,
                 FixedPolicy(cfg.fmax),
             )
-            result = scheduler.run(
-                run.profiles[stream.value].tasks, Scheme.DAE,
-                FrequencyPolicy.from_name("optimal", cfg),
-            )
-            relative = relative_metrics(result, base)
-            times.append(relative["time"])
-            edps.append(relative["edp"])
+            for stream, (times, edps) in ratios.items():
+                result = scheduler.run(
+                    run.profiles[stream.value].tasks, Scheme.DAE,
+                    FrequencyPolicy.from_name("optimal", cfg),
+                )
+                relative = relative_metrics(result, base)
+                times.append(relative["time"])
+                edps.append(relative["edp"])
         gm = lambda xs: math.exp(sum(math.log(x) for x in xs) / len(xs))
-        return gm(times), gm(edps)
+        return [(gm(times), gm(edps)) for times, edps in ratios.values()]
 
-    auto_t_500, auto_d_500 = geomean_ratios(config, Scheme.DAE)
-    man_t_500, man_d_500 = geomean_ratios(config, Scheme.MANUAL)
-    auto_t_0, auto_d_0 = geomean_ratios(zero_latency, Scheme.DAE)
-    man_t_0, man_d_0 = geomean_ratios(zero_latency, Scheme.MANUAL)
+    (auto_t_500, auto_d_500), (man_t_500, man_d_500) = geomean_ratios(config)
+    (auto_t_0, auto_d_0), (man_t_0, man_d_0) = geomean_ratios(zero_latency)
     return HeadlineNumbers(
         auto_edp_gain_500ns=1.0 - auto_d_500,
         manual_edp_gain_500ns=1.0 - man_d_500,

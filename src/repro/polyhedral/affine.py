@@ -1,14 +1,18 @@
 """Exact affine expressions and constraints over named dimensions.
 
 The polyhedral layer works over plain string symbols (dimension and
-parameter names) with exact :class:`fractions.Fraction` arithmetic, as
-PolyLib works over arbitrary-precision rationals.  The compiler bridge
-maps IR induction variables and task arguments onto these symbols.
+parameter names) with exact :class:`fractions.Fraction` coefficients.
+A :class:`Constraint` is content-normalized to coprime integer
+coefficients, so the hot kernels (the double description and the
+level walker) read it as an integer row, as PolyLib's do.  The
+compiler bridge maps IR induction variables and task arguments onto
+these symbols.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Optional, Union
 
 Number = Union[int, Fraction]
@@ -100,23 +104,14 @@ class AffineExpr:
 
     def scaled_to_integer(self) -> "AffineExpr":
         """Multiply by the LCM of denominators (same zero set / sign)."""
-        denoms = [self.const.denominator] + [
-            c.denominator for c in self.coeffs.values()
-        ]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // _gcd(lcm, d)
-        return self * lcm
+        return self * lcm(self.const.denominator,
+                          *(c.denominator for c in self.coeffs.values()))
 
     def content_normalized(self) -> "AffineExpr":
         """Divide an integral expression by the GCD of its coefficients."""
         expr = self.scaled_to_integer()
-        values = [abs(int(expr.const))] + [
-            abs(int(c)) for c in expr.coeffs.values()
-        ]
-        g = 0
-        for v in values:
-            g = _gcd(g, v)
+        g = gcd(expr.const.numerator,
+                *(c.numerator for c in expr.coeffs.values()))
         if g > 1:
             return expr * Fraction(1, g)
         return expr
@@ -153,12 +148,6 @@ def _as_expr(value: "AffineExpr | Number") -> AffineExpr:
     if isinstance(value, AffineExpr):
         return value
     return AffineExpr.constant(value)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class Constraint:

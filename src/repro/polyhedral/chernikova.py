@@ -2,8 +2,10 @@
 
 This is the core of PolyLib, which the paper uses to manipulate
 polyhedra (Section 4).  We implement the classic incremental double
-description method with the combinatorial adjacency test, over exact
-rationals, and build the two conversions on top:
+description method with the combinatorial adjacency test and, as
+PolyLib does, run it on integers: each input row is scaled to an
+integer row, and every line and ray is an integer combination divided
+by the gcd of its entries.  The two conversions are built on top:
 
 * :func:`generators` — constraints → (vertices, rays, lines) via the
   homogenization ``{(x, λ) | A·x + b·λ ≥ 0, λ ≥ 0}``;
@@ -16,108 +18,98 @@ rationals, and build the two conversions on top:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .affine import AffineExpr, Constraint
 from .polyhedron import Polyhedron
 
-Vector = tuple  # tuple[Fraction, ...]
+Vector = tuple  # tuple[int, ...]; a vertex is tuple[Fraction, ...]
 
 
-def _dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _dot(a: Vector, b: Vector) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _scale(v: Vector, f: Fraction) -> Vector:
-    return tuple(x * f for x in v)
+def _primitive(v) -> Vector:
+    """``v`` divided by the gcd of its entries (all-zero ``v`` unchanged)."""
+    g = gcd(*v)
+    if g > 1:
+        return tuple(x // g for x in v)
+    return tuple(v)
 
 
-def _sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _normalize(v: Vector) -> Vector:
-    """Divide by the GCD of numerators / LCM of denominators."""
-    lcm = 1
-    for x in v:
-        d = x.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm * d // g
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    return tuple(Fraction(x, g) for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _combine(u: Vector, p: int, w: Vector, q: int) -> Vector:
+    """The primitive vector of ``u*p - w*q``; ``u`` itself when ``q == 0``."""
+    if not q:
+        return u
+    return _primitive([x * p - y * q for x, y in zip(u, w)])
 
 
 class _Ray:
     __slots__ = ("vec", "sat")
 
     def __init__(self, vec: Vector, sat: frozenset):
-        self.vec = _normalize(vec)
+        self.vec = _primitive(vec)
         self.sat = sat
 
 
 def double_description(rows: Sequence[tuple[Vector, bool]], dim: int):
     """Generators (lines, rays) of ``{x | a·x >= 0 (or == 0) for rows}``.
 
-    ``rows`` is a list of ``(coefficient_vector, is_equality)``.
-    Returns ``(lines, rays)`` as lists of normalized vectors.
+    ``rows`` is a list of ``(coefficient_vector, is_equality)`` with int
+    or :class:`Fraction` entries.  Each row is scaled by the LCM of its
+    denominators, a positive factor that changes no halfspace, pivot or
+    sign.  Returns ``(lines, rays)`` as lists of primitive integer
+    vectors (each divided by the gcd of its entries).
     """
     lines: list[Vector] = [
-        tuple(Fraction(1 if i == j else 0) for j in range(dim))
-        for i in range(dim)
+        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
     ]
     rays: list[_Ray] = []
 
-    for idx, (a, is_eq) in enumerate(rows):
+    for idx, (row, is_eq) in enumerate(rows):
+        scale = lcm(*(x.denominator for x in row))
+        a = [x.numerator * (scale // x.denominator) for x in row]
         prods = [_dot(a, l) for l in lines]
-        pivot = next((i for i, p in enumerate(prods) if p != 0), None)
+        pivot = next((i for i, p in enumerate(prods) if p), None)
         if pivot is not None:
             l0 = lines.pop(pivot)
-            p0 = prods[pivot]
+            p0 = prods.pop(pivot)
             if p0 < 0:
-                l0 = _scale(l0, Fraction(-1))
+                l0 = tuple(-x for x in l0)
                 p0 = -p0
-            lines = [
-                _normalize(_sub(l, _scale(l0, _dot(a, l) / p0))) for l in lines
-            ]
+            lines = [_combine(l, p0, l0, p) for l, p in zip(lines, prods)]
             for ray in rays:
-                shift = _dot(a, ray.vec) / p0
-                ray.vec = _normalize(_sub(ray.vec, _scale(l0, shift)))
+                ray.vec = _combine(ray.vec, p0, l0, _dot(a, ray.vec))
                 ray.sat = ray.sat | {idx}
             if not is_eq:
                 rays.append(_Ray(l0, frozenset(range(idx))))
             continue
 
-        pos = [r for r in rays if _dot(a, r.vec) > 0]
-        neg = [r for r in rays if _dot(a, r.vec) < 0]
-        zero = [r for r in rays if _dot(a, r.vec) == 0]
-        for r in zero:
-            r.sat = r.sat | {idx}
+        pos, neg, zero = [], [], []
+        for ray in rays:
+            d = _dot(a, ray.vec)
+            if d > 0:
+                pos.append((ray, d))
+            elif d < 0:
+                neg.append((ray, d))
+            else:
+                zero.append(ray)
+                ray.sat = ray.sat | {idx}
 
         new_rays: list[_Ray] = []
-        for rp in pos:
-            dp = _dot(a, rp.vec)
-            for rn in neg:
+        for rp, dp in pos:
+            for rn, dn in neg:
                 if not _adjacent(rp, rn, rays):
                     continue
-                dn = _dot(a, rn.vec)
-                vec = _sub(_scale(rn.vec, dp), _scale(rp.vec, dn))
+                vec = [x * dp - y * dn for x, y in zip(rn.vec, rp.vec)]
                 new_rays.append(_Ray(vec, (rp.sat & rn.sat) | {idx}))
 
         if is_eq:
             rays = zero + new_rays
         else:
-            rays = pos + zero + new_rays
+            rays = [r for r, _ in pos] + zero + new_rays
         rays = _dedupe(rays)
 
     return lines, [r.vec for r in rays]
@@ -153,8 +145,7 @@ def _constraint_rows(poly: Polyhedron, syms: list[str]):
     for con in poly.constraints:
         vec = tuple(con.expr.coeff(s) for s in syms) + (con.expr.const,)
         rows.append((vec, con.is_equality))
-    lam = tuple([Fraction(0)] * len(syms)) + (Fraction(1),)
-    rows.append((lam, False))
+    rows.append(((0,) * len(syms) + (1,), False))
     return rows
 
 
@@ -162,7 +153,9 @@ def generators(poly: Polyhedron):
     """(vertices, rays, lines) of the polyhedron over dims+params.
 
     Each returned vector is ordered like ``poly.dims + poly.params``.
-    Vertices may have rational coordinates (polyhedral, not integer hull).
+    Vertices may have rational coordinates (polyhedral, not integer
+    hull) and are :class:`Fraction` tuples; rays and lines are primitive
+    int tuples.
     """
     syms = list(poly.dims) + list(poly.params)
     rows = _constraint_rows(poly, syms)
@@ -172,21 +165,18 @@ def generators(poly: Polyhedron):
     recession: list[Vector] = []
     free_lines: list[Vector] = []
     for line in lines:
-        x, lam = line[:-1], line[-1]
-        if lam != 0:
+        if line[-1]:
             # A line with λ-component hides a vertex and a line; split it
             # into two opposite rays for classification.
-            rays = rays + [line, _scale(line, Fraction(-1))]
-        else:
-            if any(c != 0 for c in x):
-                free_lines.append(tuple(x))
+            rays = rays + [line, tuple(-c for c in line)]
+        elif any(line[:-1]):
+            free_lines.append(line[:-1])
     for ray in rays:
         x, lam = ray[:-1], ray[-1]
         if lam > 0:
-            vertices.append(tuple(c / lam for c in x))
-        elif lam == 0:
-            if any(c != 0 for c in x):
-                recession.append(_normalize(tuple(x)))
+            vertices.append(tuple(Fraction(c, lam) for c in x))
+        elif lam == 0 and any(x):
+            recession.append(x)  # primitive, as the whole ray is
         # λ < 0 cannot satisfy the λ ≥ 0 row.
     # Dedupe.
     vertices = list(dict.fromkeys(vertices))
@@ -198,16 +188,19 @@ def generators(poly: Polyhedron):
 def from_generators(dims: Sequence[str], vertices: Iterable[Vector],
                     rays: Iterable[Vector] = (), lines: Iterable[Vector] = (),
                     params: Sequence[str] = ()) -> Polyhedron:
-    """Constraint representation of conv(vertices) + cone(rays) + span(lines)."""
+    """Constraint representation of conv(vertices) + cone(rays) + span(lines).
+
+    Coordinates are ints or :class:`Fraction` values.
+    """
     syms = list(dims) + list(params)
     n = len(syms) + 1
     rows: list[tuple[Vector, bool]] = []
     for v in vertices:
-        rows.append((tuple(Fraction(c) for c in v) + (Fraction(1),), False))
+        rows.append((tuple(v) + (1,), False))
     for r in rays:
-        rows.append((tuple(Fraction(c) for c in r) + (Fraction(0),), False))
+        rows.append((tuple(r) + (0,), False))
     for l in lines:
-        rows.append((tuple(Fraction(c) for c in l) + (Fraction(0),), True))
+        rows.append((tuple(l) + (0,), True))
     if not rows:
         # Empty generator set: the empty polyhedron (0 >= 1).
         return Polyhedron(dims, [Constraint.ge(AffineExpr.constant(-1))], params)

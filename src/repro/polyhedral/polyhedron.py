@@ -6,7 +6,9 @@ workhorse of the affine access analysis: iteration domains, per-
 instruction access sets and their projections all live here.
 Enumeration, counting and union counting (the paper's ``NOrig``) share
 one walker over each polyhedron's Fourier–Motzkin levels, which yields
-the innermost integer run of every feasible outer prefix.
+the innermost integer run of every feasible outer prefix.  Each level
+is compiled once to integer rows, so the walker reads its bounds with
+integer multiply-adds and floor divisions.
 """
 
 from __future__ import annotations
@@ -154,54 +156,30 @@ class Polyhedron:
     def contains(self, point: Mapping[str, Number]) -> bool:
         return all(con.satisfied_by(point) for con in self.constraints)
 
-    def bounds_for(self, sym: str, fixed: Mapping[str, Number]):
-        """Integer (lo, hi) range of ``sym`` with every other symbol fixed.
-
-        Returns None when unbounded in either direction or infeasible data.
-        """
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for con in self.constraints:
-            c = con.expr.coeff(sym)
-            if c == 0:
-                continue
-            rest = con.expr.drop(sym).evaluate(fixed)
-            if con.is_equality:
-                value = -rest / c
-                lo = value if lo is None or value > lo else lo
-                hi = value if hi is None or value < hi else hi
-            elif c > 0:  # sym >= -rest/c
-                value = -rest / c
-                lo = value if lo is None or value > lo else lo
-            else:  # sym <= rest/(-c)
-                value = rest / (-c)
-                hi = value if hi is None or value < hi else hi
-        if lo is None or hi is None:
-            return None
-        return math.ceil(lo), math.floor(hi)
-
     # -- integer points --------------------------------------------------------------
 
     @cached_property
-    def _levels(self) -> list[tuple[str, "Polyhedron", list[Constraint]]]:
-        """The FM level stack ``(dims[k], P_k, neutral_k)``, outermost first.
+    def _levels(self) -> list[tuple[str, list[tuple], list[tuple]]]:
+        """The FM level stack ``(dims[k], neutral_k, bounding_k)``,
+        outermost first, as integer rows (:func:`_rows`).
 
-        ``P_k`` is the projection onto ``dims[0..k]`` (inner dimensions
-        eliminated innermost first), so it bounds ``dims[k]`` given the
-        outer dimensions, and equality-linked dimensions (a diagonal
-        access ``s0 == s1``) enumerate correctly.  ``neutral_k`` are the
-        constraints of ``P_k`` that do not mention ``dims[k]``.  The stack
-        does not depend on parameter values and a polyhedron is never
-        changed after ``__init__``, so every count at every Ehrhart sample
-        point reuses it.
+        Level ``k`` is ``P_k``, the projection onto ``dims[0..k]`` (inner
+        dimensions eliminated innermost first), so it bounds ``dims[k]``
+        given the outer dimensions, and equality-linked dimensions (a
+        diagonal access ``s0 == s1``) enumerate correctly.
+        ``neutral_k`` holds the rows of ``P_k`` that do not mention
+        ``dims[k]``, ``bounding_k`` the others.  The stack does not depend
+        on parameter values and a polyhedron is never changed after
+        ``__init__``, so every count at every Ehrhart sample point reuses
+        it.
         """
         levels = []
         working = self
         for k in range(len(self.dims) - 1, -1, -1):
             sym = self.dims[k]
-            neutral = [con for con in working.constraints
-                       if con.expr.coeff(sym) == 0]
-            levels.append((sym, working, neutral))
+            rows = _rows(working.constraints, sym)
+            levels.append((sym, [row for row in rows if not row[0]],
+                           [row for row in rows if row[0]]))
             if k:
                 working = working.eliminate(sym)
         levels.reverse()
@@ -214,16 +192,19 @@ class Polyhedron:
         ``prefix + (v,)`` for ``lo <= v <= hi``; runs are non-empty and
         come in lexicographic order.  A zero-dimensional polyhedron has
         one point, the empty tuple, and yields ``((), 0, 0)`` when its
-        constraints hold.  At each level the constraints that do not
-        mention the level's dimension are checked once for the prefix,
-        before its bounds are read; every integer within the bounds
-        satisfies the constraints that do mention it.  Raises
-        ``ValueError`` when a feasible prefix leaves a dimension
-        unbounded, or when the point total exceeds ``limit``.
+        constraints hold.  At each level the rows that do not mention
+        the level's dimension are checked once for the prefix, before
+        its bounds are read: with ``v`` a row's value at the prefix and
+        ``c`` its coefficient, ``lo = max(-(v // c))`` over ``c > 0``,
+        ``hi = min(-v // c)`` over ``c < 0``, and an equality bounds
+        both.  Every integer within the bounds satisfies the rows that
+        mention the dimension.  Raises ``ValueError`` when a feasible
+        prefix leaves a dimension unbounded, or when the point total
+        exceeds ``limit``.
         """
         fixed = dict(param_values)
         if not self.dims:
-            if self.contains(fixed):
+            if _holds(_rows(self.constraints, None), fixed):
                 yield (), 0, 0
             return
         levels = self._levels
@@ -232,15 +213,22 @@ class Polyhedron:
 
         def walk(k: int, prefix: tuple):
             nonlocal total
-            sym, level, neutral = levels[k]
-            if not all(con.satisfied_by(fixed) for con in neutral):
+            sym, neutral, bounding = levels[k]
+            if not _holds(neutral, fixed):
                 return
-            bounds = level.bounds_for(sym, fixed)
-            if bounds is None:
+            lows, highs = [], []
+            for c, is_eq, v, terms in bounding:
+                for s, a in terms:
+                    v += a * fixed[s]
+                if c > 0 or is_eq:
+                    lows.append(-(v // c))
+                if c < 0 or is_eq:
+                    highs.append(-v // c)
+            if not lows or not highs:
                 raise ValueError(
                     "dimension %r unbounded during enumeration" % sym
                 )
-            lo, hi = bounds
+            lo, hi = max(lows), min(highs)
             if k == innermost:
                 if lo <= hi:
                     total += hi - lo + 1
@@ -284,6 +272,28 @@ class Polyhedron:
     def __repr__(self) -> str:
         cons = " and ".join(repr(c) for c in self.constraints) or "true"
         return "{ [%s] : %s }" % (", ".join(self.dims), cons)
+
+
+def _rows(constraints: Iterable[Constraint], sym: Optional[str]) -> list[tuple]:
+    """One row ``(c, is_equality, const, terms)`` per constraint: ``c`` is
+    its coefficient of ``sym`` and ``terms`` the ``(symbol, coefficient)``
+    pairs of its other symbols.  Every :class:`Constraint` is
+    content-normalized, so all are ints."""
+    return [(con.expr.coeffs.get(sym, 0).numerator,
+             con.is_equality, con.expr.const.numerator,
+             tuple((s, c.numerator) for s, c in con.expr.coeffs.items()
+                   if s != sym))
+            for con in constraints]
+
+
+def _holds(rows: list[tuple], fixed: Mapping[str, Number]) -> bool:
+    """Whether every row holds at ``fixed``, its ``c`` ignored."""
+    for _, is_eq, v, terms in rows:
+        for s, a in terms:
+            v += a * fixed[s]
+        if v < 0 or (is_eq and v):
+            return False
+    return True
 
 
 def union_count(polys: Sequence[Polyhedron],

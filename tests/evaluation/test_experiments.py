@@ -23,6 +23,8 @@ from repro.evaluation import (
     run_workload,
     table1_rows,
 )
+from repro.runtime import DAEScheduler
+from repro.runtime.task import Scheme
 from repro.sim import MachineConfig
 from repro.workloads import CGWorkload, CigarWorkload
 
@@ -129,6 +131,21 @@ class TestHeadline:
     def test_render(self, runs):
         text = render_headline(headline_numbers(runs))
         assert "EDP improvement" in text
+
+    def test_one_cae_baseline_per_run_and_config(self, runs, monkeypatch):
+        schemes = []
+        run = DAEScheduler.run
+
+        def spy(self, profiles, scheme, *rest, **kwargs):
+            schemes.append(Scheme(scheme))
+            return run(self, profiles, scheme, *rest, **kwargs)
+
+        monkeypatch.setattr(DAEScheduler, "run", spy)
+        headline_numbers(runs)
+        # Two configs (the default and zero-latency DVFS); per run and
+        # config the baseline, then the DAE and the MANUAL stream.
+        assert len(schemes) == 3 * 2 * len(runs)
+        assert schemes.count(Scheme.CAE) == 2 * len(runs)
 
 
 class TestAnalysisDemos:

@@ -9,7 +9,9 @@ that keep the L1 geometry reuse the strips.  An ``l1_kb`` sweep builds
 one per execute trace per new L1 size, and a trace keeps only the
 strip of the last size asked for.  A variant with the recording's
 private geometry reuses the recording's private pass, so it builds no
-strip whatever the traces keep.
+strip whatever the traces keep.  A store that ``profile_workload``
+makes for itself drops each scheme's private pass once the scheme is
+counted; a caller's store keeps them for later machines.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.evaluation.ablation import SWEEP_PARAMS
 from repro.evaluation.machines import MachineSweep
 from repro.interp.trace import TraceStore
 from repro.machines import homogeneous_machine
+from repro.runtime import profiler as profiler_module
 from repro.sim import MachineConfig
 from repro.sim import replay as sim_replay
 from repro.workloads import workload_by_name
@@ -112,3 +115,27 @@ def test_l1_sweep_builds_one_strip_per_trace_per_size(builds):
             assert builds == [], machine.name
         assert all(trace.strip.geometry == kept for trace in executes)
         builds.clear()
+
+
+@pytest.fixture
+def passes_held(monkeypatch):
+    """``len(store.private_stages)`` at each profile's count."""
+    sizes = []
+    machine_stream = profiler_module.machine_stream
+
+    def spy(store, scheme, machine):
+        sizes.append(len(store.private_stages))
+        return machine_stream(store, scheme, machine)
+
+    monkeypatch.setattr(profiler_module, "machine_stream", spy)
+    return sizes
+
+
+def test_own_store_drops_each_scheme_pass(passes_held):
+    profile_workload(TinyWorkload(), 1, schemes=ALL_SCHEMES)
+    assert passes_held == [0, 0, 0]
+
+
+def test_callers_store_keeps_each_scheme_pass(passes_held):
+    MachineSweep(TinyWorkload(), 1)
+    assert passes_held == [0, 1, 2]
