@@ -39,9 +39,9 @@ Quick start::
     print(result.method)            # 'affine' or 'skeleton'
 """
 
+from ._lazy import lazy_exports
 from .frontend import compile_source, parse
 from .ir import Function, Module, format_function, format_module
-from .sim.config import MachineConfig, sandybridge_full
 from .transform import optimize_function, optimize_module
 from .transform.access_phase import (
     AccessPhaseOptions,
@@ -52,15 +52,15 @@ from .transform.access_phase import (
 
 __version__ = "0.1.0"
 
-# The engine facade imports repro.__version__ (lazily, for its cache
-# key), so it must come after the assignment above.
-from .engine import (  # noqa: E402
-    EngineResult,
-    ExperimentSpec,
-    run_experiment,
-)
-from .runtime.task import Scheme  # noqa: E402
-from .tuning import TuningResult, tune_workload  # noqa: E402
+# Everything past the compiler loads on first use: ``import repro``
+# stays a compiler import, and ``repro.api`` is the full facade.
+__getattr__ = lazy_exports(__name__, {
+    "sim.config": ("MachineConfig", "sandybridge_full"),
+    "engine.spec": ("EngineResult", "ExperimentSpec"),
+    "engine.pool": ("run_experiment",),
+    "runtime.task": ("Scheme",),
+    "tuning.tuner": ("TuningResult", "tune_workload"),
+})[0]
 
 __all__ = [
     "compile_source", "parse",

@@ -1,29 +1,14 @@
 """Compiler analyses: CFG, dominators, loops, SCEV, memory accesses."""
 
-from .cfg import (
-    predecessors_map,
-    reachable_blocks,
-    remove_unreachable_blocks,
-    reverse_postorder,
-    successors_map,
-)
-from .dominators import DominatorTree
-from .loops import InductionVariable, Loop, LoopInfo
-from .memory_access import (
-    AccessAnalysis,
-    LoopClassification,
-    MemoryAccess,
-    classify_access,
-    trace_pointer,
-)
-from .scalar_evolution import LinearExpr, ScalarEvolution
+from .._lazy import lazy_exports
 
-__all__ = [
-    "predecessors_map", "reachable_blocks", "remove_unreachable_blocks",
-    "reverse_postorder", "successors_map",
-    "DominatorTree",
-    "InductionVariable", "Loop", "LoopInfo",
-    "AccessAnalysis", "LoopClassification", "MemoryAccess",
-    "classify_access", "trace_pointer",
-    "LinearExpr", "ScalarEvolution",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "cfg": ("predecessors_map", "reachable_blocks",
+            "remove_unreachable_blocks", "reverse_postorder",
+            "successors_map"),
+    "dominators": ("DominatorTree",),
+    "loops": ("InductionVariable", "Loop", "LoopInfo"),
+    "memory_access": ("AccessAnalysis", "LoopClassification",
+                      "MemoryAccess", "classify_access", "trace_pointer"),
+    "scalar_evolution": ("LinearExpr", "ScalarEvolution"),
+})

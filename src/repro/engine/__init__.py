@@ -23,25 +23,15 @@ Typical use::
     print(result.stats)
 """
 
-from .cache import CacheStats, ProfileCache, cache_key, key_material
-from .products import (
-    ALL_SCHEMES,
-    CompiledSummary,
-    EngineError,
-    WorkloadRun,
-    profile_workload,
-    run_from_payload,
-    run_to_payload,
-)
-from .jobs import CancelToken, EngineJobHandle, JobCancelled, submit_experiment
-from .pool import EnginePool, run_experiment
-from .spec import EngineResult, EngineStats, ExperimentSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats", "ProfileCache", "cache_key", "key_material",
-    "ALL_SCHEMES", "CompiledSummary", "EngineError", "WorkloadRun",
-    "profile_workload", "run_from_payload", "run_to_payload",
-    "CancelToken", "EngineJobHandle", "JobCancelled", "submit_experiment",
-    "EnginePool", "run_experiment",
-    "EngineResult", "EngineStats", "ExperimentSpec",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "cache": ("CacheStats", "ProfileCache", "cache_key", "key_material"),
+    "products": ("ALL_SCHEMES", "CompiledSummary", "EngineError",
+                 "WorkloadRun", "profile_workload", "run_from_payload",
+                 "run_to_payload"),
+    "jobs": ("CancelToken", "EngineJobHandle", "JobCancelled",
+             "submit_experiment"),
+    "pool": ("EnginePool", "run_experiment"),
+    "spec": ("EngineResult", "EngineStats", "ExperimentSpec"),
+})

@@ -198,10 +198,13 @@ class ProfileCache:
         never a hard failure)."""
         path = self.path_for(workload_name, key)
         tmp = path.with_suffix(".tmp.%d" % os.getpid())
+        # ``json.dumps``, not ``json.dump``: only ``dumps`` runs the C
+        # encoder; the text is the same.
+        text = json.dumps({"material": material, "payload": payload})
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w") as handle:
-                json.dump({"material": material, "payload": payload}, handle)
+                handle.write(text)
             os.replace(tmp, path)
         except OSError:
             self._discard(tmp)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Optional
@@ -72,18 +72,16 @@ class EnginePool:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor: Optional[Executor] = None
         self._lock = threading.Lock()
         self.created = 0    # executors ever created
         self.broken = 0     # executors discarded after breakage
 
-    def executor(self) -> ProcessPoolExecutor:
+    def executor(self) -> Executor:
         """The live executor, creating (or recreating) it on demand."""
         with self._lock:
             if self._executor is None:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers
-                )
+                self._executor = _new_executor(self.max_workers)
                 self.created += 1
             return self._executor
 
@@ -94,8 +92,7 @@ class EnginePool:
         with self._lock:
             return self._executor is not None
 
-    def mark_broken(self, executor: Optional[ProcessPoolExecutor] = None
-                    ) -> None:
+    def mark_broken(self, executor: Optional[Executor] = None) -> None:
         """Discard the current executor (stuck or crashed workers);
         the next :meth:`executor` call starts a fresh one.  With
         ``executor``, discard only if it is still the current one, so
@@ -115,6 +112,14 @@ class EnginePool:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=True)
+
+
+def _new_executor(max_workers: int) -> Executor:
+    """A fresh process pool.  Imported here, not at module level, so
+    that a serial run never loads :mod:`multiprocessing`."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _pool_worker(payload: tuple) -> dict:
@@ -311,9 +316,7 @@ def _execute_pool(jobs: list, spec: ExperimentSpec, stats: EngineStats,
         if pool is not None:
             executor = pool.executor()
         else:
-            executor = ProcessPoolExecutor(
-                max_workers=min(spec.jobs, len(jobs))
-            )
+            executor = _new_executor(min(spec.jobs, len(jobs)))
     except Exception as exc:  # no fork / no semaphores / low resources
         collector.instant(
             "engine.pool.unavailable", cat="engine.pool",

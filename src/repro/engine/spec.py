@@ -92,7 +92,7 @@ class ExperimentSpec:
         ``None``.  Raises ``KeyError`` for an unregistered name."""
         if self.machine is None:
             return None
-        from ..machines import MachineModel  # registers the catalog
+        from ..machines.model import MachineModel
         return MachineModel.from_name(self.machine)
 
     @classmethod

@@ -1,78 +1,24 @@
 """Evaluation harness for every table and figure in Section 6."""
 
-from .ablation import (
-    ABLATE_CONFIGS,
-    SWEEP_PARAMS,
-    ablate_workload,
-    render_ablation_report,
-)
-from .experiments import (
-    FIGURE3_CONFIGS,
-    FIGURE4_CONFIGS,
-    FIGURE4_WORKLOADS,
-    MANIFEST_CONFIGS,
-    Figure3Row,
-    Figure4Point,
-    Figure4Series,
-    HeadlineNumbers,
-    Table1Row,
-    WorkloadRun,
-    build_run_manifest,
-    figure3_rows,
-    figure4_series,
-    headline_numbers,
-    record_run,
-    relative_metrics,
-    run_all,
-    run_workload,
-    schedule,
-    table1_rows,
-)
-from .figure12 import (
-    FIGURE1_SPECS,
-    FIGURE2_SPEC,
-    AnalysisDemo,
-    KernelSpec,
-    analyze_kernel,
-    figure1_demo,
-    figure2_demo,
-    render_figure1,
-    render_figure2,
-    single_hull_cells,
-)
-from .report import (
-    render_figure3,
-    render_figure4,
-    render_headline,
-    render_schedule_summary,
-    render_table1,
-)
-from .trace import (
-    TRACE_CONFIGS,
-    TraceArtifacts,
-    export_trace,
-    trace_workload,
-)
-from .tuning import (
-    TuningArtifacts,
-    export_tuning,
-    render_tuning_report,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ABLATE_CONFIGS", "SWEEP_PARAMS",
-    "ablate_workload", "render_ablation_report",
-    "FIGURE3_CONFIGS", "FIGURE4_CONFIGS", "FIGURE4_WORKLOADS",
-    "MANIFEST_CONFIGS", "Figure3Row",
-    "Figure4Point", "Figure4Series", "HeadlineNumbers", "Table1Row",
-    "WorkloadRun", "build_run_manifest", "figure3_rows", "figure4_series",
-    "headline_numbers", "record_run",
-    "relative_metrics", "run_all", "run_workload", "schedule", "table1_rows",
-    "FIGURE1_SPECS", "FIGURE2_SPEC", "AnalysisDemo", "KernelSpec",
-    "analyze_kernel", "figure1_demo", "figure2_demo",
-    "render_figure1", "render_figure2", "single_hull_cells",
-    "render_figure3", "render_figure4", "render_headline",
-    "render_schedule_summary", "render_table1",
-    "TRACE_CONFIGS", "TraceArtifacts", "export_trace", "trace_workload",
-    "TuningArtifacts", "export_tuning", "render_tuning_report",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "ablation": ("ABLATE_CONFIGS", "SWEEP_PARAMS", "ablate_workload",
+                 "render_ablation_report"),
+    "experiments": ("FIGURE3_CONFIGS", "FIGURE4_CONFIGS",
+                    "FIGURE4_WORKLOADS", "MANIFEST_CONFIGS", "Figure3Row",
+                    "Figure4Point", "Figure4Series", "HeadlineNumbers",
+                    "Table1Row", "WorkloadRun", "build_run_manifest",
+                    "figure3_rows", "figure4_series", "headline_numbers",
+                    "record_run", "relative_metrics", "run_all",
+                    "run_workload", "schedule", "table1_rows"),
+    "figure12": ("FIGURE1_SPECS", "FIGURE2_SPEC", "AnalysisDemo",
+                 "KernelSpec", "analyze_kernel", "figure1_demo",
+                 "figure2_demo", "render_figure1", "render_figure2",
+                 "single_hull_cells"),
+    "report": ("render_figure3", "render_figure4", "render_headline",
+               "render_schedule_summary", "render_table1"),
+    "trace": ("TRACE_CONFIGS", "TraceArtifacts", "export_trace",
+              "trace_workload"),
+    "tuning": ("TuningArtifacts", "export_tuning", "render_tuning_report"),
+})

@@ -55,7 +55,7 @@ from .. import obs
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
 from ..interp import INTERP_CHOICES
 from ..sim.config import MachineConfig, MachineConfigError
-from ..tuning import STRATEGIES, tune_workload
+from ..tuning.search import STRATEGIES
 from ..workloads import ALL_WORKLOADS, workload_by_name
 from . import (
     FIGURE4_WORKLOADS,
@@ -75,7 +75,6 @@ from . import (
     trace_workload,
 )
 from .ablation import SWEEP_PARAMS, ablate_workload, render_ablation_report
-from .tuning import export_tuning, render_tuning_report
 
 #: Experiments needing the full (all-workload) profiling matrix.
 _FULL_RUN_EXPERIMENTS = {"table1", "figure3", "headline", "all"}
@@ -830,6 +829,9 @@ def _run_trace(args, parser) -> int:
 
 
 def _run_tune(args, parser) -> int:
+    from ..tuning.tuner import tune_workload
+    from .tuning import export_tuning, render_tuning_report
+
     if args.app is None:
         parser.error(
             "tune needs a workload name, one of: %s"

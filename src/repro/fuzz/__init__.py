@@ -25,32 +25,16 @@ property:
 CLI: ``python -m repro.evaluation fuzz {run,replay,reduce}``.
 """
 
-from .corpus import CorpusError, load_corpus, load_program, save_program
-from .generator import (
-    GeneratedProgram,
-    GeneratorConfig,
-    ParamSpec,
-    generate_invalid_program,
-    generate_program,
-    inject_marker,
-)
-from .oracles import (
-    ORACLE_NAMES,
-    FuzzCase,
-    OracleViolation,
-    check_engine_pool_equivalence,
-    prepare_case,
-    run_oracles,
-)
-from .reducer import ReductionResult, reduce_program, statement_count
-from .workload import FuzzWorkload
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CorpusError", "load_corpus", "load_program", "save_program",
-    "GeneratedProgram", "GeneratorConfig", "ParamSpec",
-    "generate_invalid_program", "generate_program", "inject_marker",
-    "ORACLE_NAMES", "FuzzCase", "OracleViolation",
-    "check_engine_pool_equivalence", "prepare_case", "run_oracles",
-    "ReductionResult", "reduce_program", "statement_count",
-    "FuzzWorkload",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "corpus": ("CorpusError", "load_corpus", "load_program", "save_program"),
+    "generator": ("GeneratedProgram", "GeneratorConfig", "ParamSpec",
+                  "generate_invalid_program", "generate_program",
+                  "inject_marker"),
+    "oracles": ("ORACLE_NAMES", "FuzzCase", "OracleViolation",
+                "check_engine_pool_equivalence", "prepare_case",
+                "run_oracles"),
+    "reducer": ("ReductionResult", "reduce_program", "statement_count"),
+    "workload": ("FuzzWorkload",),
+})

@@ -1,33 +1,13 @@
 """IR interpreters (reference and fast) and simulated memory."""
 
-from .decode import (
-    DecodedFunction,
-    decode_function,
-    decode_stats,
-    invalidate_decode,
-    reset_decode_stats,
-)
-from .fast import INTERP_CHOICES, FastInterpreter, resolve_interp
-from .interpreter import (
-    UNDEF,
-    ExecutionTrace,
-    InterpError,
-    Interpreter,
-    MemoryEvent,
-)
-from .memory import Allocation, MemoryError_, SimMemory
-from .trace import (
-    KIND_NAMES,
-    PhaseTrace,
-    TaskTrace,
-    TraceStore,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "UNDEF", "ExecutionTrace", "InterpError", "Interpreter", "MemoryEvent",
-    "FastInterpreter", "INTERP_CHOICES", "resolve_interp",
-    "DecodedFunction", "decode_function", "decode_stats",
-    "invalidate_decode", "reset_decode_stats",
-    "Allocation", "MemoryError_", "SimMemory",
-    "KIND_NAMES", "PhaseTrace", "TaskTrace", "TraceStore",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "interpreter": ("UNDEF", "ExecutionTrace", "InterpError", "Interpreter",
+                    "MemoryEvent"),
+    "fast": ("FastInterpreter", "INTERP_CHOICES", "resolve_interp"),
+    "decode": ("DecodedFunction", "decode_function", "decode_stats",
+               "invalidate_decode", "reset_decode_stats"),
+    "memory": ("Allocation", "MemoryError_", "SimMemory"),
+    "trace": ("KIND_NAMES", "PhaseTrace", "TaskTrace", "TraceStore"),
+})

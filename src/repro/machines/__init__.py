@@ -5,50 +5,20 @@ Public surface:
 * :class:`MachineModel` / :class:`CoreType` / :class:`Transition` with
   the :func:`dvfs` and :func:`migrate` constructors (``model``);
 * the registered catalog — ``sandybridge``, ``biglittle``, ``ideal`` —
-  resolved via :meth:`MachineModel.from_name` (``catalog``);
+  resolved via :meth:`MachineModel.from_name` (``catalog``, which every
+  lookup loads: no import order decides what is registered);
 * :func:`machine_stream` / :func:`machine_profiles`, the trace-replay
   path for every machine, single-type or heterogeneous, and
   :func:`prune_private_passes`, which bounds its memo (``replay``).
-
-Importing this package registers the catalog.
 """
 
-from .model import (
-    CoreType,
-    MachineModel,
-    Transition,
-    dvfs,
-    homogeneous_machine,
-    migrate,
-)
-from .catalog import (
-    BIGLITTLE_MIGRATION_NS,
-    biglittle_machine,
-    ideal_machine,
-    little_config,
-    little_operating_points,
-    sandybridge_machine,
-)
-from .replay import (
-    machine_profiles,
-    machine_stream,
-    prune_private_passes,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BIGLITTLE_MIGRATION_NS",
-    "CoreType",
-    "MachineModel",
-    "Transition",
-    "biglittle_machine",
-    "dvfs",
-    "homogeneous_machine",
-    "ideal_machine",
-    "little_config",
-    "little_operating_points",
-    "machine_profiles",
-    "machine_stream",
-    "migrate",
-    "prune_private_passes",
-    "sandybridge_machine",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "model": ("CoreType", "MachineModel", "Transition", "dvfs",
+              "homogeneous_machine", "migrate"),
+    "catalog": ("BIGLITTLE_MIGRATION_NS", "biglittle_machine",
+                "ideal_machine", "little_config", "little_operating_points",
+                "sandybridge_machine"),
+    "replay": ("machine_profiles", "machine_stream", "prune_private_passes"),
+})

@@ -38,6 +38,7 @@ and specs can say ``--machines sandybridge,biglittle,ideal``.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,6 +93,13 @@ class CoreType:
 
 #: name -> zero-argument factory for :meth:`MachineModel.from_name`.
 _MACHINE_REGISTRY: dict[str, Callable[[], "MachineModel"]] = {}
+
+
+def _registry() -> dict:
+    """:data:`_MACHINE_REGISTRY` with the shipped catalog registered,
+    whatever the process imported before asking."""
+    importlib.import_module(".catalog", __package__)
+    return _MACHINE_REGISTRY
 
 
 @dataclass(frozen=True)
@@ -273,7 +281,7 @@ class MachineModel:
         ``biglittle`` (4 big + 4 LITTLE, migration-based DAE) and
         ``ideal`` (zero-latency transition oracle).
         """
-        factory = _MACHINE_REGISTRY.get(name.lower())
+        factory = _registry().get(name.lower())
         if factory is None:
             raise KeyError(
                 "unknown machine %r; registered: %s"
@@ -283,7 +291,7 @@ class MachineModel:
 
     @staticmethod
     def registered_names() -> tuple:
-        return tuple(sorted(_MACHINE_REGISTRY))
+        return tuple(sorted(_registry()))
 
 
 def homogeneous_machine(name: str, config: MachineConfig,

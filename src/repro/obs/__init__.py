@@ -32,66 +32,22 @@ Typical use::
     print(obs.explain_report("cholesky", col.events()))
 """
 
-from .events import (
-    Collector,
-    Event,
-    collecting,
-    disable,
-    enable,
-    enabled,
-    get_collector,
-    set_collector,
-)
-from .export import (
-    to_chrome_trace,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .ledger import (
-    MANIFEST_FORMAT,
-    RunComparison,
-    RunLedger,
-    RunManifest,
-    compare_runs,
-    ledger_root,
-    render_comparison,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
-from .report import (
-    explain_report,
-    render_compiler_decisions,
-    render_energy_breakdown,
-    render_loop_detail,
-    render_pass_summary,
-    render_phase_breakdown,
-    render_timeline_breakdown,
-    render_warnings,
-)
-from .timeline import (
-    SEGMENT_KINDS,
-    Timeline,
-    TimelineSegment,
-    energy_attribution,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Collector", "Event", "collecting", "disable", "enable", "enabled",
-    "get_collector", "set_collector",
-    "to_chrome_trace", "to_jsonl", "write_chrome_trace", "write_jsonl",
-    "MANIFEST_FORMAT", "RunComparison", "RunLedger", "RunManifest",
-    "compare_runs", "ledger_root", "render_comparison",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "get_registry", "set_registry",
-    "explain_report", "render_compiler_decisions", "render_energy_breakdown",
-    "render_loop_detail", "render_pass_summary", "render_phase_breakdown",
-    "render_timeline_breakdown", "render_warnings",
-    "SEGMENT_KINDS", "Timeline", "TimelineSegment", "energy_attribution",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "events": ("Collector", "Event", "collecting", "disable", "enable",
+               "enabled", "get_collector", "set_collector"),
+    "export": ("to_chrome_trace", "to_jsonl", "write_chrome_trace",
+               "write_jsonl"),
+    "ledger": ("MANIFEST_FORMAT", "RunComparison", "RunLedger",
+               "RunManifest", "compare_runs", "ledger_root",
+               "render_comparison"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "get_registry", "set_registry"),
+    "report": ("explain_report", "render_compiler_decisions",
+               "render_energy_breakdown", "render_loop_detail",
+               "render_pass_summary", "render_phase_breakdown",
+               "render_timeline_breakdown", "render_warnings"),
+    "timeline": ("SEGMENT_KINDS", "Timeline", "TimelineSegment",
+                 "energy_attribution"),
+})

@@ -6,31 +6,15 @@ conversion and convex union, Ehrhart-style parametric counting, and
 loop-nest code generation from polyhedra.
 """
 
-from .affine import AffineExpr, Constraint
-from .chernikova import convex_union, double_description, from_generators, generators
-from .codegen import (
-    Bound,
-    CodegenError,
-    LoopSpec,
-    ScanNest,
-    generate_scan_nest,
-    nests_mergeable,
-)
-from .counting import (
-    EhrhartPolynomial,
-    count_polynomial,
-    counts_dominate,
-    interpolate_count,
-    union_count_polynomial,
-)
-from .polyhedron import Polyhedron, union_count, union_enumerate
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AffineExpr", "Constraint",
-    "convex_union", "double_description", "from_generators", "generators",
-    "Bound", "CodegenError", "LoopSpec", "ScanNest",
-    "generate_scan_nest", "nests_mergeable",
-    "EhrhartPolynomial", "count_polynomial", "counts_dominate",
-    "interpolate_count", "union_count_polynomial",
-    "Polyhedron", "union_count", "union_enumerate",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "affine": ("AffineExpr", "Constraint"),
+    "chernikova": ("convex_union", "double_description", "from_generators",
+                   "generators"),
+    "codegen": ("Bound", "CodegenError", "LoopSpec", "ScanNest",
+                "generate_scan_nest", "nests_mergeable"),
+    "counting": ("EhrhartPolynomial", "count_polynomial", "counts_dominate",
+                 "interpolate_count", "union_count_polynomial"),
+    "polyhedron": ("Polyhedron", "union_count", "union_enumerate"),
+})

@@ -19,7 +19,9 @@ points share them.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -75,11 +77,37 @@ def _monomials(num_params: int, degree: int):
     return result
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over Fractions; returns None if singular."""
-    n = len(matrix)
-    m = len(matrix[0]) if n else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+@functools.lru_cache(maxsize=None)
+def _sample_system(num_params: int, degree: int, base: int):
+    """The sample grid of :func:`interpolate_count` and its elimination.
+
+    The sample matrix depends only on the number of parameters, the
+    degree and the grid base, and Gauss-Jordan elimination picks its
+    pivots from the matrix alone, so eliminating the matrix once beside
+    an identity block yields the linear map ``T`` that elimination
+    applies to any count vector.  Returns ``(monomials, points,
+    solution_rows, check_rows)``: ``solution_rows`` pairs each pivot
+    monomial with its row of ``T``, and the counts are inconsistent
+    unless every ``check_rows`` row of ``T`` maps them to 0.  A row is
+    ``(integers, denominator)``, so applying it is an integer dot
+    product.  Everything returned is immutable, since every caller with
+    the same key shares it; the keys in use are a handful.
+    """
+    monomials = _monomials(num_params, degree)
+    grid_side = degree + 2
+    points = []
+    for combo in itertools.product(range(base, base + grid_side),
+                                   repeat=num_params):
+        points.append(combo)
+        if len(points) >= len(monomials) + grid_side:
+            break
+    n, m = len(points), len(monomials)
+    aug = [
+        [Fraction(math.prod(x ** e for x, e in zip(point, exponents)))
+         for exponents in monomials]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i, point in enumerate(points)
+    ]
     pivots = []
     row = 0
     for col in range(m):
@@ -99,14 +127,17 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]):
         row += 1
         if row == n:
             break
-    # Inconsistency check.
-    for r in range(row, n):
-        if all(aug[r][c] == 0 for c in range(m)) and aug[r][m] != 0:
-            return None
-    solution = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][m]
-    return solution
+
+    def integer_row(r):
+        transform = aug[r][m:]
+        den = math.lcm(*(x.denominator for x in transform))
+        return tuple(int(x * den) for x in transform), den
+
+    solution_rows = tuple((monomials[col], integer_row(r))
+                          for r, col in enumerate(pivots))
+    check_rows = tuple(integer_row(r) for r in range(row, n)
+                       if all(aug[r][c] == 0 for c in range(m)))
+    return tuple(monomials), tuple(points), solution_rows, check_rows
 
 
 def interpolate_count(count_at: Callable[[Mapping[str, int]], int],
@@ -118,29 +149,21 @@ def interpolate_count(count_at: Callable[[Mapping[str, int]], int],
     grid starts at ``base`` so that small-size degeneracies (empty loops)
     do not distort the fit; callers should validate on extra points.
     """
-    monomials = _monomials(len(params), degree)
-    grid_side = degree + 2
-    sample_points = []
-    for combo in itertools.product(range(base, base + grid_side),
-                                   repeat=len(params)):
-        sample_points.append(dict(zip(params, combo)))
-        if len(sample_points) >= len(monomials) + grid_side:
-            break
-    matrix = []
-    rhs = []
-    for point in sample_points:
-        row = []
-        for exponents in monomials:
-            term = Fraction(1)
-            for param, e in zip(params, exponents):
-                term *= Fraction(point[param]) ** e
-            row.append(term)
-        matrix.append(row)
-        rhs.append(Fraction(count_at(point)))
-    solution = _solve_exact(matrix, rhs)
-    if solution is None:
+    monomials, points, solution_rows, check_rows = _sample_system(
+        len(params), degree, base
+    )
+    counts = [count_at(dict(zip(params, point))) for point in points]
+
+    def apply(row):
+        integers, den = row
+        return Fraction(sum(a * c for a, c in zip(integers, counts)), den)
+
+    if any(apply(row) for row in check_rows):
         raise ValueError("interpolation system is inconsistent")
-    return EhrhartPolynomial(params, dict(zip(monomials, solution)))
+    coeffs = dict.fromkeys(monomials, Fraction(0))
+    for exponents, row in solution_rows:
+        coeffs[exponents] = apply(row)
+    return EhrhartPolynomial(params, coeffs)
 
 
 def count_polynomial(poly: Polyhedron, degree: int | None = None,

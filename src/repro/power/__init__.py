@@ -1,30 +1,12 @@
 """Power/energy/EDP model and frequency-selection policies."""
 
-from .frequency import (
-    FixedPolicy,
-    FrequencyPolicy,
-    MinMaxPolicy,
-    OptimalEDPPolicy,
-    fixed_policy_at,
-    optimal_edp_point,
-    phase_edp_at,
-)
-from .model import (
-    EnergyBreakdown,
-    dynamic_power,
-    edp,
-    effective_capacitance,
-    phase_energy,
-    phase_energy_at,
-    static_power,
-    total_power,
-    transition_energy,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FixedPolicy", "FrequencyPolicy", "MinMaxPolicy", "OptimalEDPPolicy",
-    "fixed_policy_at", "optimal_edp_point", "phase_edp_at",
-    "EnergyBreakdown", "dynamic_power", "edp", "effective_capacitance",
-    "phase_energy", "phase_energy_at", "static_power", "total_power",
-    "transition_energy",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "frequency": ("FixedPolicy", "FrequencyPolicy", "MinMaxPolicy",
+                  "OptimalEDPPolicy", "fixed_policy_at", "optimal_edp_point",
+                  "phase_edp_at"),
+    "model": ("EnergyBreakdown", "dynamic_power", "edp",
+              "effective_capacitance", "phase_energy", "phase_energy_at",
+              "static_power", "total_power", "transition_energy"),
+})

@@ -1,11 +1,9 @@
 """DAE task runtime: profiling, scheduling, DVFS policies."""
 
-from .profiler import ProfileError, StreamProfile, TaskStreamProfiler
-from .scheduler import DAEScheduler, ScheduleBuckets, ScheduleResult
-from .task import Scheme, TaskInstance, TaskKind, TaskProfile, TaskRef
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ProfileError", "StreamProfile", "TaskStreamProfiler",
-    "DAEScheduler", "ScheduleBuckets", "ScheduleResult",
-    "Scheme", "TaskInstance", "TaskKind", "TaskProfile", "TaskRef",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "profiler": ("ProfileError", "StreamProfile", "TaskStreamProfiler"),
+    "scheduler": ("DAEScheduler", "ScheduleBuckets", "ScheduleResult"),
+    "task": ("Scheme", "TaskInstance", "TaskKind", "TaskProfile", "TaskRef"),
+})

@@ -30,21 +30,13 @@ Typical use::
         print(client.result(job["id"])["workloads"].keys())
 """
 
-from .client import ServiceClient, ServiceError
-from .protocol import (
-    DEFAULT_SOCKET,
-    ERROR_OVERLOADED,
-    engine_result_doc,
-    spec_from_doc,
-    spec_to_doc,
-)
-from .queue import InFlightTable, Job, JobState, PriorityJobQueue, QueueFull
-from .server import EvaluationService, ServiceConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ServiceClient", "ServiceError",
-    "DEFAULT_SOCKET", "ERROR_OVERLOADED",
-    "engine_result_doc", "spec_from_doc", "spec_to_doc",
-    "InFlightTable", "Job", "JobState", "PriorityJobQueue", "QueueFull",
-    "EvaluationService", "ServiceConfig",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "client": ("ServiceClient", "ServiceError"),
+    "protocol": ("DEFAULT_SOCKET", "ERROR_OVERLOADED", "engine_result_doc",
+                 "spec_from_doc", "spec_to_doc"),
+    "queue": ("InFlightTable", "Job", "JobState", "PriorityJobQueue",
+              "QueueFull"),
+    "server": ("EvaluationService", "ServiceConfig"),
+})

@@ -1,19 +1,12 @@
 """Hardware model: caches, core timing and machine configuration."""
 
-from .cache import LEVELS, AccessCounts, Cache, CoreCaches, MachineCaches
-from .config import (
-    DEFAULT_CONFIG,
-    CacheConfig,
-    MachineConfig,
-    OperatingPoint,
-    sandybridge_operating_points,
-)
-from .replay import replay_phase
-from .timing import SLOT_COSTS, PhaseProfile, issue_slots
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LEVELS", "AccessCounts", "Cache", "CoreCaches", "MachineCaches",
-    "DEFAULT_CONFIG", "CacheConfig", "MachineConfig", "OperatingPoint",
-    "sandybridge_operating_points",
-    "SLOT_COSTS", "PhaseProfile", "issue_slots", "replay_phase",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "cache": ("LEVELS", "AccessCounts", "Cache", "CoreCaches",
+              "MachineCaches"),
+    "config": ("DEFAULT_CONFIG", "CacheConfig", "MachineConfig",
+               "OperatingPoint", "sandybridge_operating_points"),
+    "replay": ("replay_phase",),
+    "timing": ("SLOT_COSTS", "PhaseProfile", "issue_slots"),
+})

@@ -18,68 +18,19 @@ the ``"tuned"`` frequency policy, consumable anywhere a policy name is
 accepted.  See ``DESIGN.md`` §10.
 """
 
-from .objectives import (
-    DelayObjective,
-    DelayUnderPowerCap,
-    ED2PObjective,
-    EDPObjective,
-    EnergyObjective,
-    EnergyUnderDeadline,
-    Objective,
-    resolve_objective,
-)
-from .pareto import ParetoPoint, dominates, front_from_schedules, pareto_front
-from .policy import TunedPolicy, install_tuned_policy
-from .search import (
-    CandidatePair,
-    SearchOutcome,
-    coordinate_descent,
-    golden_section,
-    grid_search_pair,
-    grid_search_point,
-    interpolate_point,
-    nearest_point,
-    sorted_points,
-)
-from .tuner import (
-    STRATEGIES,
-    StrategySummary,
-    TuningCandidate,
-    TuningResult,
-    TuningStats,
-    pair_label,
-    tune_workload,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CandidatePair",
-    "DelayObjective",
-    "DelayUnderPowerCap",
-    "ED2PObjective",
-    "EDPObjective",
-    "EnergyObjective",
-    "EnergyUnderDeadline",
-    "Objective",
-    "ParetoPoint",
-    "STRATEGIES",
-    "SearchOutcome",
-    "StrategySummary",
-    "TunedPolicy",
-    "TuningCandidate",
-    "TuningResult",
-    "TuningStats",
-    "coordinate_descent",
-    "dominates",
-    "front_from_schedules",
-    "golden_section",
-    "grid_search_pair",
-    "grid_search_point",
-    "install_tuned_policy",
-    "interpolate_point",
-    "nearest_point",
-    "pair_label",
-    "pareto_front",
-    "resolve_objective",
-    "sorted_points",
-    "tune_workload",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "objectives": ("DelayObjective", "DelayUnderPowerCap", "ED2PObjective",
+                   "EDPObjective", "EnergyObjective", "EnergyUnderDeadline",
+                   "Objective", "resolve_objective"),
+    "pareto": ("ParetoPoint", "dominates", "front_from_schedules",
+               "pareto_front"),
+    "policy": ("TunedPolicy", "install_tuned_policy"),
+    "search": ("STRATEGIES", "CandidatePair", "SearchOutcome",
+               "coordinate_descent", "golden_section", "grid_search_pair",
+               "grid_search_point", "interpolate_point", "nearest_point",
+               "sorted_points"),
+    "tuner": ("StrategySummary", "TuningCandidate", "TuningResult",
+              "TuningStats", "pair_label", "tune_workload"),
+})

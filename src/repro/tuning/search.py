@@ -31,6 +31,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..sim.config import MachineConfig, OperatingPoint
 
+#: Strategy names accepted by :func:`~repro.tuning.tuner.tune_workload`
+#: (``all`` runs every one and keeps the overall winner).
+STRATEGIES = ("phase-local", "exhaustive", "golden", "descent")
+
 #: 1/phi, the golden-section interval reduction per iteration.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 

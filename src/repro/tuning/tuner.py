@@ -54,6 +54,7 @@ from .objectives import Objective, resolve_objective
 from .pareto import ParetoPoint, pareto_front
 from .policy import TunedPolicy, install_tuned_policy
 from .search import (
+    STRATEGIES,
     CandidatePair,
     SearchOutcome,
     coordinate_descent,
@@ -67,10 +68,6 @@ from .search import (
 
 #: Candidate-cache payload layout; part of every candidate cache key.
 CANDIDATE_FORMAT = 1
-
-#: Strategy names accepted by :func:`tune_workload` (``all`` runs every
-#: one and keeps the overall winner).
-STRATEGIES = ("phase-local", "exhaustive", "golden", "descent")
 
 #: Named reference policies pinned into every tuning report/front, as
 #: (label, access, execute) selectors over the machine config.

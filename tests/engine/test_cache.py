@@ -116,6 +116,22 @@ class TestCacheKeying:
         assert ProfileCache(cache_dir).stats().entries == 0
 
 
+class TestStoredText:
+    def test_entry_is_json_dumps_of_its_document(self, cache_dir):
+        """A stored entry's bytes are ``json.dumps`` of the entry."""
+        run_experiment(_spec(cache_dir))
+        cache = ProfileCache(cache_dir)
+        [path] = list(cache.root.glob("*.json"))
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"material", "payload"}
+        path.unlink()
+
+        key = cache_key(doc["material"])
+        stored = cache.store("tiny", key, doc["material"], doc["payload"])
+        assert stored.read_bytes() == json.dumps(doc).encode()
+        assert cache.load("tiny", key, doc["material"]) == doc["payload"]
+
+
 class TestExplicitInvalidation:
     def test_material_mismatch_deletes_entry(self, cache_dir):
         run_experiment(_spec(cache_dir))

@@ -50,9 +50,7 @@ class TestFallback:
     def test_pool_creation_failure_degrades_to_serial(self, monkeypatch):
         def broken_executor(*a, **k):
             raise OSError("no forking here")
-        monkeypatch.setattr(
-            pool_module, "ProcessPoolExecutor", broken_executor
-        )
+        monkeypatch.setattr(pool_module, "_new_executor", broken_executor)
         result = run_experiment(_spec(
             jobs=4, workloads=(TinyWorkload(), TinyWorkload()),
         ))
