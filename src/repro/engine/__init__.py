@@ -10,7 +10,7 @@ The layer between the runtime/simulator and the evaluation harness:
 * :mod:`repro.engine.cache` — the content-addressed persistent cache
   (``~/.cache/repro-dae`` by default, ``REPRO_CACHE_DIR`` to move it);
 * :mod:`repro.engine.pool` — :func:`run_experiment`, fanning the
-  (workload, scheme, scale, config) matrix over a process pool with
+  (workload, scheme, scale, machine) matrix over a process pool with
   per-job timeout, single retry, and graceful serial fallback.
 
 Typical use::

@@ -2,7 +2,7 @@
 
 A second ``python -m repro.evaluation`` run should be near-instant: the
 expensive static products (compile + three profiled schemes) are pure
-functions of (workload source, compile options, machine config, scale,
+functions of (workload source, compile options, machine, scale,
 package version), so they are content-addressed by the SHA-256 of that
 key material and stored as JSON under ``~/.cache/repro-dae/`` (override
 with ``REPRO_CACHE_DIR`` or the ``cache_dir`` spec field / ``--cache-dir``
@@ -107,33 +107,29 @@ def machine_material(machine) -> dict:
     }
 
 
-def key_material(workload: Workload, scale: int, config: MachineConfig,
+def key_material(workload: Workload, scale: int, machine,
                  options: Optional[AccessPhaseOptions],
-                 schemes: Sequence[Union[Scheme, str]],
-                 machine=None) -> Optional[dict]:
+                 schemes: Sequence[Union[Scheme, str]]) -> Optional[dict]:
     """Everything the cached product is a function of, as plain data.
 
-    Returns ``None`` when the job is not cacheable (options carry
-    callables whose behaviour cannot be hashed).  ``machine`` enters
-    the material only when set, so machine-less keys (and every cache
-    entry written before machines existed) are untouched.
+    ``machine`` is the :class:`~repro.machines.model.MachineModel` the
+    product is profiled on.  Returns ``None`` when the job is not
+    cacheable (options carry callables whose behaviour cannot be
+    hashed).
     """
     options_doc = _options_material(options)
     if options_doc is None:
         return None
-    material = {
+    return {
         "format": PAYLOAD_FORMAT,
         "version": _package_version(),
         "workload": workload.name,
         "source": workload.source(),
         "scale": int(scale),
         "schemes": sorted(str(Scheme(s).value) for s in schemes),
-        "config": _config_material(config),
+        "machine": machine_material(machine),
         "options": options_doc,
     }
-    if machine is not None:
-        material["machine"] = machine_material(machine)
-    return material
 
 
 def cache_key(material: dict) -> str:

@@ -124,16 +124,11 @@ def _new_executor(max_workers: int) -> Executor:
 
 def _pool_worker(payload: tuple) -> dict:
     """Top-level (picklable) worker: profile one workload, return the
-    slim JSON-able product.  The machine travels as its registered
-    name (specs only admit registered names) and is re-resolved here."""
-    workload, scale, config, options, scheme_values, interp, machine = payload
-    model = None
-    if machine is not None:
-        from ..machines import MachineModel
-        model = MachineModel.from_name(machine)
+    slim JSON-able product."""
+    workload, scale, machine, options, scheme_values, interp = payload
     run = profile_workload(
-        workload, scale, config, options=options, schemes=scheme_values,
-        interp=interp, machine=model,
+        workload, scale, machine, options=options, schemes=scheme_values,
+        interp=interp,
     )
     return run_to_payload(run)
 
@@ -160,9 +155,8 @@ class _Job:
 
     def payload_args(self, spec: ExperimentSpec) -> tuple:
         return (
-            self.workload, spec.scale, spec.config, spec.options,
+            self.workload, spec.scale, spec.machine, spec.options,
             tuple(s.value for s in spec.schemes), spec.interp,
-            spec.machine,
         )
 
 
@@ -195,8 +189,8 @@ def run_experiment(spec: ExperimentSpec, *,
             job = _Job(workload=workload)
             if cache is not None:
                 job.material = key_material(
-                    workload, spec.scale, spec.config, spec.options,
-                    spec.schemes, machine=spec.resolve_machine(),
+                    workload, spec.scale, spec.machine, spec.options,
+                    spec.schemes,
                 )
                 if job.material is not None:
                     job.key = cache_key(job.material)
@@ -276,9 +270,8 @@ def run_experiment(spec: ExperimentSpec, *,
 
 def _run_serial_job(job: _Job, spec: ExperimentSpec) -> None:
     job.run = profile_workload(
-        job.workload, spec.scale, spec.config,
+        job.workload, spec.scale, spec.machine,
         options=spec.options, schemes=spec.schemes, interp=spec.interp,
-        machine=spec.resolve_machine(),
     )
 
 

@@ -1,10 +1,9 @@
 """Profiling products: compute, summarize, serialize.
 
 The engine's unit of work is one workload profiled under every scheme at
-one scale on one machine (:func:`profile_workload`).  A bare
-:class:`~repro.sim.config.MachineConfig` is the single-type machine
-built from it.  On any machine a profile is the matrix's recording
-replayed through the machine's per-type cache hierarchy.  The result,
+one scale on one machine (:func:`profile_workload`).  On any machine a
+profile is the matrix's recording replayed through the machine's
+per-type cache hierarchy.  The result,
 :class:`WorkloadRun`, is consumed by every figure and table in the
 evaluation layer.
 
@@ -25,11 +24,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..interp.trace import TraceStore
-from ..machines import MachineModel
+from ..machines.model import MachineLike, as_machine
 from ..runtime.profiler import TaskStreamProfiler
 from ..runtime.task import Scheme, StreamProfile, TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, LEVELS
-from ..sim.config import MachineConfig
 from ..sim.timing import PhaseProfile
 from ..transform.access_phase import AccessPhaseOptions
 from ..workloads.base import CompiledWorkload, Workload
@@ -97,12 +95,11 @@ class WorkloadRun:
 
 
 def profile_workload(workload: Workload, scale: int = 1,
-                     config: Optional[MachineConfig] = None, *,
+                     machine: MachineLike = None, *,
                      options: Optional[AccessPhaseOptions] = None,
                      schemes: Sequence[Union[Scheme, str]] = ALL_SCHEMES,
                      interp: Optional[str] = None,
                      trace_store: Optional[TraceStore] = None,
-                     machine: Optional[MachineModel] = None,
                      ) -> WorkloadRun:
     """Compile ``workload`` once and profile it under every scheme.
 
@@ -124,13 +121,16 @@ def profile_workload(workload: Workload, scale: int = 1,
     the call; a store made here drops each scheme's memoized private
     passes once the scheme is counted, since nothing else can read them.
 
-    ``machine`` is the :class:`~repro.machines.model.MachineModel` to
-    profile on; without one, ``config`` is wrapped as a single-type
-    machine.  Every profile is counted by replaying its recording on
-    the machine (:func:`repro.machines.replay.machine_stream`), so on a
+    ``machine`` is the machine to profile on: a registered name, a
+    :class:`~repro.machines.model.MachineModel`, or a bare
+    :class:`~repro.sim.config.MachineConfig`
+    (:func:`~repro.machines.model.as_machine`).  Every profile is
+    counted by replaying its recording on the machine
+    (:func:`repro.machines.replay.machine_stream`), so on a
     heterogeneous machine access phases meet the access cluster's
     caches and execute phases the execute cluster's.
     """
+    machine = as_machine(machine)
     store = TraceStore() if trace_store is None else trace_store
     compiled = workload.compile(options)
     profiles: dict[str, StreamProfile] = {}
@@ -138,7 +138,7 @@ def profile_workload(workload: Workload, scale: int = 1,
     for scheme in schemes:
         scheme = Scheme(scheme)
         memory, tasks, _ = workload.instantiate(scale=scale, compiled=compiled)
-        profiler = TaskStreamProfiler(memory, machine or config, interp=interp)
+        profiler = TaskStreamProfiler(memory, machine, interp=interp)
         profiles[scheme.value] = profiler.profile(
             tasks, scheme, trace_store=store,
         )

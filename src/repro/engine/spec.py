@@ -2,7 +2,7 @@
 back (:class:`EngineResult`).
 
 An :class:`ExperimentSpec` fully describes one profiling matrix —
-(workloads x schemes) at one scale under one machine config — plus the
+(workloads x schemes) at one scale on one machine — plus the
 execution knobs (process-pool width, cache policy, per-job timeout).
 It replaces the ad-hoc ``(scheme: str, policy: str)`` plumbing the
 evaluation layer used to thread through every call.
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Tuple, Union
 
 from ..interp.fast import resolve_interp
-from ..sim.config import MachineConfig
+from ..machines.model import MachineLike, as_machine
 from ..transform.access_phase import AccessPhaseOptions
 from ..workloads import ALL_WORKLOADS, Workload, workload_by_name
 from .products import ALL_SCHEMES, EngineError, Scheme, WorkloadRun
@@ -46,7 +46,15 @@ class ExperimentSpec:
     workloads: Tuple[WorkloadSpec, ...] = ()
     schemes: Tuple[Scheme, ...] = ALL_SCHEMES
     scale: int = 1
-    config: MachineConfig = field(default_factory=MachineConfig)
+    #: The machine to profile on: a registered name, a
+    #: :class:`~repro.machines.model.MachineModel`, or a bare
+    #: :class:`~repro.sim.config.MachineConfig` (``None``: the default
+    #: config), resolved once to a model
+    #: (:func:`~repro.machines.model.as_machine`).  Every profile
+    #: replays its recording on the machine, so on a heterogeneous one
+    #: each phase meets its core type's cache geometry.
+    #: Result-determining, so it is part of the cache key.
+    machine: MachineLike = None
     options: Optional[AccessPhaseOptions] = None
     jobs: int = 1
     cache: bool = True
@@ -59,12 +67,6 @@ class ExperimentSpec:
     #: bit-identical, so this knob is *excluded* from the cache key —
     #: cached profiles are valid under either.
     interp: Optional[str] = None
-    #: Registered :class:`~repro.machines.model.MachineModel` name to
-    #: profile on (``None`` = the plain ``config``).  Every profile
-    #: replays its recording on the machine, so on a heterogeneous one
-    #: each phase meets its core type's cache geometry.
-    #: Result-determining, so it is part of the cache key.
-    machine: Optional[str] = None
 
     def __post_init__(self):
         if self.scale < 1:
@@ -78,22 +80,10 @@ class ExperimentSpec:
         object.__setattr__(
             self, "schemes", tuple(Scheme(s) for s in self.schemes)
         )
-        if self.machine is not None:
-            object.__setattr__(
-                self, "machine", str(self.machine).lower()
-            )
-            try:
-                self.resolve_machine()
-            except KeyError as exc:
-                raise EngineError(str(exc)) from None
-
-    def resolve_machine(self):
-        """The spec's :class:`~repro.machines.model.MachineModel`, or
-        ``None``.  Raises ``KeyError`` for an unregistered name."""
-        if self.machine is None:
-            return None
-        from ..machines.model import MachineModel
-        return MachineModel.from_name(self.machine)
+        try:
+            object.__setattr__(self, "machine", as_machine(self.machine))
+        except (KeyError, TypeError) as exc:
+            raise EngineError(str(exc)) from None
 
     @classmethod
     def field_names(cls) -> Tuple[str, ...]:

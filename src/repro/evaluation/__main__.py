@@ -49,6 +49,8 @@ and ``--events``; ``ablate`` and ``machines`` only ``--scale``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
 
 from .. import obs
@@ -470,7 +472,8 @@ def main(argv=None) -> int:
     capture = obs.Collector(enabled=True) if (
         args.trace or args.events
     ) else None
-    with obs.collecting(capture) if capture is not None else _NullContext():
+    with (obs.collecting(capture) if capture is not None
+          else contextlib.nullcontext()):
         runs = None
         if args.experiment in _FULL_RUN_EXPERIMENTS:
             print("profiling all workloads (scale %d, jobs %d)..."
@@ -565,18 +568,10 @@ def _run_serve(args) -> int:
 
 
 def _run_submit(args, parser) -> int:
-    import json
-
     from ..service.client import ServiceClient, ServiceError
 
     for name in args.workloads:
-        try:
-            workload_by_name(name)
-        except KeyError:
-            parser.error(
-                "unknown workload %r; choose from: %s"
-                % (name, ", ".join(sorted(w.name for w in ALL_WORKLOADS)))
-            )
+        _workload(parser, name)
     # Each job kind reads its own flags; a flag it would not read is an
     # error, not a silent no-op.
     if args.tune:
@@ -616,10 +611,7 @@ def _run_submit(args, parser) -> int:
             return 0
         result = client.result(ack["id"], timeout_s=args.timeout)
         if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(result, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print("wrote %s" % args.out, file=sys.stderr)
+            _write_json(args.out, result)
         if result.get("kind") == "experiment":
             for name, payload in sorted(result["workloads"].items()):
                 print("%-12s %d tasks, %d schemes" % (
@@ -640,8 +632,6 @@ def _run_submit(args, parser) -> int:
 
 
 def _run_status(args, parser) -> int:
-    import json
-
     from ..service.client import ServiceClient, ServiceError
 
     client = ServiceClient(args.socket)
@@ -673,8 +663,6 @@ def _run_cache(args) -> int:
 
 
 def _run_runs(args, parser) -> int:
-    import json
-
     from ..obs.ledger import RunLedger, compare_runs, render_comparison
     from .experiments import record_run
 
@@ -719,13 +707,7 @@ def _run_runs(args, parser) -> int:
         return 0 if comparison.ok else 1
     # record
     for name in args.workloads:
-        try:
-            workload_by_name(name)
-        except KeyError:
-            parser.error(
-                "unknown workload %r; choose from: %s"
-                % (name, ", ".join(sorted(w.name for w in ALL_WORKLOADS)))
-            )
+        _workload(parser, name)
     print("profiling %s (scale %d, jobs %d)..."
           % (",".join(args.workloads) or "all workloads",
              args.scale, args.jobs),
@@ -736,17 +718,12 @@ def _run_runs(args, parser) -> int:
     _report_engine(result, file=sys.stderr)
     manifest, path = record_run(result, ledger=ledger)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(manifest.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.out, file=sys.stderr)
+        _write_json(args.out, manifest.to_dict())
     print("recorded %s -> %s" % (manifest.run_id, path))
     return 0
 
 
 def _run_fuzz(args, parser) -> int:
-    import json
-
     from .fuzzing import (
         DEFAULT_CORPUS_DIR,
         DEFAULT_POOL_SAMPLE,
@@ -768,10 +745,7 @@ def _run_fuzz(args, parser) -> int:
             save_failures=args.save_failures,
         )
         if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print("wrote %s" % args.out, file=sys.stderr)
+            _write_json(args.out, report)
         print(render_fuzz_report(report))
         return 1 if report["violations"] else 0
     if args.verb == "replay":
@@ -802,18 +776,7 @@ def _run_fuzz(args, parser) -> int:
 
 
 def _run_trace(args, parser) -> int:
-    if args.app is None:
-        parser.error(
-            "trace needs a workload name, one of: %s"
-            % ", ".join(sorted(w.name for w in ALL_WORKLOADS))
-        )
-    try:
-        workload_by_name(args.app)
-    except KeyError:
-        parser.error(
-            "unknown workload %r; choose from: %s"
-            % (args.app, ", ".join(sorted(w.name for w in ALL_WORKLOADS)))
-        )
+    _workload(parser, args.app, "trace")
     print("tracing %s (scale %d)..." % (args.app, args.scale),
           file=sys.stderr)
     artifacts = trace_workload(args.app, scale=args.scale)
@@ -832,18 +795,7 @@ def _run_tune(args, parser) -> int:
     from ..tuning.tuner import tune_workload
     from .tuning import export_tuning, render_tuning_report
 
-    if args.app is None:
-        parser.error(
-            "tune needs a workload name, one of: %s"
-            % ", ".join(sorted(w.name for w in ALL_WORKLOADS))
-        )
-    try:
-        workload_by_name(args.app)
-    except KeyError:
-        parser.error(
-            "unknown workload %r; choose from: %s"
-            % (args.app, ", ".join(sorted(w.name for w in ALL_WORKLOADS)))
-        )
+    _workload(parser, args.app, "tune")
     if args.machine is not None:
         from ..machines import MachineModel
         registered = MachineModel.registered_names()
@@ -858,7 +810,8 @@ def _run_tune(args, parser) -> int:
     capture = obs.Collector(enabled=True) if (
         args.trace or args.events
     ) else None
-    with obs.collecting(capture) if capture is not None else _NullContext():
+    with (obs.collecting(capture) if capture is not None
+          else contextlib.nullcontext()):
         result = tune_workload(
             args.app, objective=args.objective, strategy=args.strategy,
             scale=args.scale, cache=not args.no_cache,
@@ -880,20 +833,7 @@ def _run_tune(args, parser) -> int:
 
 
 def _run_ablate(args, parser) -> int:
-    import json
-
-    if args.app is None:
-        parser.error(
-            "ablate needs a workload name, one of: %s"
-            % ", ".join(sorted(w.name for w in ALL_WORKLOADS))
-        )
-    try:
-        workload = workload_by_name(args.app)
-    except KeyError:
-        parser.error(
-            "unknown workload %r; choose from: %s"
-            % (args.app, ", ".join(sorted(w.name for w in ALL_WORKLOADS)))
-        )
+    workload = _workload(parser, args.app, "ablate")
     if not args.vary or args.vary not in SWEEP_PARAMS:
         parser.error(
             "ablate needs --vary PARAM, one of: %s"
@@ -916,17 +856,12 @@ def _run_ablate(args, parser) -> int:
     except MachineConfigError as exc:
         parser.error(str(exc))
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.out, file=sys.stderr)
+        _write_json(args.out, report)
     print(render_ablation_report(report))
     return 0
 
 
 def _run_machines(args, parser) -> int:
-    import json
-
     from ..machines import MachineModel
     from .machines import (
         compare_machines,
@@ -934,15 +869,8 @@ def _run_machines(args, parser) -> int:
         render_machines_report,
     )
 
-    workloads = []
-    for name in args.apps or sorted(w.name for w in ALL_WORKLOADS):
-        try:
-            workloads.append(workload_by_name(name))
-        except KeyError:
-            parser.error(
-                "unknown workload %r; choose from: %s"
-                % (name, ", ".join(sorted(w.name for w in ALL_WORKLOADS)))
-            )
+    workloads = [_workload(parser, name) for name in
+                 args.apps or sorted(w.name for w in ALL_WORKLOADS)]
     registered = MachineModel.registered_names()
     if args.machine_list:
         names = [n.strip().lower()
@@ -966,16 +894,10 @@ def _run_machines(args, parser) -> int:
           file=sys.stderr)
     report = compare_machines(workloads, names, scale=args.scale)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.out, file=sys.stderr)
+        _write_json(args.out, report)
     if args.manifest_out:
-        manifest = machines_manifest(report, args.manifest_machine)
-        with open(args.manifest_out, "w") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.manifest_out, file=sys.stderr)
+        _write_json(args.manifest_out,
+                    machines_manifest(report, args.manifest_machine))
     print(render_machines_report(report))
     return 0
 
@@ -991,12 +913,23 @@ def _export_event_log(collector, args) -> None:
         print("wrote %s" % args.events, file=sys.stderr)
 
 
-class _NullContext:
-    def __enter__(self):
-        return None
+def _workload(parser, name, verb=None):
+    """The workload ``name`` names.  A missing name (``verb`` needs
+    one) or an unknown one exits 2, listing the valid names."""
+    valid = ", ".join(sorted(w.name for w in ALL_WORKLOADS))
+    if name is None:
+        parser.error("%s needs a workload name, one of: %s" % (verb, valid))
+    try:
+        return workload_by_name(name)
+    except KeyError:
+        parser.error("unknown workload %r; choose from: %s" % (name, valid))
 
-    def __exit__(self, *exc):
-        return None
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print("wrote %s" % path, file=sys.stderr)
 
 
 if __name__ == "__main__":

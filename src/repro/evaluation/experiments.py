@@ -9,7 +9,7 @@ model (Section 3.1).
 Profiling goes through :mod:`repro.engine`: :func:`run_all` and
 :func:`run_workload` build an :class:`~repro.engine.ExperimentSpec` and
 hand it to :func:`~repro.engine.run_experiment`, which fans the
-(workload, scheme, scale, config) matrix over a process pool
+(workload, scheme, scale, machine) matrix over a process pool
 (``jobs=``) and serves repeat runs from the persistent profile cache
 (``cache=``).
 
@@ -31,8 +31,9 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Union
 
 from ..engine import ExperimentSpec, WorkloadRun, run_experiment
-from ..engine.cache import _config_material, cache_key
+from ..engine.cache import cache_key, machine_material
 from ..engine.spec import EngineResult
+from ..machines.model import MachineModel
 from ..obs.ledger import RunLedger, RunManifest
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.timeline import energy_attribution
@@ -67,9 +68,8 @@ def run_workload(workload: Workload, scale: int = 1,
     :func:`run_all` (a single workload is always one job).
     """
     result = run_experiment(ExperimentSpec(
-        workloads=(workload,), scale=scale,
-        config=config or MachineConfig(), options=options,
-        jobs=jobs, cache=cache, cache_dir=cache_dir,
+        workloads=(workload,), scale=scale, machine=config,
+        options=options, jobs=jobs, cache=cache, cache_dir=cache_dir,
     ))
     return result[workload.name]
 
@@ -89,7 +89,7 @@ def run_all(scale: int = 1, config: Optional[MachineConfig] = None,
     """
     result = run_experiment(ExperimentSpec(
         workloads=tuple(workloads) if workloads else (),
-        scale=scale, config=config or MachineConfig(), options=options,
+        scale=scale, machine=config, options=options,
         jobs=jobs, cache=cache, cache_dir=cache_dir,
     ))
     return result
@@ -144,7 +144,7 @@ def _spec_document(spec: ExperimentSpec, workload_names: list) -> dict:
         "kind": "run-manifest-spec",
         "scale": spec.scale,
         "schemes": [s.value for s in spec.schemes],
-        "config": _config_material(spec.config),
+        "machine": machine_material(spec.machine),
         "workloads": list(workload_names),
         "manifest_configs": [
             [label, stream.value, scheme.value, policy]
@@ -153,6 +153,7 @@ def _spec_document(spec: ExperimentSpec, workload_names: list) -> dict:
     }
     return {
         "key": cache_key(material),
+        "machine": spec.machine.name,
         "scale": spec.scale,
         "schemes": [s.value for s in spec.schemes],
         "interp": spec.interp,
@@ -162,53 +163,68 @@ def _spec_document(spec: ExperimentSpec, workload_names: list) -> dict:
     }
 
 
+def manifest_schedules(run: WorkloadRun, machine: MachineModel,
+                       ) -> list[tuple[str, ScheduleResult, dict]]:
+    """Schedule :data:`MANIFEST_CONFIGS` on ``machine``, in order.
+
+    Each entry is (label, result, metrics relative to the first
+    configuration).  Every result records a timeline that passes
+    validation and the exact energy roll-up check.  Run manifests and
+    the ``machines`` verb both schedule through here.
+    """
+    schedules = []
+    baseline: Optional[ScheduleResult] = None
+    for label, stream, run_scheme, policy_name in MANIFEST_CONFIGS:
+        policy = FrequencyPolicy.from_name(policy_name, machine.config)
+        result = DAEScheduler(machine).run(
+            run.profiles[stream.value].tasks, run_scheme, policy,
+            record_timeline=True,
+        )
+        result.timeline.validate(result.time_ns)
+        result.timeline.validate_energy(result.energy_nj)
+        if baseline is None:
+            baseline = result
+        schedules.append((label, result, relative_metrics(result, baseline)))
+    return schedules
+
+
 def build_run_manifest(result: EngineResult, kind: str = "engine",
-                       config: Optional[MachineConfig] = None,
                        registry: Optional[MetricsRegistry] = None,
                        ) -> RunManifest:
     """Build a run-ledger manifest from one engine result.
 
-    Schedules every workload under :data:`MANIFEST_CONFIGS` (timelines
-    on), capturing per configuration the ``summary()``, the metrics
-    relative to the CAE@fmax baseline, and the energy-attribution tree.
-    ``registry`` defaults to the process-global metrics registry, whose
-    snapshot (engine pool/cache telemetry) rides along.
+    Schedules every workload under :data:`MANIFEST_CONFIGS` on the
+    machine that profiled it (:func:`manifest_schedules`), capturing
+    per configuration the ``summary()``, the metrics relative to the
+    CAE@fmax baseline, and the energy-attribution tree.  ``registry``
+    defaults to the process-global metrics registry, whose snapshot
+    (engine pool/cache telemetry) rides along.
     """
-    config = config or result.spec.config
     registry = get_registry() if registry is None else registry
     manifest = RunManifest(kind=kind)
     manifest.spec = _spec_document(result.spec, list(result))
     manifest.stats = result.stats.as_dict()
     manifest.metrics = registry.snapshot()
     for name, run in result.items():
-        schedules: dict = {}
-        baseline: Optional[ScheduleResult] = None
-        for label, stream, scheme, policy in MANIFEST_CONFIGS:
-            scheduler = DAEScheduler(config)
-            scheduled = scheduler.run(
-                run.profiles[stream.value].tasks, scheme,
-                FrequencyPolicy.from_name(policy, config),
-                record_timeline=True,
-            )
-            if baseline is None:
-                baseline = scheduled
-            schedules[label] = {
-                "summary": scheduled.summary(),
-                "relative_metrics": relative_metrics(scheduled, baseline),
-                "energy": energy_attribution(scheduled.timeline),
-            }
         manifest.workloads[name] = {
             "task_count": run.task_count,
             "from_cache": run.from_cache,
-            "schedules": schedules,
+            "schedules": {
+                label: {
+                    "summary": scheduled.summary(),
+                    "relative_metrics": relative,
+                    "energy": energy_attribution(scheduled.timeline),
+                }
+                for label, scheduled, relative
+                in manifest_schedules(run, result.spec.machine)
+            },
         }
     return manifest
 
 
 def record_run(result: EngineResult,
                ledger: Optional[Union[RunLedger, str]] = None,
-               kind: str = "engine",
-               config: Optional[MachineConfig] = None):
+               kind: str = "engine"):
     """Build a manifest for ``result`` and append it to the ledger.
 
     ``ledger`` is a :class:`RunLedger`, a directory path, or ``None``
@@ -216,7 +232,7 @@ def record_run(result: EngineResult,
     """
     if not isinstance(ledger, RunLedger):
         ledger = RunLedger(ledger)
-    manifest = build_run_manifest(result, kind=kind, config=config)
+    manifest = build_run_manifest(result, kind=kind)
     path = ledger.record(manifest)
     return manifest, path
 

@@ -35,11 +35,9 @@ from ..machines import (
     prune_private_passes,
 )
 from ..obs.ledger import RunManifest, _utc_now
-from ..power.frequency import FrequencyPolicy
-from ..runtime.scheduler import DAEScheduler
 from ..sim.config import MachineConfig
 from ..workloads import Workload
-from .experiments import MANIFEST_CONFIGS, relative_metrics
+from .experiments import manifest_schedules
 
 
 class MachineSweep:
@@ -116,25 +114,11 @@ def compare_machines(workloads: Sequence[Workload],
 
 
 def _schedule_machine(run: WorkloadRun, machine: MachineModel) -> dict:
-    """The run-ledger schedule configurations on one machine, each with
-    a validated timeline and exact energy roll-up."""
-    schedules = {}
-    baseline = None
-    for label, stream, run_scheme, policy_name in MANIFEST_CONFIGS:
-        policy = FrequencyPolicy.from_name(policy_name, machine.config)
-        result = DAEScheduler(machine=machine).run(
-            run.profiles[stream.value].tasks, run_scheme, policy,
-            record_timeline=True,
-        )
-        result.timeline.validate(result.time_ns)
-        result.timeline.validate_energy(result.energy_nj)
-        if baseline is None:
-            baseline = result
-        schedules[label] = {
-            "summary": result.summary(),
-            "relative": relative_metrics(result, baseline),
-        }
-    return schedules
+    """The run-ledger schedule configurations on one machine."""
+    return {
+        label: {"summary": result.summary(), "relative": relative}
+        for label, result, relative in manifest_schedules(run, machine)
+    }
 
 
 def machines_manifest(report: dict, machine_name: str) -> dict:

@@ -342,7 +342,7 @@ def _check_trace_invariance(case: FuzzCase,
             )
     workload = FuzzWorkload(case.program)
     # A single-scheme matrix has no donor scheme: every phase interprets.
-    runs = [profile_workload(workload, config=config, schemes=(scheme,))
+    runs = [profile_workload(workload, machine=config, schemes=(scheme,))
             for scheme in ORACLE_SCHEMES]
     direct = json.dumps(run_to_payload(replace(runs[0], profiles={
         scheme: stream for run in runs
@@ -350,7 +350,7 @@ def _check_trace_invariance(case: FuzzCase,
     })), sort_keys=True)
     store = TraceStore()
     matrix = profile_workload(
-        workload, config=config, schemes=ORACLE_SCHEMES, trace_store=store,
+        workload, machine=config, schemes=ORACLE_SCHEMES, trace_store=store,
     )
     if direct != json.dumps(run_to_payload(matrix), sort_keys=True):
         problems.append(
@@ -416,7 +416,7 @@ def _check_schedule_invariants(case: FuzzCase,
 
 
 def _payload_text(workload: FuzzWorkload, config: MachineConfig) -> str:
-    run = profile_workload(workload, config=config, schemes=ORACLE_SCHEMES)
+    run = profile_workload(workload, machine=config, schemes=ORACLE_SCHEMES)
     return json.dumps(run_to_payload(run), sort_keys=True)
 
 
@@ -546,12 +546,11 @@ def check_engine_pool_equivalence(programs,
     programs = list(programs)
     if not programs:
         return []
-    config = config or MachineConfig()
     workloads = tuple(FuzzWorkload(p) for p in programs)
     payloads = {}
     for jobs in (1, 2):
         spec = ExperimentSpec(
-            workloads=workloads, schemes=ORACLE_SCHEMES, config=config,
+            workloads=workloads, schemes=ORACLE_SCHEMES, machine=config,
             jobs=jobs, cache=False,
         )
         result = run_experiment(spec)

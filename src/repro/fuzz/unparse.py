@@ -20,10 +20,6 @@ def unparse_program(program: ast.Program) -> str:
     return "\n\n".join(_function(f) for f in program.functions) + "\n"
 
 
-def unparse_expr(expr: ast.Expr) -> str:
-    return _expr(expr)
-
-
 def _function(func: ast.FunctionDecl) -> str:
     params = ", ".join("%s: %s" % (p.name, p.type) for p in func.params)
     head = "%s %s(%s)" % ("task" if func.is_task else "func",

@@ -39,10 +39,6 @@ class Value:
         for user in list(self.uses):
             user.replace_operand(self, replacement)
 
-    @property
-    def is_used(self) -> bool:
-        return bool(self.uses)
-
     def short_name(self) -> str:
         return "%" + self.name if self.name else "%<anon>"
 
@@ -101,11 +97,6 @@ class GlobalVariable(Value):
 
     def short_name(self) -> str:
         return "@" + self.name
-
-
-def constant_like(ty: Type, value) -> Constant:
-    """Build a constant of ``ty`` from a Python number."""
-    return Constant(ty, value)
 
 
 def format_operands(operands: Iterable[Value]) -> str:

@@ -3,7 +3,9 @@
 Public surface:
 
 * :class:`MachineModel` / :class:`CoreType` / :class:`Transition` with
-  the :func:`dvfs` and :func:`migrate` constructors (``model``);
+  the :func:`dvfs` and :func:`migrate` constructors, and
+  :func:`as_machine`, which resolves every layer's one hardware
+  argument — a name, a model or a bare config — to a model (``model``);
 * the registered catalog — ``sandybridge``, ``biglittle``, ``ideal`` —
   resolved via :meth:`MachineModel.from_name` (``catalog``, which every
   lookup loads: no import order decides what is registered);
@@ -15,8 +17,8 @@ Public surface:
 from .._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    "model": ("CoreType", "MachineModel", "Transition", "dvfs",
-              "homogeneous_machine", "migrate"),
+    "model": ("CoreType", "MachineLike", "MachineModel", "Transition",
+              "as_machine", "dvfs", "homogeneous_machine", "migrate"),
     "catalog": ("BIGLITTLE_MIGRATION_NS", "biglittle_machine",
                 "ideal_machine", "little_config", "little_operating_points",
                 "sandybridge_machine"),

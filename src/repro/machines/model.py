@@ -20,8 +20,10 @@ DVFS switch.  A :class:`MachineModel` describes either shape:
 
 The homogeneous multicore is the one-type case:
 :func:`homogeneous_machine` wraps a bare
-:class:`~repro.sim.config.MachineConfig`, and the scheduler, the
-trace replay and the tuner take every machine down one path.
+:class:`~repro.sim.config.MachineConfig`.  Every layer takes one
+hardware argument and resolves it with :func:`as_machine`, so the
+spec, the profiler, the scheduler and the tuner take every machine
+down one path.
 
 The scheduler models a machine as *slots* in the style of big.LITTLE's
 in-kernel switcher: a slot pairs one core of each placed type, a
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 from ..sim.config import MachineConfig, MachineConfigError
 
@@ -294,15 +296,42 @@ class MachineModel:
         return tuple(sorted(_registry()))
 
 
+#: What a hardware argument may be: a registered machine name, a
+#: :class:`MachineModel`, or a bare :class:`MachineConfig` (``None``:
+#: the default config).
+MachineLike = Union[str, MachineModel, MachineConfig, None]
+
+
+def as_machine(machine: MachineLike = None) -> MachineModel:
+    """The :class:`MachineModel` a hardware argument names.
+
+    A model passes through and a name is looked up in the registry
+    (``KeyError`` lists the registered names).  A bare config, or the
+    default one for ``None``, becomes its single-type machine named
+    ``"homogeneous"``, with no registry lookup.
+    """
+    if isinstance(machine, MachineModel):
+        return machine
+    if isinstance(machine, str):
+        return MachineModel.from_name(machine)
+    if machine is None:
+        machine = MachineConfig()
+    elif not isinstance(machine, MachineConfig):
+        raise TypeError(
+            "a machine is a registered name, a MachineModel or a "
+            "MachineConfig, not %r" % (machine,)
+        )
+    return homogeneous_machine("homogeneous", machine)
+
+
 def homogeneous_machine(name: str, config: MachineConfig,
                         description: str = "") -> MachineModel:
     """Wrap one :class:`MachineConfig` as a single-type machine.
 
     This is what a bare config becomes wherever a machine is expected
-    (``DAEScheduler(config)``, ``profile_workload(config)``,
-    ``tune_workload(config=...)``, each ``ablate`` variant).
-    ``validate()`` runs on the way, so an inconsistent config fails
-    here rather than mid-simulation.
+    (:func:`as_machine`, each ``ablate`` variant).  ``validate()`` runs
+    on the way, so an inconsistent config fails here rather than
+    mid-simulation.
     """
     core = CoreType(name="core", count=config.cores, config=config)
     return MachineModel(

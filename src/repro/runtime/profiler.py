@@ -40,9 +40,9 @@ from ..interp.trace import (
     TraceStore,
     pack_events,
 )
-from ..machines import MachineModel, homogeneous_machine, machine_stream
+from ..machines import machine_stream
+from ..machines.model import MachineLike, as_machine
 from ..obs.events import get_collector
-from ..sim.config import MachineConfig
 from ..sim.timing import issue_slots
 from .task import Scheme, StreamProfile, TaskInstance
 
@@ -59,9 +59,8 @@ class ProfileError(Exception):
 
 
 class TaskStreamProfiler:
-    """Records a task stream and counts it on ``machine``: a
-    :class:`~repro.machines.model.MachineModel`, or the single-type
-    machine of a bare :class:`MachineConfig` (``None``: the default).
+    """Records a task stream and counts it on ``machine``, resolved by
+    :func:`~repro.machines.model.as_machine`.
 
     Task ``i`` runs on scheduling slot ``i % width``, mirroring the
     scheduler's initial distribution, so each slot's caches see the
@@ -69,15 +68,10 @@ class TaskStreamProfiler:
     machine_stream`).
     """
 
-    def __init__(self, memory: SimMemory,
-                 machine: Union[MachineModel, MachineConfig, None] = None,
+    def __init__(self, memory: SimMemory, machine: MachineLike = None,
                  interp: Optional[str] = None):
         self.memory = memory
-        if not isinstance(machine, MachineModel):
-            machine = homogeneous_machine(
-                "homogeneous", machine or MachineConfig()
-            )
-        self.machine = machine
+        self.machine = as_machine(machine)
         #: Which interpreter runs the phases: ``"replay"`` (the default:
         #: the fast core, plus cross-scheme reuse of a donor's execute
         #: traces) or ``"reference"`` (the executable specification,

@@ -40,8 +40,8 @@ from ..power.model import (
     static_power,
     transition_energy,
 )
-from ..machines.model import CoreType, MachineModel, homogeneous_machine
-from ..sim.config import MachineConfig, OperatingPoint
+from ..machines.model import CoreType, MachineLike, as_machine
+from ..sim.config import OperatingPoint
 from .task import Scheme, TaskProfile
 
 
@@ -177,30 +177,20 @@ class DAEScheduler:
     #: Power of a sleeping core (deep C-state).
     sleep_power_w: float = 0.15
 
-    def __init__(self, config: Optional[MachineConfig] = None,
-                 machine: Optional[MachineModel] = None,
+    def __init__(self, machine: MachineLike = None,
                  placement: Optional[tuple] = None):
-        """Schedule on ``machine``, a
-        :class:`~repro.machines.model.MachineModel`; a bare ``config``
-        is the single-type machine built from it (``None``: the
-        default :class:`MachineConfig`).
+        """Schedule on ``machine``, resolved by
+        :func:`~repro.machines.model.as_machine`: a registered name, a
+        :class:`~repro.machines.model.MachineModel`, or a bare
+        :class:`~repro.sim.config.MachineConfig`'s single-type machine
+        (``None``: the default config's).
 
         ``placement`` optionally overrides the machine's declared
         (access, execute) core-type names — the tuner's placement
-        search uses it.  Passing both ``config`` and ``machine`` is a
-        contradiction and raises ``ValueError``.
+        search uses it.  A name the machine lacks raises ``KeyError``
+        from :meth:`run`, listing the machine's types.
         """
-        if machine is not None and config is not None:
-            raise ValueError(
-                "pass either a MachineConfig or a MachineModel, not both"
-            )
-        if placement is not None and machine is None:
-            raise ValueError("placement requires a machine")
-        if machine is None:
-            machine = homogeneous_machine(
-                "homogeneous", config or MachineConfig()
-            )
-        self.machine = machine
+        self.machine = as_machine(machine)
         self._placement_override = (
             tuple(placement) if placement is not None else None
         )

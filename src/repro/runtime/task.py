@@ -100,10 +100,6 @@ class TaskProfile:
     execute: PhaseProfile
     access: Optional[PhaseProfile] = None
 
-    @property
-    def has_access(self) -> bool:
-        return self.access is not None
-
 
 @dataclass
 class StreamProfile:

@@ -24,12 +24,12 @@ import json
 import os
 from typing import Any, Dict, Optional
 
-from ..engine.cache import DEFAULT_CACHE_DIR, ENV_CACHE_DIR, _config_material
+from ..engine.cache import DEFAULT_CACHE_DIR, ENV_CACHE_DIR, machine_material
 from ..engine.cache import cache_key as _cache_key
 from ..engine.products import run_to_payload
 from ..engine.spec import EngineResult, ExperimentSpec
+from ..machines.model import MachineModel, as_machine
 from ..runtime.task import Scheme
-from ..sim.config import MachineConfig
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -92,26 +92,36 @@ def error_doc(code: str, detail: str, **extra: Any) -> Dict[str, Any]:
 
 # -- spec documents ------------------------------------------------------------
 
-#: ExperimentSpec knobs representable on the wire.  ``config`` and
-#: ``options`` deliberately are not: the service profiles under its own
-#: (default) machine config, exactly like the CLI experiments.  Nor is
-#: ``interp``: both interpreters give byte-identical profiles, so the
-#: choice cannot change a result.
+#: ExperimentSpec knobs representable on the wire.  A machine travels
+#: by registered name (``None``: the default config's machine).
+#: ``options`` has no JSON form.  Nor does ``interp`` travel: both
+#: interpreters give byte-identical profiles, so the choice cannot
+#: change a result.
 WIRE_SPEC_FIELDS = (
     "workloads", "schemes", "scale", "jobs", "cache", "cache_dir",
     "timeout_s", "machine",
 )
 
 
+def _wire_machine(machine: MachineModel) -> Optional[str]:
+    """The name ``machine`` travels under: ``None`` for the default
+    config's machine, else its registered name."""
+    for name in (None, *MachineModel.registered_names()):
+        if as_machine(name) == machine:
+            return name
+    raise ValueError(
+        "ExperimentSpec.machine %r is not wire-representable: a machine "
+        "travels by registered name, or as None for the default"
+        % (machine.name,)
+    )
+
+
 def spec_to_doc(spec: ExperimentSpec) -> Dict[str, Any]:
-    """``spec`` as a wire document.  Raises for non-default ``config``
-    / ``options``, which have no JSON form; ``interp`` is left out, as
+    """``spec`` as a wire document.  Raises for a machine that is
+    neither the default nor a registered one, and for non-default
+    ``options``, which have no JSON form; ``interp`` is left out, as
     it changes no result."""
-    if spec.config != MachineConfig():
-        raise ValueError(
-            "ExperimentSpec.config is not wire-representable; the "
-            "service profiles under the default MachineConfig"
-        )
+    machine = _wire_machine(spec.machine)
     if spec.options is not None:
         raise ValueError(
             "ExperimentSpec.options is not wire-representable"
@@ -127,7 +137,7 @@ def spec_to_doc(spec: ExperimentSpec) -> Dict[str, Any]:
         "cache": spec.cache,
         "cache_dir": spec.cache_dir,
         "timeout_s": spec.timeout_s,
-        "machine": spec.machine,
+        "machine": machine,
     }
 
 
@@ -198,12 +208,8 @@ def job_key(kind: str, doc: Dict[str, Any]) -> str:
             "workloads": [w.name for w in spec.resolve_workloads()],
             "schemes": [s.value for s in spec.schemes],
             "scale": spec.scale,
-            "config": _config_material(MachineConfig()),
+            "machine": machine_material(spec.machine),
         }
-        # Result-determining, so distinct machines must not coalesce;
-        # omitted when unset to keep historical keys stable.
-        if spec.machine is not None:
-            material["machine"] = spec.machine
     elif kind == "tune":
         kwargs = tune_from_doc(doc)
         material = {
@@ -213,10 +219,8 @@ def job_key(kind: str, doc: Dict[str, Any]) -> str:
             "strategy": kwargs.get("strategy", "all"),
             "scheme": str(kwargs.get("scheme", "dae")),
             "scale": kwargs.get("scale", 1),
-            "config": _config_material(MachineConfig()),
+            "machine": machine_material(as_machine(kwargs.get("machine"))),
         }
-        if kwargs.get("machine") is not None:
-            material["machine"] = str(kwargs["machine"]).lower()
     else:
         raise ValueError("unknown job kind %r" % (kind,))
     return _cache_key(material)

@@ -150,15 +150,14 @@ class WorkerSupervisor:
 
         failure = None
         cancelled = False
-        future, cancel_fn = self.runner(job)
-        job.cancel_fn = cancel_fn
         try:
+            future, job.cancel_fn = self.runner(job)
             job.result_text = await asyncio.wait_for(
                 asyncio.wrap_future(future), timeout=self.job_timeout_s,
             )
             job.state = JobState.DONE
         except asyncio.TimeoutError:
-            cancel_fn()
+            job.cancel_fn()
             failure = {"error": "timeout",
                        "detail": "job exceeded %.1fs" % self.job_timeout_s}
         except JobCancelled as exc:

@@ -38,9 +38,6 @@ class Cache:
             OrderedDict() for _ in range(config.sets)
         ]
 
-    def _set_for(self, line: int) -> OrderedDict[int, None]:
-        return self.sets[line % self.nsets]
-
     def lookup(self, line: int) -> bool:
         """True on hit; updates recency."""
         cache_set = self.sets[line % self.nsets]

@@ -52,10 +52,6 @@ class BranchProfile:
             return branch.if_false
         return None
 
-    @property
-    def observed_branches(self) -> int:
-        return len(self.counts)
-
 
 def profile_branches(func: Function, memory: SimMemory,
                      runs: Iterable[list]) -> BranchProfile:

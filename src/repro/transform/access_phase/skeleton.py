@@ -36,10 +36,6 @@ from ..dce import dead_code_elimination
 from ..simplify_cfg import simplify_cfg
 
 
-class SkeletonError(Exception):
-    """Raised when no legal access version can be generated."""
-
-
 @dataclass
 class SkeletonOptions:
     """Knobs for the skeleton generator (naive/ablation variants)."""

@@ -38,10 +38,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
-from ..engine.cache import _config_material, cache_key, key_material
+from ..engine.cache import cache_key, key_material, machine_material
 from ..engine.products import profile_workload
 from ..interp.trace import TraceStore
-from ..machines import MachineModel, homogeneous_machine, machine_stream
+from ..machines import MachineModel, machine_stream
+from ..machines.model import MachineLike, as_machine
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
 from ..runtime.scheduler import DAEScheduler, ScheduleResult
@@ -459,7 +460,7 @@ class _CandidateEvaluator:
 
 def _candidate_material(profile_material: dict, workload_name: str,
                         stream: Scheme, run_scheme: Scheme,
-                        config: MachineConfig, scale: int) -> dict:
+                        machine: MachineModel, scale: int) -> dict:
     """Everything a candidate's schedule is a function of except the
     point pair itself."""
     return {
@@ -470,7 +471,7 @@ def _candidate_material(profile_material: dict, workload_name: str,
         "stream": stream.value,
         "run_scheme": run_scheme.value,
         "scale": int(scale),
-        "config": _config_material(config),
+        "machine": machine_material(machine),
         "scheduler": {
             "task_overhead_ns": DAEScheduler.task_overhead_ns,
             "steal_overhead_ns": DAEScheduler.steal_overhead_ns,
@@ -494,14 +495,13 @@ def tune_workload(workload: Union[Workload, str, type], *,
                   objective: Union[Objective, str] = "edp",
                   strategy: str = "all",
                   scheme: Union[Scheme, str] = Scheme.DAE,
-                  config: Optional[MachineConfig] = None,
+                  machine: MachineLike = None,
                   scale: int = 1,
                   cache: bool = True,
                   cache_dir: Optional[str] = None,
                   options: Optional[AccessPhaseOptions] = None,
                   interp: Optional[str] = None,
-                  install: bool = True,
-                  machine=None) -> TuningResult:
+                  install: bool = True) -> TuningResult:
     """Auto-tune ``workload``'s operating points under ``objective``.
 
     ``strategy`` is one of :data:`STRATEGIES` or ``"all"``.  Profiling
@@ -513,30 +513,25 @@ def tune_workload(workload: Union[Workload, str, type], *,
     ``"reference"``); it cannot change any profile, only the wall-clock
     cost of the profiling runs.
 
-    ``machine`` names a registered
-    :class:`~repro.machines.model.MachineModel` (or passes one
-    directly) and excludes ``config``; a bare ``config`` is the
-    single-type machine built from it.  The search runs over the
-    machine's placements × point pairs.  A single-type machine has one
-    placement and runs the selected strategies.  A heterogeneous one
-    is recorded once and replayed per placement (a phase's cache
-    profile depends on which cluster's privates it meets); each
-    placement — the declared one, then execute→execute, then
-    access→access — sweeps the cross product of its two types' tables
-    exhaustively, migrations charged.  The continuous strategies
+    ``machine`` is resolved by :func:`~repro.machines.model.as_machine`:
+    a registered name, a :class:`~repro.machines.model.MachineModel`,
+    or a bare :class:`~repro.sim.config.MachineConfig` (``None``: the
+    default config).  The result records the machine's name only when
+    the caller named a machine (a name or a model).  The search runs
+    over the machine's placements × point pairs.  A single-type
+    machine has one placement and runs the selected strategies.  A
+    heterogeneous one is recorded once and replayed per placement (a
+    phase's cache profile depends on which cluster's privates it
+    meets); each placement — the declared one, then execute→execute,
+    then access→access — sweeps the cross product of its two types'
+    tables exhaustively, migrations charged.  The continuous strategies
     assume one table and do not apply there; ``strategy`` is still
     validated and recorded as requested.  The winner is the lowest
     (value, placement rank, pair key).
     """
-    if machine is not None and config is not None:
-        raise ValueError("pass either config= or machine=, not both")
-    if isinstance(machine, str):
-        machine = MachineModel.from_name(machine)
-    machine_name = machine.name if machine is not None else None
-    if machine is None:
-        machine = homogeneous_machine(
-            "homogeneous", config or MachineConfig()
-        )
+    named = isinstance(machine, (str, MachineModel))
+    machine = as_machine(machine)
+    machine_name = machine.name if named else None
     config = machine.config
     objective = resolve_objective(objective)
     scheme = Scheme(scheme)
@@ -566,7 +561,7 @@ def tune_workload(workload: Union[Workload, str, type], *,
     }) as span:
         spec = ExperimentSpec(
             workloads=(workload,), schemes=(stream,), scale=scale,
-            config=config, options=options,
+            machine=machine, options=options,
             cache=cache and not heterogeneous, cache_dir=cache_dir,
             interp=interp,
         )
@@ -576,8 +571,8 @@ def tune_workload(workload: Union[Workload, str, type], *,
         if heterogeneous:
             store = TraceStore()
             run = profile_workload(
-                resolved, scale, options=options, schemes=(stream,),
-                interp=interp, trace_store=store, machine=machine,
+                resolved, scale, machine, options=options,
+                schemes=(stream,), interp=interp, trace_store=store,
             )
             profiles = [run.profiles[stream.value]] + [
                 machine_stream(store, stream.value, machine, placed)
@@ -590,9 +585,9 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 stream.value]]
             if cache:
                 material_base = _candidate_material(
-                    key_material(resolved, spec.scale, config,
+                    key_material(resolved, spec.scale, machine,
                                  spec.options, spec.schemes),
-                    resolved.name, stream, run_scheme, config, scale,
+                    resolved.name, stream, run_scheme, machine, scale,
                 )
         evaluators = [
             _CandidateEvaluator(

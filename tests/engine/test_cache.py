@@ -11,6 +11,7 @@ from repro.engine import (
     key_material,
     run_experiment,
 )
+from repro.machines import as_machine
 from repro.sim.config import MachineConfig
 from repro.transform.access_phase import AccessPhaseOptions
 
@@ -68,7 +69,7 @@ class TestCacheKeying:
     def _material(self, workload=None, scale=1, config=None, options=None):
         from repro.runtime.task import Scheme
         return key_material(
-            workload or TinyWorkload(), scale, config or MachineConfig(),
+            workload or TinyWorkload(), scale, as_machine(config),
             options, (Scheme.CAE, Scheme.DAE, Scheme.MANUAL),
         )
 

@@ -1,5 +1,7 @@
 """Engine execution strategies: pool fan-out, fallback, determinism, obs."""
 
+import json
+
 import pytest
 
 from repro import obs
@@ -38,6 +40,19 @@ class TestSerialParallelEquivalence:
         assert run_to_payload(serial["tiny"]) == run_to_payload(
             parallel["tiny"]
         )
+
+    def test_machine_spec_payloads_identical(self):
+        """The pool payload carries the spec's machine model itself."""
+        serial = run_experiment(_spec(machine="biglittle"))
+        parallel = run_experiment(_spec(
+            machine="biglittle", jobs=2,
+            workloads=(TinyWorkload(), TinyWorkload()),
+        ))
+        assert parallel.stats.parallel_jobs == 2
+        assert parallel.stats.fallbacks == 0
+        assert (json.dumps(run_to_payload(serial["tiny"]), sort_keys=True)
+                == json.dumps(run_to_payload(parallel["tiny"]),
+                              sort_keys=True))
 
     def test_deterministic_spec_ordering(self):
         result = run_experiment(ExperimentSpec(

@@ -7,8 +7,10 @@ import pytest
 from repro.engine import ExperimentSpec, run_experiment
 from repro.evaluation import MANIFEST_CONFIGS, build_run_manifest, record_run
 from repro.evaluation.__main__ import main
+from repro.evaluation.machines import compare_machines
 from repro.obs.ledger import RunLedger, compare_runs
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.workloads import workload_by_name
 
 from ..engine.tinywork import TinyWorkload
 
@@ -87,6 +89,37 @@ class TestBuildManifest:
         manifest = build_run_manifest(result)
         gauge = manifest.metrics["engine.cache.hit_rate"]
         assert gauge == {"kind": "gauge", "value": 1.0}
+
+
+class TestManifestMachine:
+    """A manifest schedules each run on the machine that profiled it."""
+
+    def test_biglittle_manifest_is_the_machines_verb_column(self):
+        cg = workload_by_name("cg")
+        manifest = build_run_manifest(run_experiment(ExperimentSpec(
+            workloads=(cg,), machine="biglittle", cache=False,
+        )))
+        column = compare_machines([cg], ["biglittle"])["workloads"]["cg"][
+            "machines"]["biglittle"]["schedules"]
+        schedules = manifest.workloads["cg"]["schedules"]
+        assert list(schedules) == list(column)
+        for label, entry in schedules.items():
+            assert entry["summary"] == column[label]["summary"], label
+            assert entry["relative_metrics"] == column[label]["relative"]
+        dae = schedules["Compiler DAE (Optimal f.)"]["summary"]
+        assert dae["placement"] == {"access": "little", "execute": "big"}
+
+    def test_spec_key_and_document_name_the_machine(self):
+        keys = set()
+        for machine, name in ((None, "homogeneous"),
+                              ("biglittle", "biglittle"),
+                              ("ideal", "ideal")):
+            manifest = build_run_manifest(run_experiment(ExperimentSpec(
+                workloads=(TinyWorkload(),), machine=machine, cache=False,
+            )))
+            assert manifest.spec["machine"] == name
+            keys.add(manifest.spec["key"])
+        assert len(keys) == 3
 
 
 class TestRecordAndCompare:

@@ -164,13 +164,13 @@ class TestSchedulerEquivalence:
         )
         assert machined.summary() == plain.summary()
 
-    def test_config_and_machine_together_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            DAEScheduler(MachineConfig(), machine=sandybridge_machine())
-
     def test_placement_requires_a_machine(self):
-        with pytest.raises(ValueError, match="requires a machine"):
-            DAEScheduler(placement=("little", "big"))
+        # ...with the placed types: the default machine has one type.
+        scheduler = DAEScheduler(placement=("little", "big"))
+        with pytest.raises(KeyError,
+                           match=r"no core type 'big' \(types: core\)"):
+            scheduler.run(_tasks(), "dae",
+                          FrequencyPolicy.from_name("fmax", MachineConfig()))
 
 
 class TestProfilingEquivalence:

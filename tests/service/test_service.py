@@ -217,6 +217,26 @@ class TestFailure:
                 assert stats["metrics"][
                     "service.jobs.failed"]["value"] == 1
 
+    def test_runner_that_raises_fails_the_job(self, socket_path):
+        def runner(job):
+            raise RuntimeError("runner exploded")
+
+        with ServiceThread(fast_config(socket_path), runner=runner,
+                           registry=MetricsRegistry()):
+            with ServiceClient(socket_path) as client:
+                first = client.submit(SPEC)
+                with pytest.raises(ServiceError) as err:
+                    client.result(first["id"], timeout_s=10.0)
+                assert err.value.code == "job-failed"
+                assert "RuntimeError: runner exploded" in err.value.detail
+                second = client.submit(SPEC)
+                assert second["id"] != first["id"]
+                assert not second["coalesced"]
+                with pytest.raises(ServiceError) as err:
+                    client.result(second["id"], timeout_s=10.0)
+                assert err.value.code == "job-failed"
+                assert client.stats()["worker_restarts"] == 0
+
     def test_job_past_its_timeout_is_cancelled_and_fails(self, socket_path):
         runner = StubRunner(block=True)
         config = fast_config(socket_path, job_timeout_s=0.1)

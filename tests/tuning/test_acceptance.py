@@ -15,7 +15,7 @@ from repro.tuning import EDPObjective, grid_search_point, tune_workload
 class TestGridReproducesPhaseLocalOptimum:
     def test_every_phase_of_every_workload(self, dae_runs):
         objective = EDPObjective()
-        config = dae_runs.spec.config
+        config = dae_runs.spec.machine.config
         phases_checked = 0
         for name in dae_runs:
             for task in dae_runs[name].profiles["dae"].tasks:

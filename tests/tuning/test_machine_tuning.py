@@ -33,13 +33,6 @@ class TestHomogeneousMachine:
         assert machined.best.label == plain.best.label
         assert machined.best.value == plain.best.value
 
-    def test_machine_and_config_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            tune_workload(
-                TinyWorkload(), config=MachineConfig(),
-                machine="sandybridge", install=False,
-            )
-
 
 class TestBigLittleTuning:
     def test_result_records_machine_and_placement(self, biglittle_result):
