@@ -82,23 +82,24 @@ def _options_material(options: Optional[AccessPhaseOptions]) -> Optional[dict]:
 def machine_material(machine) -> dict:
     """A :class:`~repro.machines.model.MachineModel` as plain data.
 
-    Content-addresses the full *description* — per-type configs,
-    counts, transition and placement — not just the registered name,
-    so re-registering a name with different silicon can never serve a
-    stale product.
+    Content-addresses what decides a count or a schedule — each core
+    type's count and config, the placement as positions in
+    ``core_types``, and the transition — so re-registering a name with
+    different silicon can never serve a stale product.  No name enters
+    it, the machine's or a core type's: a name changes no number, so
+    ``sandybridge`` keys with the default config it wraps.
     """
+    names = [core_type.name for core_type in machine.core_types]
     return {
-        "name": machine.name,
         "transition": {
             "kind": machine.transition.kind,
             "latency_ns": machine.transition.latency_ns,
             "flush": machine.transition.flush,
         },
-        "access_type": machine.access_type,
-        "execute_type": machine.execute_type,
+        "access_type": names.index(machine.access_type),
+        "execute_type": names.index(machine.execute_type),
         "core_types": [
             {
-                "name": core_type.name,
                 "count": core_type.count,
                 "config": _config_material(core_type.config),
             }

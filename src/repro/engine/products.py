@@ -101,14 +101,14 @@ def profile_workload(workload: Workload, scale: int = 1,
                      interp: Optional[str] = None,
                      trace_store: Optional[TraceStore] = None,
                      ) -> WorkloadRun:
-    """Compile ``workload`` once and profile it under every scheme.
+    """Compile and instantiate ``workload`` once, and profile it under
+    every scheme.
 
     The one place the (compile, instantiate, profile) sequence lives;
     both the serial path and the pool workers call it.  Every scheme
-    must instantiate the same number of tasks — a mismatch means the
-    builder is non-deterministic and every cross-scheme comparison
-    downstream would be invalid, so it raises :class:`EngineError`
-    instead of silently keeping the last count.
+    profiles the one task list on its own copy of the initial memory
+    (:meth:`~repro.interp.memory.SimMemory.copy`), so all of them start
+    from the state one instantiation built.
 
     ``interp`` picks the interpreter (``"replay"``, the default, or
     ``"reference"``).  Both produce byte-identical profiles — the
@@ -118,8 +118,11 @@ def profile_workload(workload: Workload, scale: int = 1,
     are replayed by the remaining schemes (scheme-invariant streams)
     instead of re-interpreted; access phases, which differ per scheme,
     always interpret.  The machine sweeps read a caller's store after
-    the call; a store made here drops each scheme's memoized private
-    passes once the scheme is counted, since nothing else can read them.
+    the call, so it keeps everything.  A store made here keeps only
+    what a later scheme reads (:meth:`TraceStore.release`): once a
+    scheme is counted, its memoized private passes go, and so do its
+    records, or, for the first scheme, its access traces and the
+    packed events of its stripped execute traces.
 
     ``machine`` is the machine to profile on: a registered name, a
     :class:`~repro.machines.model.MachineModel`, or a bare
@@ -133,29 +136,19 @@ def profile_workload(workload: Workload, scale: int = 1,
     machine = as_machine(machine)
     store = TraceStore() if trace_store is None else trace_store
     compiled = workload.compile(options)
+    memory, tasks, _ = workload.instantiate(scale=scale, compiled=compiled)
     profiles: dict[str, StreamProfile] = {}
-    task_count: Optional[int] = None
     for scheme in schemes:
         scheme = Scheme(scheme)
-        memory, tasks, _ = workload.instantiate(scale=scale, compiled=compiled)
-        profiler = TaskStreamProfiler(memory, machine, interp=interp)
+        profiler = TaskStreamProfiler(memory.copy(), machine, interp=interp)
         profiles[scheme.value] = profiler.profile(
             tasks, scheme, trace_store=store,
         )
         if trace_store is None:
-            store.private_stages.clear()   # no other scheme reads them
-        if task_count is None:
-            task_count = len(tasks)
-        elif task_count != len(tasks):
-            raise EngineError(
-                "workload %r instantiated %d tasks under scheme %r "
-                "but %d under an earlier scheme; the builder must be "
-                "deterministic across schemes"
-                % (workload.name, len(tasks), scheme.value, task_count)
-            )
+            store.release(scheme.value)
     return WorkloadRun(
         workload=workload, compiled=compiled, profiles=profiles,
-        task_count=task_count or 0,
+        task_count=len(tasks),
     )
 
 

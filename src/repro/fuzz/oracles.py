@@ -11,8 +11,9 @@ them on *every* generated program:
 ``interp-equivalence``
     the reference :class:`~repro.interp.interpreter.Interpreter` and
     the pre-decoded :class:`~repro.interp.fast.FastInterpreter` produce
-    the identical memory-event stream, final memory image, return
-    value, and instruction counts.
+    the identical memory-event stream (each event's kind and address,
+    every field a recording holds), final memory image, return value,
+    and instruction counts.
 ``dae-semantics``
     the paper's core invariant — running the compiler-generated access
     phase before the execute phase leaves the final memory image
@@ -64,7 +65,12 @@ from ..frontend import compile_source
 from ..interp.fast import FastInterpreter
 from ..interp.interpreter import Interpreter
 from ..interp.memory import SimMemory
-from ..interp.trace import KIND_NAMES, TraceStore
+from ..interp.trace import (
+    KIND_NAMES,
+    TraceStore,
+    event_addresses,
+    event_kinds,
+)
 from ..ir import Function, Module, verify_function
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
@@ -183,8 +189,8 @@ def _fresh_run(case: FuzzCase, *, reference: bool = False):
     """One hermetic execute-phase run on fresh memory and arguments,
     under the fast core or (``reference``) the reference interpreter.
 
-    Returns ``(memory, events, trace)`` where ``events`` is the flat
-    ``(kind, address, size)`` stream.
+    Returns ``(memory, events, trace)`` where ``events`` is the
+    ``(kind, address)`` stream.
     """
     memory = SimMemory()
     args = [materialize_param(memory, spec)
@@ -194,7 +200,7 @@ def _fresh_run(case: FuzzCase, *, reference: bool = False):
         machine = Interpreter(
             memory, max_steps=FUZZ_MAX_STEPS,
             observer=lambda event: events.append(
-                (event.kind, event.address, event.size)
+                (event.kind, event.address)
             ),
         )
         return memory, events, machine.run(case.execute, args)
@@ -206,11 +212,11 @@ def _fresh_run(case: FuzzCase, *, reference: bool = False):
 
 
 def _named_events(flat: list) -> list:
-    """A flat ``[code, address, size, ...]`` event list as
-    ``(kind, address, size)`` tuples."""
-    it = iter(flat)
-    return [(KIND_NAMES[code], address, size)
-            for code, address, size in zip(it, it, it)]
+    """A flat ``[code, address, ...]`` event list as ``(kind, address)``
+    tuples."""
+    return [(KIND_NAMES[code], address)
+            for code, address in zip(event_kinds(flat),
+                                     event_addresses(flat))]
 
 
 # -- per-program oracles -------------------------------------------------------
@@ -273,7 +279,7 @@ def _check_dae_semantics(case: FuzzCase) -> list:
     FastInterpreter(memory, max_steps=FUZZ_MAX_STEPS, events=flat).run(
         case.access, args
     )
-    access_stores = [address for kind, address, _ in _named_events(flat)
+    access_stores = [address for kind, address in _named_events(flat)
                      if kind == "store"]
     if access_stores:
         problems.append(

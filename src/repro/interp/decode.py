@@ -310,16 +310,15 @@ def _decode_inst(inst, slot_of) -> tuple:
                 slot_of(inst.index), inst.element_size)
     if isinstance(inst, Load):
         return (OP_LOAD, slot_of(inst), slot_of(inst.pointer),
-                inst.type.size_bytes, inst.type.is_float())
+                inst.type.is_float())
     if isinstance(inst, Cmp):
         return (OP_CMP, slot_of(inst), slot_of(inst.lhs),
                 slot_of(inst.rhs), inst.pred)
     if isinstance(inst, Store):
         return (OP_STORE, slot_of(inst.value), slot_of(inst.pointer),
-                inst.value.type.size_bytes, inst.value.type.is_float())
+                inst.value.type.is_float())
     if isinstance(inst, Prefetch):
-        pointee = inst.pointer.type.pointee  # type: ignore[attr-defined]
-        return (OP_PREFETCH, slot_of(inst.pointer), pointee.size_bytes)
+        return (OP_PREFETCH, slot_of(inst.pointer))
     if isinstance(inst, Cast):
         return (OP_CAST, slot_of(inst), slot_of(inst.value),
                 CAST_FNS[inst.kind])

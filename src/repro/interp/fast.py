@@ -22,9 +22,10 @@ so :func:`~repro.interp.decode.decode_function` stays the only cache:
   ``if``/``elif`` on a block index, loop heads first;
 * block executions are counted in locals, and ``instructions`` and
   ``by_opcode`` are folded into the trace when the function returns;
-* every memory event is appended as ``(code, address, size)`` (codes
-  of :data:`~repro.interp.trace.KIND_NAMES`) to one flat list that the
-  caller passes in — the list the profiler keeps as the phase's
+* every memory event is appended as the pair ``(code, address)``
+  (codes of :data:`~repro.interp.trace.KIND_NAMES`; the layout of
+  :mod:`repro.interp.trace`) to one flat list that the caller passes
+  in — the list the profiler keeps as the phase's
   :class:`~repro.interp.trace.PhaseTrace` — with no call per event;
 * a bounds check keeps the last matched allocation's ``[base, end)``
   in two locals and looks an address up only when it falls outside.
@@ -115,8 +116,8 @@ class FastInterpreter:
     """Executes IR functions through their generated code.
 
     ``events`` is the flat list every dynamic memory operation extends
-    with ``(kind code, address, size)``; without one, each ``run``
-    collects into a list of its own and drops it.
+    with ``(kind code, address)``; without one, each ``run`` collects
+    into a list of its own and drops it.
     """
 
     def __init__(self, memory: SimMemory,
@@ -149,7 +150,7 @@ class FastInterpreter:
         ctx = (events, memory._cells, self._bounds, memory.alloc,
                self.globals, self.max_steps) + region
         result = code(ctx, trace, *args)
-        trace.mem_events += (len(events) - before) // 3
+        trace.mem_events += (len(events) - before) // 2
         if result is not _NO_RET:
             trace.return_value = result
         return trace
@@ -438,8 +439,8 @@ class _Codegen:
             self._assign(out, depth, op[1], "%s + %s * %d" % (
                 self._int(op[2]), self._int(op[3]), op[4]), op[2], op[3])
         elif code == OP_LOAD:
-            dest, ptr, size, is_float = op[1:]
-            address, lines = self._address(ptr, 0, size)
+            dest, ptr, is_float = op[1:]
+            address, lines = self._address(ptr, 0)
             lines.append(self._check(address, "load from"))
             lines.append("%s = %s(cells.get(%s, %s))" % (
                 names[dest], "float" if is_float else "int", address,
@@ -454,8 +455,8 @@ class _Codegen:
             self._assign(out, depth, op[1], "1 if %s %s %s else 0" % (
                 names[op[2]], _CMP_OPS[op[4]], names[op[3]]), op[2], op[3])
         elif code == OP_STORE:
-            value, ptr, size, is_float = op[1:]
-            address, lines = self._address(ptr, 1, size)
+            value, ptr, is_float = op[1:]
+            address, lines = self._address(ptr, 1)
             convert = self._float(value) if is_float else self._int(value)
             write = [self._check(address, "store to"),
                      "cells[%s] = %s" % (address, convert)]
@@ -468,8 +469,8 @@ class _Codegen:
                 depth += 1
             out.extend((depth, line) for line in lines)
         elif code == OP_PREFETCH:
-            ptr, size = op[1:]
-            event = "ev += (2, %s, %d)" % (self._int(ptr), size)
+            ptr = op[1]
+            event = "ev += (2, %s)" % self._int(ptr)
             if ptr in self.undef:
                 out.append((depth, "if %s is UNDEF: "
                             "trace.dropped_prefetches += 1" % names[ptr]))
@@ -523,14 +524,14 @@ class _Codegen:
         else:  # OP_RAISE
             out.append((depth, "raise InterpError(%r)" % op[1]))
 
-    def _address(self, ptr: int, kind: int, size: int) -> tuple:
+    def _address(self, ptr: int, kind: int) -> tuple:
         """``(address text, lines)``: the lines coerce the address to
         ``x`` unless it is a proven int, then append the event."""
         if self.kind.get(ptr) is int:
             address, lines = self.names[ptr], []
         else:
             address, lines = "x", ["x = int(%s)" % self.names[ptr]]
-        lines.append("ev += (%d, %s, %d)" % (kind, address, size))
+        lines.append("ev += (%d, %s)" % (kind, address))
         return address, lines
 
     @staticmethod
@@ -587,7 +588,7 @@ def _transfer(op, kind: dict, undef: set) -> tuple:
     if code in (OP_GEP, OP_CMP):
         return op[1], int, op[2] in undef or op[3] in undef
     if code == OP_LOAD:
-        return op[1], float if op[4] else int, op[2] in undef
+        return op[1], float if op[3] else int, op[2] in undef
     if code == OP_CAST:
         return op[1], float if op[3] is float else int, op[2] in undef
     if code == OP_SELECT:

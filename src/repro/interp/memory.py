@@ -49,6 +49,17 @@ class SimMemory:
         self._ends: list[int] = []
         self.check_bounds = check_bounds
 
+    def copy(self) -> "SimMemory":
+        """An independent memory with this one's cells, allocations and
+        bump pointer: stores and allocations on either leave the other
+        as it was."""
+        other = SimMemory(self._next, self.check_bounds)
+        other._cells = dict(self._cells)
+        other.allocations = list(self.allocations)
+        other._bases = list(self._bases)
+        other._ends = list(self._ends)
+        return other
+
     # -- allocation ---------------------------------------------------------------
 
     def alloc(self, size_bytes: int, name: str = "region",

@@ -1,21 +1,28 @@
 """Compact record/replay traces of task-phase memory-event streams.
 
 Every interpreted phase leaves its dynamic memory operations in one
-flat list, three scalars ``(kind code, address, size)`` per event: the
-fast interpreter's generated code extends it directly, the reference
-interpreter's observer appends each event's fields.  The profiler packs
-that list into a single ``array('q')`` — three signed 64-bit words per
-event, no per-event objects — and keeps it as a :class:`PhaseTrace` in
-a :class:`TraceStore`.  A profile is the store's records of one scheme
-counted on a machine by :func:`repro.machines.replay.machine_stream`,
-so a phase interpreted *once* can be counted again, under another
-execution scheme or on a different machine (the ``machines`` and
-``ablate`` sweeps).
+flat list of two words per event, ``[kind code, address, ...]`` — the
+*layout* this module owns: the fast interpreter's generated code
+extends it directly, the reference interpreter's observer appends each
+event's kind code and address.  An event's access size is not
+recorded: no count reads it (the cache model works in lines, and the
+event's address names its line).  :func:`event_kinds` and
+:func:`event_addresses` split a flat list into its two columns; the two
+replay loops of :mod:`repro.sim.replay` walk it a pair at a time.  The
+profiler packs that list into a single ``array('q')`` — two signed
+64-bit words per event, no per-event objects — and keeps it as a
+:class:`PhaseTrace` in a :class:`TraceStore`.  A profile is the
+store's records of one scheme counted on a machine by
+:func:`repro.machines.replay.machine_stream`, so a phase interpreted
+*once* can be counted again, under another execution scheme or on a
+different machine (the ``machines`` and ``ablate`` sweeps).
 
-Every recorded phase keeps its events, so every recording replays on
-any machine.  A phase with a value beyond the signed 64-bit range
-(generated programs can prefetch arbitrary computed addresses) keeps
-the flat list itself, which replays event by event.
+A caller's store keeps every recorded phase's events, so its recording
+replays on any machine.  A store that a profiling call makes for itself
+keeps only what a later scheme of the call reads
+(:meth:`TraceStore.release`).  A phase with a value beyond the signed
+64-bit range (generated programs can prefetch arbitrary computed
+addresses) keeps the flat list itself, which replays event by event.
 
 What lets another scheme replay a recorded phase in place of its own
 interpretation (``PhaseTrace.shareable``):
@@ -54,10 +61,6 @@ KIND_PREFETCH = 2
 
 KIND_NAMES = ("load", "store", "prefetch")
 
-#: Signed 64-bit range accepted by the ``'q'`` array typecode.
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
 
 class PhaseTrace:
     """One recorded phase: its events plus everything a replay needs
@@ -65,7 +68,11 @@ class PhaseTrace:
 
     ``data`` is the packed ``array('q')`` of events, or the flat event
     list when a value does not fit a signed 64-bit word
-    (:func:`pack_events`).
+    (:func:`pack_events`).  A store that a profiling call makes for
+    itself frees what no later count reads: a packed execute trace it
+    keeps loses its ``data`` once counted, and replays from its strip
+    from then on (:meth:`TraceStore.release`).  ``events`` is the
+    event count, fixed when the trace is recorded.
 
     A packed execute trace in a :class:`TraceStore` also keeps its
     ``strip`` (:mod:`repro.sim.replay`): the events whose L1 outcome
@@ -75,7 +82,7 @@ class PhaseTrace:
     """
 
     __slots__ = (
-        "data", "instructions", "slots", "by_opcode",
+        "data", "events", "instructions", "slots", "by_opcode",
         "mem_events", "dropped_prefetches", "stores", "delta",
         "shareable", "strip",
     )
@@ -85,6 +92,7 @@ class PhaseTrace:
                  dropped_prefetches: int, stores: int, delta: dict,
                  shareable: bool = True):
         self.data = data
+        self.events = len(data) // 2
         self.instructions = instructions
         self.slots = slots
         self.by_opcode = by_opcode
@@ -109,10 +117,6 @@ class PhaseTrace:
         #: one per size.
         self.strip = None
 
-    @property
-    def events(self) -> int:
-        return len(self.data) // 3
-
     def snapshot(self) -> dict:
         """Mirror of :meth:`ExecutionTrace.snapshot` for obs counters,
         so a replayed phase logs the same ``phase.instructions`` args
@@ -130,8 +134,18 @@ class PhaseTrace:
         }
 
 
+def event_kinds(flat) -> bytes:
+    """Every event's kind code, in order, from a flat event list."""
+    return bytes(flat[0::2])
+
+
+def event_addresses(flat) -> list:
+    """Every event's address, in order, from a flat event list."""
+    return flat[1::2]
+
+
 def pack_events(flat: list) -> Union[array, list]:
-    """Pack a flat ``[code, address, size, ...]`` list into ``array('q')``.
+    """Pack a flat ``[code, address, ...]`` list into ``array('q')``.
 
     Returns ``flat`` itself when any value falls outside the signed
     64-bit range: such a phase is counted, and replays, event by event.
@@ -170,7 +184,7 @@ class TraceStore:
     scheme-invariant as long as access phases write nothing.  Every
     scheme keeps a full per-task trace list of its own — replayed
     execute phases alias the donor's records — so config-ablation
-    sweeps can re-simulate any scheme.
+    sweeps can re-simulate any scheme from a caller's store.
     """
 
     def __init__(self) -> None:
@@ -206,6 +220,29 @@ class TraceStore:
             del self.private_stages[key]
         return records, donor
 
+    def release(self, scheme: str) -> None:
+        """Free what no later scheme reads, once ``scheme`` is counted.
+
+        For a store that :func:`~repro.engine.products.profile_workload`
+        makes for itself; a caller's store keeps everything for later
+        machines.  Later schemes read only the donor's execute traces:
+        they alias them, and count them on the machine's execute type,
+        from the strips the donor's count built for that type's L1.  So
+        a non-donor scheme's records leave the store, the donor's
+        access traces go, and each donor execute trace with a strip
+        drops its packed ``data``; an unpacked trace has no strip and
+        keeps its list.  The memoized private passes go too.
+        """
+        self.private_stages.clear()
+        records = self.schemes[scheme]
+        if records is not next(iter(self.schemes.values())):
+            del self.schemes[scheme]
+            return
+        for record in records:
+            record.access = None
+            if record.execute.strip is not None:
+                record.execute.data = None
+
     def note_recorded(self, trace: PhaseTrace) -> None:
         self.recorded_phases += 1
         self.recorded_events += trace.events
@@ -217,5 +254,6 @@ class TraceStore:
 
 __all__ = [
     "KIND_LOAD", "KIND_STORE", "KIND_PREFETCH", "KIND_NAMES",
-    "PhaseTrace", "TaskTrace", "TraceStore", "pack_events",
+    "PhaseTrace", "TaskTrace", "TraceStore", "event_addresses",
+    "event_kinds", "pack_events",
 ]

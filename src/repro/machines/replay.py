@@ -185,9 +185,10 @@ def _llc_pass(phases, private: tuple, records: list,
     stages, mru_hits = private
     finished = []
     for (_, _, caches), (tallies, misses) in zip(phases, stages):
-        counts = AccessCounts()
+        # A copy: a memoized private pass serves later machines too.
+        counts = tallies.copy()
         replay_llc(caches, misses, counts)
-        finished.append(tallies.merged(counts))
+        finished.append(counts)
     finished = iter(finished)
     stream = StreamProfile(scheme=scheme, mru_shortcircuits=mru_hits)
     for task_trace in records:

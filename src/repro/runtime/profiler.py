@@ -38,6 +38,8 @@ from ..interp.trace import (
     PhaseTrace,
     TaskTrace,
     TraceStore,
+    event_addresses,
+    event_kinds,
     pack_events,
 )
 from ..machines import machine_stream
@@ -220,10 +222,12 @@ class TaskStreamProfiler:
                    task: str = "", shareable: bool = True) -> PhaseTrace:
         """Interpret one phase into a :class:`PhaseTrace`.
 
-        Either core fills one fresh flat ``[code, address, size, ...]``
-        list: the fast core extends it directly, the reference core's
+        Either core fills one fresh flat ``[code, address, ...]`` list,
+        two words per event (the layout of :mod:`repro.interp.trace`):
+        the fast core extends it directly, the reference core's
         :class:`~repro.interp.interpreter.MemoryEvent` observer appends
-        each event's three fields.  The trace keeps the list packed
+        each event's kind code and address (its ``size`` is not
+        recorded: no count reads it).  The trace keeps the list packed
         into one ``array('q')`` when every value fits a signed 64-bit
         word, the list itself otherwise, so an address beyond that
         range is still counted.  The store addresses in the list give
@@ -238,7 +242,7 @@ class TaskStreamProfiler:
             trace = Interpreter(
                 self.memory,
                 observer=lambda event: extend((
-                    _KIND_CODES[event.kind], event.address, event.size,
+                    _KIND_CODES[event.kind], event.address,
                 )),
             ).run(func, args)
         else:
@@ -255,7 +259,7 @@ class TaskStreamProfiler:
                         "misses": decode_after["misses"] - decode_before["misses"],
                     },
                 )
-        kinds = bytes(flat[0::3])
+        kinds = event_kinds(flat)
         stores = kinds.count(KIND_STORE)
         delta = {}
         if stores:
@@ -264,7 +268,8 @@ class TaskStreamProfiler:
             # skips stores of undef, which emit an event but never write.
             delta = {
                 a: cells[a]
-                for a in compress(flat[1::3], kinds.translate(_STORES_ONLY))
+                for a in compress(event_addresses(flat),
+                                  kinds.translate(_STORES_ONLY))
                 if a in cells
             }
         return PhaseTrace(

@@ -111,6 +111,11 @@ class AccessCounts:
             "prefetch_mem_misses": self.prefetch_mem_misses,
         }
 
+    def copy(self) -> "AccessCounts":
+        return AccessCounts(
+            dict(self.loads), dict(self.stores), dict(self.prefetches),
+        )
+
     def merged(self, other: "AccessCounts") -> "AccessCounts":
         result = AccessCounts()
         for mine, theirs, out in (

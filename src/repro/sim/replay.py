@@ -1,8 +1,8 @@
 """Replay recorded event traces through the cache hierarchy, in two stages.
 
-A packed ``(kind, address, size)`` trace (:mod:`repro.interp.trace`)
-replays through one core's caches without the interpreter, in two
-stages:
+A packed trace of ``(kind, address)`` pairs (:mod:`repro.interp.trace`
+owns the layout) replays through one core's caches without the
+interpreter, in two stages:
 
 * :func:`replay_private` runs the MRU same-line filter, the L1 and the
   L2.  It tallies the accesses they serve and returns the ordered
@@ -23,9 +23,12 @@ unstripped reference the ``trace-invariance`` fuzz oracle and the
 tests count recordings with.
 
 Both loops bind every piece of hot state to a local and iterate the
-packed array a record at a time via ``zip`` of one shared iterator.
+packed array a pair at a time via ``zip`` of one shared iterator.
 Per-kind tallies go into small lists indexed by the kind code and are
 folded into the :class:`~repro.sim.cache.AccessCounts` once per call.
+The LLC stage tests the stream window through an index from each line
+to its latest miss, so a miss costs the same whatever the window's
+length.
 
 Bit-exactness contract: the sequence of set-dict operations (probes,
 ``move_to_end``, evictions, fills) on every cache, the MRU filter
@@ -51,8 +54,9 @@ replayed again: each recorded execute trace, which later schemes and
 machines replay after its own count.  :func:`strip_for` keeps it on
 the trace for the last L1 geometry asked for.  :func:`replay_recorded`
 is the private stage of a recorded trace: its strip when the trace is
-packed, every event when it is the unpacked list of a phase beyond the
-signed 64-bit range.
+packed (or was, before a private store freed its events), every event
+when it is the unpacked list of a phase beyond the signed 64-bit
+range.
 """
 
 from __future__ import annotations
@@ -72,9 +76,9 @@ def _tally(counts: AccessCounts, level: str, per_kind: list) -> None:
 def replay_private(core: CoreCaches, data, counts: AccessCounts) -> array:
     """Replay a packed trace through ``core``'s MRU filter, L1 and L2.
 
-    ``data`` is the flat ``array('q')`` of (kind, address, size)
-    triples from a :class:`~repro.interp.trace.PhaseTrace`, or the
-    unpacked event list of a phase whose addresses do not all fit it.
+    ``data`` is the flat ``array('q')`` of (kind, address) pairs from
+    a :class:`~repro.interp.trace.PhaseTrace`, or the unpacked event
+    list of a phase whose addresses do not all fit it.
     Tallies the L1 and L2 hits into ``counts`` and returns the L2
     misses, in order, as a flat ``array('q')`` (a list for a list
     ``data``) of (kind, line) pairs.  The core's
@@ -99,7 +103,7 @@ def replay_private(core: CoreCaches, data, counts: AccessCounts) -> array:
     miss = misses.append
 
     it = iter(data)
-    for kind, address, _size in zip(it, it, it):
+    for kind, address in zip(it, it):
         line = address >> shift if shift >= 0 else address // line_bytes
         if line == mru_line:
             mru_hits += 1
@@ -140,7 +144,16 @@ def replay_llc(core: CoreCaches, misses, counts: AccessCounts) -> None:
     by the core's stream-miss window, joins it, and fills the LLC.
     Tallies the ``llc``, ``mem_stream`` and ``mem`` levels into
     ``counts``.
+
+    The window is the core's last ``STREAM_WINDOW`` LLC misses,
+    ``core._recent_misses`` between calls.  Within a call the misses
+    are numbered in order, and ``latest`` maps each line to the number
+    of its latest miss: a line is in the window exactly when that
+    number is one of the window's.  Numbering starts at the window's
+    length, so a line never missed (-1) is always below it.
     """
+    if not misses:
+        return
     llc_sets = core._llc_sets
     llc_nsets = core._llc_nsets
     llc_ways = core._llc_ways
@@ -149,6 +162,11 @@ def replay_llc(core: CoreCaches, misses, counts: AccessCounts) -> None:
     llc_hits = [0, 0, 0]
     mem_stream = [0, 0, 0]
     mem = [0, 0, 0]
+    latest = {line: number
+              for number, line in enumerate(recent, window)}
+    latest_of = latest.get
+    number = window + len(recent)
+    note = recent.append
 
     it = iter(misses)
     for kind, line in zip(it, it):
@@ -157,17 +175,20 @@ def replay_llc(core: CoreCaches, misses, counts: AccessCounts) -> None:
             set3.move_to_end(line)
             llc_hits[kind] += 1
             continue
-        if (line - 1) in recent or (line + 1) in recent:
+        oldest = number - window
+        if (latest_of(line - 1, -1) >= oldest
+                or latest_of(line + 1, -1) >= oldest):
             mem_stream[kind] += 1
         else:
             mem[kind] += 1
-        recent.append(line)
-        if len(recent) > window:
-            del recent[0]
+        latest[line] = number
+        number += 1
+        note(line)
         if len(set3) >= llc_ways:
             set3.popitem(last=False)
         set3[line] = None
 
+    del recent[:-window]
     _tally(counts, "llc", llc_hits)
     _tally(counts, "mem_stream", mem_stream)
     _tally(counts, "mem", mem)
@@ -232,7 +253,7 @@ def build_strip(data, core: CoreCaches) -> Strip:
     mru_line = None
 
     it = iter(data)
-    for kind, address, _size in zip(it, it, it):
+    for kind, address in zip(it, it):
         line = address >> shift if shift >= 0 else address // line_bytes
         if line == mru_line:
             repeats += 1
@@ -354,13 +375,14 @@ def replay_recorded(core: CoreCaches, trace, counts: AccessCounts):
 
     A packed trace replays its strip for ``core``'s L1 geometry,
     building it first when the trace holds none for it
-    (:func:`strip_for`); an unpacked event list replays event by event.
-    Either way the tallies, the L2-miss stream and the private state
-    are those of :func:`replay_private` over every event.
+    (:func:`strip_for`); a trace whose packed events a private store
+    freed replays the strip it kept.  An unpacked event list replays
+    event by event.  Either way the tallies, the L2-miss stream and the
+    private state are those of :func:`replay_private` over every event.
     """
-    if isinstance(trace.data, array):
-        return replay_stripped(core, strip_for(trace, core), counts)
-    return replay_private(core, trace.data, counts)
+    if isinstance(trace.data, list):
+        return replay_private(core, trace.data, counts)
+    return replay_stripped(core, strip_for(trace, core), counts)
 
 
 def replay_phase(core: CoreCaches, data, counts: AccessCounts) -> int:
@@ -372,7 +394,7 @@ def replay_phase(core: CoreCaches, data, counts: AccessCounts) -> int:
     :meth:`~repro.sim.cache.CoreCaches.access` would.
     """
     replay_llc(core, replay_private(core, data, counts), counts)
-    return len(data) // 3
+    return len(data) // 2
 
 
 __all__ = [

@@ -57,6 +57,18 @@ class TestCacheRoundTrip:
         assert warm.compiled.affine_loops() == cold.compiled.affine_loops()
         assert warm.compiled.total_loops() == cold.compiled.total_loops()
 
+    def test_machine_name_shares_the_entry(self, cache_dir):
+        """``sandybridge`` is the default config under a name: it hits
+        the entry a default spec wrote, and ``biglittle`` and ``ideal``
+        each write their own."""
+        run_experiment(_spec(cache_dir))
+        named = run_experiment(_spec(cache_dir, machine="sandybridge"))
+        assert (named.stats.cache_hits, named.stats.cache_misses) == (1, 0)
+        for name in ("biglittle", "ideal"):
+            other = run_experiment(_spec(cache_dir, machine=name))
+            assert other.stats.cache_misses == 1, name
+        assert ProfileCache(cache_dir).stats().entries == 3
+
     def test_no_cache_spec_never_touches_disk(self, cache_dir):
         result = run_experiment(ExperimentSpec(
             workloads=(TinyWorkload(),), cache=False, cache_dir=cache_dir,

@@ -1,5 +1,7 @@
 """The spec/cache/service plumbing for the ``machine`` knob."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine.cache import cache_key, key_material
@@ -57,6 +59,27 @@ class TestCacheKey:
         machined = self._material(machine=biglittle_machine())
         assert cache_key(plain) != cache_key(machined)
 
+    def test_names_change_no_key(self):
+        """Only content keys a machine: ``sandybridge`` wraps the default
+        config, so it keys with it; renaming a machine and its core
+        types moves nothing, swapping the placement does."""
+        default = cache_key(self._material())
+        keys = [cache_key(self._material(machine=name))
+                for name in ("sandybridge", "biglittle", "ideal")]
+        assert keys[0] == default
+        assert len(set(keys)) == 3
+        machine = biglittle_machine()
+        renamed = replace(
+            machine, name="other",
+            core_types=tuple(replace(t, name=t.name.upper())
+                             for t in machine.core_types),
+            access_type="LITTLE", execute_type="BIG",
+        ).validate()
+        assert cache_key(self._material(machine=renamed)) == keys[1]
+        swapped = replace(machine, access_type="big",
+                          execute_type="little").validate()
+        assert cache_key(self._material(machine=swapped)) != keys[1]
+
 
 class TestWireProtocol:
     def test_spec_doc_round_trips_machine(self):
@@ -87,6 +110,16 @@ class TestWireProtocol:
         )
         assert (job_key("experiment", plain)
                 != job_key("experiment", machined))
+
+    def test_job_keys_ignore_machine_names(self):
+        plain = spec_to_doc(ExperimentSpec(workloads=("cg",)))
+        named = spec_to_doc(
+            ExperimentSpec(workloads=("cg",), machine="sandybridge")
+        )
+        assert job_key("experiment", plain) == job_key("experiment", named)
+        assert (job_key("tune", {"workload": "cg"})
+                == job_key("tune", {"workload": "cg",
+                                    "machine": "sandybridge"}))
 
     def test_tune_doc_accepts_and_keys_machine(self):
         doc = {"workload": "cg", "machine": "biglittle"}

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro import obs
 from repro.engine import (
     ExperimentSpec,
@@ -128,18 +126,23 @@ class TestObservability:
         assert span.args["cache"] is False
 
 
-class TestTaskCountConsistency:
-    def test_cross_scheme_mismatch_raises(self, monkeypatch):
-        from repro.engine.products import EngineError, profile_workload
+class TestSingleInstantiation:
+    def test_build_runs_once_per_profile_workload(self, monkeypatch):
+        """Every scheme profiles the task list of one instantiation,
+        each on its own copy of the initial memory."""
+        from repro.engine.products import ALL_SCHEMES, profile_workload
 
-        workload = TinyWorkload()
+        scales = []
         original_build = TinyWorkload.build
-        counts = iter([1, 2, 2])
 
-        def unstable_build(self, memory, scale, kinds):
-            instances = original_build(self, memory, scale, kinds)
-            return instances[: next(counts)]
+        def counted_build(self, memory, scale, kinds):
+            scales.append(scale)
+            return original_build(self, memory, scale, kinds)
 
-        monkeypatch.setattr(TinyWorkload, "build", unstable_build)
-        with pytest.raises(EngineError, match="deterministic across schemes"):
-            profile_workload(workload)
+        monkeypatch.setattr(TinyWorkload, "build", counted_build)
+        run = profile_workload(TinyWorkload(), 2, schemes=ALL_SCHEMES)
+        assert scales == [2]
+        assert list(run.profiles) == [s.value for s in ALL_SCHEMES]
+        assert run.task_count == TinyWorkload.chunks
+        for stream in run.profiles.values():
+            assert len(stream.tasks) == TinyWorkload.chunks

@@ -6,7 +6,7 @@ executable specification; :class:`~repro.interp.fast.FastInterpreter`
 re-implements it over pre-decoded records for speed.  These tests pin
 the equivalence the fast core's docstring promises: identical dynamic
 instruction counts, identical memory-event streams (kind, address,
-size, *order*), identical end-of-run memory, and byte-identical
+*order*: every field a recording holds), identical end-of-run memory, and byte-identical
 :class:`~repro.sim.timing.PhaseProfile` serializations on every bundled
 workload under every scheme — plus the awkward corners (undef
 propagation, IEEE division, phi parallel moves, step limits, calls)
@@ -65,10 +65,10 @@ def _trace_key(trace):
 
 
 def _named_events(flat):
-    """The fast core's flat ``[code, address, size, ...]`` event list
-    as ``(kind, address, size)`` tuples."""
-    return [(KIND_NAMES[flat[i]], flat[i + 1], flat[i + 2])
-            for i in range(0, len(flat), 3)]
+    """The fast core's flat ``[code, address, ...]`` event list as
+    ``(kind, address)`` tuples."""
+    return [(KIND_NAMES[flat[i]], flat[i + 1])
+            for i in range(0, len(flat), 2)]
 
 
 def _run_both(func, args, *, memories=None):
@@ -79,7 +79,7 @@ def _run_both(func, args, *, memories=None):
     ref_events, flat = [], []
     ref_trace = Interpreter(
         ref_mem,
-        observer=lambda e: ref_events.append((e.kind, e.address, e.size)),
+        observer=lambda e: ref_events.append((e.kind, e.address)),
     ).run(func, list(args))
     fast_trace = FastInterpreter(fast_mem, events=flat).run(func, list(args))
     fast_events = _named_events(flat)
@@ -124,7 +124,7 @@ def test_profiles_byte_identical(workload_cls):
 
 @pytest.mark.parametrize("name", SMALL_WORKLOADS)
 def test_event_streams_and_memory_identical(name):
-    """Task by task, the full (kind, address, size) event stream and the
+    """Task by task, the full (kind, address) event stream and the
     end-of-run memory image match on the smaller workloads."""
     streams = {}
     cells = {}
@@ -139,7 +139,7 @@ def test_event_streams_and_memory_identical(name):
         else:
             interp = Interpreter(
                 memory,
-                observer=lambda e: events.append((e.kind, e.address, e.size)),
+                observer=lambda e: events.append((e.kind, e.address)),
             )
         for task in tasks:
             access = task.kind.access
@@ -186,7 +186,7 @@ class TestUndefCorners:
             func, args, memories=(ref_mem, fast_mem),
         )
         assert ref.mem_events == fast.mem_events == 1
-        assert ref_events == [("store", args[0], 8)]
+        assert ref_events == [("store", args[0])]
         assert ref_mem._cells == {}
 
     def test_branch_on_undef_same_error(self):
@@ -493,7 +493,7 @@ class TestGeneratedCore:
                 events = []
                 if make is Interpreter:
                     interp = Interpreter(memory, observer=lambda e: events.
-                                         append((e.kind, e.address, e.size)))
+                                         append((e.kind, e.address)))
                 else:
                     flat = []
                     interp = FastInterpreter(memory, events=flat)

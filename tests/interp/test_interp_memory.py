@@ -46,6 +46,27 @@ class TestSimMemory:
         assert region is not None and region.name == "arr"
         assert memory.region_of(base - 1) is None or True  # other region ok
 
+    def test_copy_is_independent(self):
+        """A store or an allocation on a copy leaves the original's
+        cells, regions and bump pointer as they were, and the other
+        way round."""
+        memory = SimMemory()
+        base = memory.alloc_array(8, 2, "A", init=[1.5, 2.5])
+        copy = memory.copy()
+        assert copy._cells == memory._cells
+        assert copy.region_of(base).name == "A"
+        copy.store(base, F64, 9.0)
+        extra = copy.alloc_array(8, 4, "B")
+        assert memory.load(base, F64) == 1.5
+        assert memory.region_of(extra) is None
+        assert [a.name for a in memory.allocations] == ["A"]
+        assert memory.alloc(8) == extra    # the bump pointer did not move
+        assert copy.load(base, F64) == 9.0
+        assert copy.region_of(extra).name == "B"
+        assert [a.name for a in copy.allocations] == ["A", "B"]
+        memory.store(base + 8, F64, 7.0)
+        assert copy.load(base + 8, F64) == 2.5
+
 
 class TestTraceCollection:
     def test_instruction_and_opcode_counts(self):

@@ -34,7 +34,8 @@ from repro.engine.products import (
     run_to_payload,
 )
 from repro.engine.spec import ExperimentSpec
-from repro.interp import PhaseTrace, SimMemory, TraceStore
+from repro.interp import KIND_NAMES, PhaseTrace, SimMemory, TraceStore
+from repro.interp.trace import event_kinds
 from repro.ir import F64, I64, VOID, Constant, Function, IRBuilder, pointer_to
 from repro.machines import homogeneous_machine, machine_stream
 from repro.runtime.profiler import TaskStreamProfiler
@@ -42,7 +43,7 @@ from repro.runtime.task import Scheme, TaskInstance, TaskKind
 from repro.sim.cache import AccessCounts, MachineCaches
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.replay import replay_phase
-from repro.workloads import ALL_WORKLOADS
+from repro.workloads import ALL_WORKLOADS, workload_by_name
 from repro.workloads.base import PaperRow, Workload, fill_floats
 
 
@@ -442,3 +443,19 @@ def test_phase_trace_snapshot_matches_execution_trace_shape():
     assert snap["mem_events"] == 4
     assert snap["dropped_prefetches"] == 1
     assert trace.events == 0
+
+
+@pytest.mark.parametrize("interp", ["replay", "reference"])
+def test_both_cores_record_two_words_per_event(interp):
+    """The layout of ``repro.interp.trace``: either core records every
+    phase as one kind code and one address per memory event."""
+    store = TraceStore()
+    profile_workload(workload_by_name("cg"), 1, interp=interp,
+                     trace_store=store)
+    traces = [trace for records in store.schemes.values()
+              for task in records
+              for trace in (task.access, task.execute) if trace is not None]
+    assert len(traces) > 1 and any(t.mem_events for t in traces)
+    for trace in traces:
+        assert len(trace.data) == 2 * trace.mem_events == 2 * trace.events
+        assert set(event_kinds(trace.data)) <= set(range(len(KIND_NAMES)))

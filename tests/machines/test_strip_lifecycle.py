@@ -10,18 +10,28 @@ one per execute trace per new L1 size, and a trace keeps only the
 strip of the last size asked for.  A variant with the recording's
 private geometry reuses the recording's private pass, so it builds no
 strip whatever the traces keep.  A store that ``profile_workload``
-makes for itself drops each scheme's private pass once the scheme is
-counted; a caller's store keeps them for later machines.
+makes for itself keeps only what a later scheme reads: once a scheme
+is counted its private pass goes, and so do its records, or, for the
+first scheme, its access traces and its execute traces' packed events
+(their strips stay).  A caller's store keeps all of it for later
+machines.
 """
+
+import weakref
 
 import pytest
 
-from repro.engine.products import ALL_SCHEMES, profile_workload
+from repro.engine.products import (
+    ALL_SCHEMES,
+    profile_workload,
+    run_to_payload,
+)
 from repro.evaluation.ablation import SWEEP_PARAMS
 from repro.evaluation.machines import MachineSweep
 from repro.interp.trace import TraceStore
 from repro.machines import homogeneous_machine
 from repro.runtime import profiler as profiler_module
+from repro.runtime.task import Scheme
 from repro.sim import MachineConfig
 from repro.sim import replay as sim_replay
 from repro.workloads import workload_by_name
@@ -139,3 +149,66 @@ def test_own_store_drops_each_scheme_pass(passes_held):
 def test_callers_store_keeps_each_scheme_pass(passes_held):
     MachineSweep(TinyWorkload(), 1)
     assert passes_held == [0, 1, 2]
+
+
+@pytest.fixture
+def counted_stores(monkeypatch):
+    """Weakrefs to the arrays of each counted scheme's access traces,
+    how many of them are alive as each scheme begins, and the store."""
+    refs, alive, stores = [], [], []
+    machine_stream = profiler_module.machine_stream
+    begin_scheme = TraceStore.begin_scheme
+
+    def spy(store, scheme, machine):
+        refs.extend(weakref.ref(task.access.data)
+                    for task in store.schemes[scheme]
+                    if task.access is not None)
+        stores.append(store)
+        return machine_stream(store, scheme, machine)
+
+    def begin(store, scheme):
+        alive.append(sum(ref() is not None for ref in refs))
+        return begin_scheme(store, scheme)
+
+    monkeypatch.setattr(profiler_module, "machine_stream", spy)
+    monkeypatch.setattr(TraceStore, "begin_scheme", begin)
+    return refs, alive, stores
+
+
+#: The donor records access phases too, so both kinds of release show.
+DONOR_FIRST = (Scheme.DAE, Scheme.MANUAL, Scheme.CAE)
+
+
+def test_own_store_frees_what_no_later_scheme_reads(counted_stores):
+    refs, alive, stores = counted_stores
+    run = profile_workload(TinyWorkload(), 1, schemes=DONOR_FIRST)
+    assert len(refs) == 2 * TinyWorkload.chunks
+    assert alive == [0, 0, 0]
+    assert all(ref() is None for ref in refs)
+    store = stores[0]
+    assert list(store.schemes) == ["dae"]
+    for record in store.schemes["dae"]:
+        assert record.access is None
+        assert record.execute.data is None
+        assert record.execute.strip is not None
+    # The stats read what they read before the release.
+    kept = TraceStore()
+    again = profile_workload(TinyWorkload(), 1, schemes=DONOR_FIRST,
+                             trace_store=kept)
+    assert run_to_payload(run) == run_to_payload(again)
+    assert (store.recorded_events, store.replayed_events) == (
+        kept.recorded_events, kept.replayed_events)
+    assert store.replayed_events > 0
+
+
+def test_callers_store_keeps_every_trace(counted_stores):
+    refs, alive, _ = counted_stores
+    store = TraceStore()
+    profile_workload(TinyWorkload(), 1, schemes=DONOR_FIRST,
+                     trace_store=store)
+    tasks = TinyWorkload.chunks
+    assert alive == [0, tasks, 2 * tasks]
+    assert all(ref() is not None for ref in refs)
+    assert list(store.schemes) == ["dae", "manual", "cae"]
+    assert all(task.execute.data is not None
+               for records in store.schemes.values() for task in records)

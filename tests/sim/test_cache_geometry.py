@@ -100,7 +100,7 @@ def _machine_state(machine: MachineCaches) -> list:
 
 
 def _random_events(seed: int, count: int) -> list:
-    """(kind_code, address, size) triples with sequential runs, reuse,
+    """(kind_code, address) pairs with sequential runs, reuse,
     negatives and far-flung strides — everything the classifier and the
     eviction paths can see."""
     rng = random.Random(seed)
@@ -118,7 +118,7 @@ def _random_events(seed: int, count: int) -> list:
             address = rng.randrange(-(1 << 12), 0)
         else:
             address = rng.randrange(0, 1 << 40)
-        events.append((rng.randrange(3), address, 8))
+        events.append((rng.randrange(3), address))
     return events
 
 
@@ -131,7 +131,7 @@ class TestInlinedAccess:
             fast_counts, ref_counts = AccessCounts(), AccessCounts()
             fast_core = fast_machine.cores[0]
             ref_core = ref_machine.cores[0]
-            for kind_code, address, _size in events:
+            for kind_code, address in events:
                 kind = KIND_NAMES[kind_code]
                 got = fast_core.access(address, kind, fast_counts)
                 expect = _reference_access(ref_core, address, kind,
@@ -166,7 +166,7 @@ class TestReplayPhase:
             replay_machine = MachineCaches(MachineConfig())
             direct_counts, replay_counts = AccessCounts(), AccessCounts()
             direct_core = direct_machine.cores[0]
-            for kind_code, address, _size in events:
+            for kind_code, address in events:
                 direct_core.access(address, KIND_NAMES[kind_code],
                                    direct_counts)
             flat = [value for event in events for value in event]
@@ -196,7 +196,7 @@ class TestReplayPhase:
         replayed = MachineCaches(MachineConfig())
         for _ in range(2):
             counts_a, counts_b = AccessCounts(), AccessCounts()
-            for kind_code, address, _size in events:
+            for kind_code, address in events:
                 direct.cores[0].access(address, KIND_NAMES[kind_code],
                                        counts_a)
             replay_phase(replayed.cores[0], flat, counts_b)
@@ -233,7 +233,7 @@ class TestSplitStages:
                     direct.cores[core].flush_private()
                     private.cores[core].flush_private()
                 counts = AccessCounts()
-                for kind_code, address, _size in events:
+                for kind_code, address in events:
                     direct.cores[core].access(address, KIND_NAMES[kind_code],
                                               counts)
                 direct_counts.append(counts.snapshot())
@@ -266,6 +266,74 @@ class TestSplitStages:
                             == [list(s) for s in theirs.sets])
             assert ([list(s) for s in shared.llc.sets]
                     == [list(s) for s in direct.llc.sets])
+
+
+class TestLLCStage:
+    """``replay_llc``, which finds a line in the stream window through
+    each line's latest miss, against per-event ``access`` over several
+    phases on one core.  Tiny private caches pass almost every event to
+    the LLC stage, so its input is dense in ±1 lines and repeats lines;
+    a small LLC misses them again, so the window holds repeats.  Long
+    phases wrap the window, short ones leave part of the previous
+    phase's window in it, and some phases are empty."""
+
+    @staticmethod
+    def _phase(rng, line):
+        events = []
+        for _ in range(rng.choice((0, 1, 5, 12, 40, 300))):
+            roll = rng.random()
+            if roll < 0.8:
+                line += rng.choice((-1, 0, 1, 1, 2))
+            elif roll < 0.95:
+                line = rng.randrange(64)
+            else:
+                line = rng.randrange(1 << 20)
+            events.append((rng.randrange(3),
+                           line * 64 + rng.randrange(0, 64, 8)))
+        return events, line
+
+    def test_matches_per_event_access(self):
+        from array import array
+
+        from repro.sim.replay import replay_llc, replay_private
+
+        def level(sets, ways):
+            return CacheConfig(sets * ways * 64, ways)
+
+        windows = set()
+        streams = randoms = 0
+        for seed in range(10):
+            rng = random.Random(4200 + seed)
+            config = MachineConfig(
+                cores=1, l1=level(1, 1), l2=level(1, rng.randint(1, 2)),
+                llc=level(rng.randint(1, 4), rng.randint(1, 4)),
+            )
+            direct, replayed = MachineCaches(config), MachineCaches(config)
+            want_core, got_core = direct.cores[0], replayed.cores[0]
+            line = 0
+            for step in range(40):
+                events, line = self._phase(rng, line)
+                want, got = AccessCounts(), AccessCounts()
+                for kind_code, address in events:
+                    want_core.access(address, KIND_NAMES[kind_code], want)
+                flat = array("q", [v for e in events for v in e])
+                replay_llc(got_core, replay_private(got_core, flat, got),
+                           got)
+                assert got.snapshot() == want.snapshot(), (seed, step)
+                assert (got_core._recent_misses
+                        == want_core._recent_misses), (seed, step)
+                assert ([list(s) for s in replayed.llc.sets]
+                        == [list(s) for s in direct.llc.sets])
+                window = want_core._recent_misses
+                windows.add((len(window) == CoreCaches.STREAM_WINDOW,
+                             len(set(window)) < len(window)))
+                for bucket in (want.loads, want.stores, want.prefetches):
+                    streams += bucket["mem_stream"]
+                    randoms += bucket["mem"]
+        # Full windows, with and without repeated lines, were seen, and
+        # both miss classes.
+        assert {(True, True), (True, False)} <= windows
+        assert streams and randoms
 
 
 class TestStrippedReplay:
@@ -314,7 +382,7 @@ class TestStrippedReplay:
             ]
             packed = [array("q", [v for e in events for v in e])
                       for events in traces]
-            phase_traces = [PhaseTrace(data, 0, 0, {}, len(data) // 3, 0, 0,
+            phase_traces = [PhaseTrace(data, 0, 0, {}, len(data) // 2, 0, 0,
                                        {}) for data in packed]
             direct = MachineCaches(config)
             full = MachineCaches(config)
@@ -326,7 +394,7 @@ class TestStrippedReplay:
                     for machine in (direct, full, stripped):
                         machine.cores[core].flush_private()
                 want = AccessCounts()
-                for kind_code, address, _size in traces[pick]:
+                for kind_code, address in traces[pick]:
                     direct.cores[core].access(address, KIND_NAMES[kind_code],
                                               want)
                 full_counts, strip_counts = AccessCounts(), AccessCounts()
@@ -382,7 +450,7 @@ class TestStrippedReplay:
             for step in range(8):
                 pick = step % 2
                 want, got = AccessCounts(), AccessCounts()
-                for kind_code, address, _size in events:
+                for kind_code, address in events:
                     direct[pick].cores[0].access(
                         address, KIND_NAMES[kind_code], want)
                 core = stripped[pick].cores[0]

@@ -159,10 +159,10 @@ class TestMRUFilterTransparent:
                                                            "mem_stream")
 
         def by_replay(core, counts):
-            assert replay_phase(core, array("q", [2, -8, 8]), counts) == 1
+            assert replay_phase(core, array("q", [2, -8]), counts) == 1
 
         def by_strip(core, counts):
-            data = array("q", [2, -8, 8])
+            data = array("q", [2, -8])
             trace = PhaseTrace(data, 0, 0, {}, 1, 0, 0, {})
             replay_llc(core, replay_recorded(core, trace, counts), counts)
             assert trace.strip is not None

@@ -33,6 +33,24 @@ class TestHomogeneousMachine:
         assert machined.best.label == plain.best.label
         assert machined.best.value == plain.best.value
 
+    def test_sandybridge_reads_the_default_machines_candidates(
+            self, tmp_path):
+        """The candidate key carries no machine name: a sandybridge run
+        after a machine-less one in the same cache schedules nothing,
+        and the two results differ only in the machine they name."""
+        cache_dir = str(tmp_path / "cache")
+        plain = tune_workload(TinyWorkload(), cache_dir=cache_dir,
+                              install=False)
+        machined = tune_workload(TinyWorkload(), machine="sandybridge",
+                                 cache_dir=cache_dir, install=False)
+        assert plain.stats.schedule_evals > 0
+        assert machined.stats.schedule_evals == 0
+        assert machined.stats.cache_hits == plain.stats.cache_misses
+        first, second = plain.as_dict(), machined.as_dict()
+        assert second.pop("machine") == "sandybridge"
+        assert second.pop("placement") is None
+        assert first == second
+
 
 class TestBigLittleTuning:
     def test_result_records_machine_and_placement(self, biglittle_result):
