@@ -10,12 +10,11 @@ evaluation layer.
 Because runs must cross process boundaries (the pool) and sessions (the
 on-disk cache), this module also defines the *slim* representation: a
 JSON-able payload holding a :class:`CompiledSummary` instead of the
-IR-bearing :class:`~repro.workloads.base.CompiledWorkload`, and
-:class:`~repro.runtime.task.TaskRef` names instead of full task
-instances.  The scheduler and every report only ever read task names and
-:class:`~repro.sim.timing.PhaseProfile` numbers, so the slim form is
-behaviourally identical to a fresh run — bit-identical schedules, by
-construction and by test.
+IR-bearing :class:`~repro.workloads.base.CompiledWorkload`.  A
+:class:`~repro.runtime.task.TaskProfile` holds only its task's name and
+:class:`~repro.sim.timing.PhaseProfile` numbers, all the scheduler and
+every report read, so the slim form is behaviourally identical to a
+fresh run — bit-identical schedules, by construction and by test.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Optional, Sequence, Union
 from ..interp.trace import TraceStore
 from ..machines.model import MachineLike, as_machine
 from ..runtime.profiler import TaskStreamProfiler
-from ..runtime.task import Scheme, StreamProfile, TaskProfile, TaskRef
+from ..runtime.task import Scheme, StreamProfile, TaskProfile
 from ..sim.cache import AccessCounts, LEVELS
 from ..sim.timing import PhaseProfile
 from ..transform.access_phase import AccessPhaseOptions
@@ -198,7 +197,7 @@ def run_to_payload(run: WorkloadRun) -> dict:
     for scheme, stream in run.profiles.items():
         profiles[str(scheme)] = [
             {
-                "name": task.instance.name,
+                "name": task.name,
                 "execute": phase_to_dict(task.execute),
                 "access": (
                     phase_to_dict(task.access)
@@ -239,7 +238,7 @@ def run_from_payload(payload: dict, workload: Workload,
         stream = StreamProfile(scheme=scheme)
         for task in tasks:
             stream.tasks.append(TaskProfile(
-                instance=TaskRef(name=task["name"]),
+                name=task["name"],
                 execute=phase_from_dict(task["execute"]),
                 access=(
                     phase_from_dict(task["access"])

@@ -11,14 +11,14 @@ __getattr__, __all__ = lazy_exports(__name__, {
                     "Table1Row", "WorkloadRun", "build_run_manifest",
                     "figure3_rows", "figure4_series", "headline_numbers",
                     "record_run", "relative_metrics", "run_all",
-                    "run_workload", "schedule", "table1_rows"),
+                    "run_workload", "schedule", "schedule_configs",
+                    "table1_rows"),
     "figure12": ("FIGURE1_SPECS", "FIGURE2_SPEC", "AnalysisDemo",
                  "KernelSpec", "analyze_kernel", "figure1_demo",
                  "figure2_demo", "render_figure1", "render_figure2",
                  "single_hull_cells"),
     "report": ("render_figure3", "render_figure4", "render_headline",
-               "render_schedule_summary", "render_table1"),
-    "trace": ("TRACE_CONFIGS", "TraceArtifacts", "export_trace",
-              "trace_workload"),
+               "render_table1"),
+    "trace": ("TraceArtifacts", "export_trace", "trace_workload"),
     "tuning": ("TuningArtifacts", "export_tuning", "render_tuning_report"),
 })

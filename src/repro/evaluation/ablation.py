@@ -24,11 +24,9 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from ..machines import homogeneous_machine
-from ..power.frequency import FrequencyPolicy
-from ..runtime.task import Scheme
 from ..sim.config import MachineConfig, MachineConfigError
 from ..workloads import Workload
-from .experiments import relative_metrics, schedule
+from .experiments import MANIFEST_CONFIGS, schedule_configs
 from .machines import MachineSweep
 
 
@@ -79,14 +77,10 @@ SWEEP_PARAMS = {
                       _machine_field("mlp_hw_stream", float)),
 }
 
-#: The schedule configurations each variant reports, as
-#: (label, scheme handed to :func:`~.experiments.schedule`, policy).
-#: The first — coupled at fmax — is the relative-metrics baseline.
-ABLATE_CONFIGS = (
-    ("CAE (Max f.)", Scheme.CAE, "fmax"),
-    ("Compiler DAE (Optimal f.)", Scheme.DAE, "optimal"),
-    ("Manual DAE (Optimal f.)", Scheme.MANUAL, "optimal"),
-)
+#: The schedule configurations each variant reports, as (label,
+#: profile stream, policy name): the run ledger's, so a variant equal
+#: to a registered machine reports that machine's ``machines`` column.
+ABLATE_CONFIGS = MANIFEST_CONFIGS
 
 
 def ablate_workload(workload: Workload, param: str, values: Sequence,
@@ -121,23 +115,16 @@ def ablate_workload(workload: Workload, param: str, values: Sequence,
                 "%s is not a valid machine: %s" % (name, exc)
             ) from None
     sweep = MachineSweep(workload, scale, base)
-    rows = []
-    for value, machine, run in zip(values, variants, sweep.runs(variants)):
-        variant = machine.config
-        baseline = None
-        configs = {}
-        for label, scheme, policy in ABLATE_CONFIGS:
-            result = schedule(
-                run, scheme, FrequencyPolicy.from_name(policy, variant),
-                variant,
+    rows = [
+        {"value": value, "configs": {
+            label: {"summary": result.summary(), "relative": relative}
+            for label, result, relative in schedule_configs(
+                run, machine, ABLATE_CONFIGS,
             )
-            if baseline is None:
-                baseline = result
-            configs[label] = {
-                "summary": result.summary(),
-                "relative": relative_metrics(result, baseline),
-            }
-        rows.append({"value": value, "configs": configs})
+        }}
+        for value, machine, run in zip(values, variants,
+                                       sweep.runs(variants))
+    ]
     return {
         "workload": workload.name,
         "scale": scale,

@@ -22,18 +22,24 @@ Entry points:
   profiles for Cholesky, FFT and LibQ);
 * :func:`headline_numbers` — Section 6.1's scalar claims (EDP gains at
   500 ns and 0 ns transition latency).
+
+Figure 3, the headline numbers and run manifests schedule through
+:func:`schedule_configs`: a table of (label, profile stream, policy
+name) configurations, each stream run under its
+:attr:`~repro.runtime.task.Scheme.run_scheme`, normalized to the
+table's first entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from ..engine import ExperimentSpec, WorkloadRun, run_experiment
 from ..engine.cache import cache_key, machine_material
 from ..engine.spec import EngineResult
-from ..machines.model import MachineModel
+from ..machines.model import MachineLike
 from ..obs.ledger import RunLedger, RunManifest
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.timeline import energy_attribution
@@ -44,32 +50,42 @@ from ..sim.config import MachineConfig
 from ..transform.access_phase import AccessPhaseOptions
 from ..workloads import Workload
 
+#: The run-ledger schedule configurations, as (label, profile stream,
+#: policy name).  The first entry — coupled execution at max frequency
+#: — is the ``relative_metrics`` baseline for the rest.  Run manifests,
+#: the ``machines``, ``trace`` and ``ablate`` verbs and the headline
+#: numbers all schedule these.
+MANIFEST_CONFIGS = (
+    ("CAE (Max f.)", Scheme.CAE, "fmax"),
+    ("Compiler DAE (Optimal f.)", Scheme.DAE, "optimal"),
+    ("Manual DAE (Optimal f.)", Scheme.MANUAL, "optimal"),
+)
+
 #: The five configurations of Figure 3, in legend order:
-#: (label, profile stream, run scheme, policy name).
+#: (label, profile stream, policy name).
 FIGURE3_CONFIGS = (
-    ("CAE (Optimal f.)", Scheme.CAE, Scheme.CAE, "optimal"),
-    ("Manual DAE (Min/Max f.)", Scheme.MANUAL, Scheme.DAE, "minmax"),
-    ("Manual DAE (Optimal f.)", Scheme.MANUAL, Scheme.DAE, "optimal"),
-    ("Compiler DAE (Min/Max f.)", Scheme.DAE, Scheme.DAE, "minmax"),
-    ("Compiler DAE (Optimal f.)", Scheme.DAE, Scheme.DAE, "optimal"),
+    ("CAE (Optimal f.)", Scheme.CAE, "optimal"),
+    ("Manual DAE (Min/Max f.)", Scheme.MANUAL, "minmax"),
+    ("Manual DAE (Optimal f.)", Scheme.MANUAL, "optimal"),
+    ("Compiler DAE (Min/Max f.)", Scheme.DAE, "minmax"),
+    ("Compiler DAE (Optimal f.)", Scheme.DAE, "optimal"),
 )
 
 
 def run_workload(workload: Workload, scale: int = 1,
                  config: Optional[MachineConfig] = None, *,
                  options: Optional[AccessPhaseOptions] = None,
-                 jobs: int = 1, cache: bool = False,
+                 cache: bool = False,
                  cache_dir: Optional[str] = None) -> WorkloadRun:
     """Compile and profile one workload under all three schemes.
 
     Callers no longer pre-compile: pass compile-time knobs through the
     keyword-only ``options``.  ``cache=True`` reuses (and fills) the
-    persistent profile cache; ``jobs`` is accepted for symmetry with
-    :func:`run_all` (a single workload is always one job).
+    persistent profile cache.
     """
     result = run_experiment(ExperimentSpec(
         workloads=(workload,), scale=scale, machine=config,
-        options=options, jobs=jobs, cache=cache, cache_dir=cache_dir,
+        options=options, cache=cache, cache_dir=cache_dir,
     ))
     return result[workload.name]
 
@@ -98,17 +114,49 @@ def run_all(scale: int = 1, config: Optional[MachineConfig] = None,
 def schedule(run: WorkloadRun, scheme: Union[Scheme, str],
              policy: FrequencyPolicy,
              config: MachineConfig) -> ScheduleResult:
-    """Schedule one profiled run under ``scheme`` with ``policy``.
-
-    ``scheme`` selects both the profile stream and the execution mode
+    """Schedule one profiled run's ``scheme`` stream with ``policy``,
+    under the stream's :attr:`~repro.runtime.task.Scheme.run_scheme`
     (CAE runs coupled; DAE/MANUAL replay their access streams under the
     DAE runtime).
     """
-    scheme = Scheme(scheme)
-    stream = Scheme.CAE if scheme is Scheme.CAE else scheme
-    run_scheme = Scheme.CAE if scheme is Scheme.CAE else Scheme.DAE
-    scheduler = DAEScheduler(config)
-    return scheduler.run(run.profiles[stream.value].tasks, run_scheme, policy)
+    stream = Scheme(scheme)
+    return DAEScheduler(config).run(
+        run.profiles[stream.value].tasks, stream.run_scheme, policy,
+    )
+
+
+def schedule_configs(run: WorkloadRun, machine: MachineLike,
+                     configs: Iterable = MANIFEST_CONFIGS,
+                     record_timeline: bool = False,
+                     ) -> list[tuple[str, ScheduleResult, dict]]:
+    """Schedule ``run`` under each (label, profile stream, policy name)
+    of ``configs`` on ``machine``, in order.
+
+    Each entry is (label, result, metrics relative to the first
+    configuration's result).  One scheduler serves every configuration,
+    and each policy is resolved against its machine's config (a bare
+    config is that same object, so the profiles' phase terms, keyed by
+    config identity, are shared).  With ``record_timeline`` every
+    result records a timeline that passes validation and the exact
+    energy roll-up check.
+    """
+    scheduler = DAEScheduler(machine)
+    config = scheduler.machine.config
+    schedules = []
+    baseline: Optional[ScheduleResult] = None
+    for label, stream, policy in configs:
+        result = scheduler.run(
+            run.profiles[stream.value].tasks, stream.run_scheme,
+            FrequencyPolicy.from_name(policy, config),
+            record_timeline=record_timeline,
+        )
+        if record_timeline:
+            result.timeline.validate(result.time_ns)
+            result.timeline.validate_energy(result.energy_nj)
+        if baseline is None:
+            baseline = result
+        schedules.append((label, result, relative_metrics(result, baseline)))
+    return schedules
 
 
 def relative_metrics(result: ScheduleResult,
@@ -125,15 +173,6 @@ def relative_metrics(result: ScheduleResult,
 
 # -- run-ledger manifests ------------------------------------------------------
 
-#: The run-ledger schedule configurations, as (label, profile stream,
-#: run scheme, policy name).  The first entry — coupled execution at
-#: max frequency — is the ``relative_metrics`` baseline for the rest.
-MANIFEST_CONFIGS = (
-    ("CAE (Max f.)", Scheme.CAE, Scheme.CAE, "fmax"),
-    ("Compiler DAE (Optimal f.)", Scheme.DAE, Scheme.DAE, "optimal"),
-    ("Manual DAE (Optimal f.)", Scheme.MANUAL, Scheme.DAE, "optimal"),
-)
-
 
 def _spec_document(spec: ExperimentSpec, workload_names: list) -> dict:
     """The manifest's ``spec`` section: the knobs that determine the
@@ -147,8 +186,8 @@ def _spec_document(spec: ExperimentSpec, workload_names: list) -> dict:
         "machine": machine_material(spec.machine),
         "workloads": list(workload_names),
         "manifest_configs": [
-            [label, stream.value, scheme.value, policy]
-            for label, stream, scheme, policy in MANIFEST_CONFIGS
+            [label, stream.value, stream.run_scheme.value, policy]
+            for label, stream, policy in MANIFEST_CONFIGS
         ],
     }
     return {
@@ -163,38 +202,13 @@ def _spec_document(spec: ExperimentSpec, workload_names: list) -> dict:
     }
 
 
-def manifest_schedules(run: WorkloadRun, machine: MachineModel,
-                       ) -> list[tuple[str, ScheduleResult, dict]]:
-    """Schedule :data:`MANIFEST_CONFIGS` on ``machine``, in order.
-
-    Each entry is (label, result, metrics relative to the first
-    configuration).  Every result records a timeline that passes
-    validation and the exact energy roll-up check.  Run manifests and
-    the ``machines`` verb both schedule through here.
-    """
-    schedules = []
-    baseline: Optional[ScheduleResult] = None
-    for label, stream, run_scheme, policy_name in MANIFEST_CONFIGS:
-        policy = FrequencyPolicy.from_name(policy_name, machine.config)
-        result = DAEScheduler(machine).run(
-            run.profiles[stream.value].tasks, run_scheme, policy,
-            record_timeline=True,
-        )
-        result.timeline.validate(result.time_ns)
-        result.timeline.validate_energy(result.energy_nj)
-        if baseline is None:
-            baseline = result
-        schedules.append((label, result, relative_metrics(result, baseline)))
-    return schedules
-
-
 def build_run_manifest(result: EngineResult, kind: str = "engine",
                        registry: Optional[MetricsRegistry] = None,
                        ) -> RunManifest:
     """Build a run-ledger manifest from one engine result.
 
     Schedules every workload under :data:`MANIFEST_CONFIGS` on the
-    machine that profiled it (:func:`manifest_schedules`), capturing
+    machine that profiled it (:func:`schedule_configs`), capturing
     per configuration the ``summary()``, the metrics relative to the
     CAE@fmax baseline, and the energy-attribution tree.  ``registry``
     defaults to the process-global metrics registry, whose snapshot
@@ -215,8 +229,9 @@ def build_run_manifest(result: EngineResult, kind: str = "engine",
                     "relative_metrics": relative,
                     "energy": energy_attribution(scheduled.timeline),
                 }
-                for label, scheduled, relative
-                in manifest_schedules(run, result.spec.machine)
+                for label, scheduled, relative in schedule_configs(
+                    run, result.spec.machine, record_timeline=True,
+                )
             },
         }
     return manifest
@@ -316,17 +331,10 @@ def figure3_rows(runs: Mapping[str, WorkloadRun],
     config = config or MachineConfig()
     rows: list[Figure3Row] = []
     for name, run in runs.items():
-        baseline = schedule(
-            run, Scheme.CAE, FrequencyPolicy.from_name("fmax", config), config
-        )
         row = Figure3Row(name=name)
-        for label, stream, scheme, policy in FIGURE3_CONFIGS:
-            scheduler = DAEScheduler(config)
-            result = scheduler.run(
-                run.profiles[stream.value].tasks, scheme,
-                FrequencyPolicy.from_name(policy, config),
-            )
-            relative = relative_metrics(result, baseline)
+        for label, _, relative in schedule_configs(
+            run, config, MANIFEST_CONFIGS[:1] + FIGURE3_CONFIGS,
+        )[1:]:
             row.time[label] = relative["time"]
             row.energy[label] = relative["energy"]
             row.edp[label] = relative["edp"]
@@ -342,11 +350,14 @@ def _geomean_row(rows: list[Figure3Row]) -> Figure3Row:
     labels = rows[0].time.keys()
     for metric in ("time", "energy", "edp"):
         for label in labels:
-            values = [getattr(row, metric)[label] for row in rows]
-            getattr(gm, metric)[label] = math.exp(
-                sum(math.log(v) for v in values) / len(values)
+            getattr(gm, metric)[label] = _geomean(
+                [getattr(row, metric)[label] for row in rows]
             )
     return gm
+
+
+def _geomean(values: list[float]) -> float:
+    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 # -- Figure 4 -----------------------------------------------------------------
@@ -397,11 +408,12 @@ class _SweepPolicy(FrequencyPolicy):
         return self.execute
 
 
-#: Figure 4's three configurations: (label, profile stream, run scheme).
+#: Figure 4's three configurations: (label, profile stream).  CAE runs
+#: both phases at the sweep point; the DAE streams pin access at fmin.
 FIGURE4_CONFIGS = (
-    ("CAE", Scheme.CAE, Scheme.CAE),
-    ("Manual DAE", Scheme.MANUAL, Scheme.DAE),
-    ("Auto DAE", Scheme.DAE, Scheme.DAE),
+    ("CAE", Scheme.CAE),
+    ("Manual DAE", Scheme.MANUAL),
+    ("Auto DAE", Scheme.DAE),
 )
 
 
@@ -412,18 +424,14 @@ def figure4_series(run: WorkloadRun,
     execute frequency sweeps fmin→fmax (access pinned at fmin)."""
     config = config or MachineConfig()
     series = []
-    for label, stream, scheme in FIGURE4_CONFIGS:
+    for label, stream in FIGURE4_CONFIGS:
         entry = Figure4Series(label=label)
         for point in config.operating_points:
-            scheduler = DAEScheduler(config)
-            if scheme is Scheme.CAE:
+            if stream is Scheme.CAE:
                 policy: FrequencyPolicy = FixedPolicy(point)
             else:
                 policy = _SweepPolicy(point)
-            result = scheduler.run(
-                run.profiles[stream.value].tasks, scheme, policy
-            )
-            buckets = result.buckets
+            buckets = schedule(run, stream, policy, config).buckets
             entry.points.append(Figure4Point(
                 freq_ghz=point.freq_ghz,
                 prefetch_ns=buckets.prefetch_ns,
@@ -458,28 +466,23 @@ class HeadlineNumbers:
 
 def headline_numbers(runs: Mapping[str, WorkloadRun],
                      config: Optional[MachineConfig] = None) -> HeadlineNumbers:
+    """Section 6.1's claims: the geomeans, over ``runs``, of
+    :data:`MANIFEST_CONFIGS`' Compiler and Manual DAE against CAE at
+    fmax, at ``config``'s transition latency and at zero latency."""
     config = config or MachineConfig()
     zero_latency = replace(config, dvfs_transition_ns=0.0)
 
     def geomean_ratios(cfg: MachineConfig):
-        """DAE's and MANUAL's (time, EDP) geomeans, over one baseline each."""
-        ratios = {Scheme.DAE: ([], []), Scheme.MANUAL: ([], [])}
-        for run in runs.values():
-            scheduler = DAEScheduler(cfg)
-            base = scheduler.run(
-                run.profiles[Scheme.CAE.value].tasks, Scheme.CAE,
-                FixedPolicy(cfg.fmax),
-            )
-            for stream, (times, edps) in ratios.items():
-                result = scheduler.run(
-                    run.profiles[stream.value].tasks, Scheme.DAE,
-                    FrequencyPolicy.from_name("optimal", cfg),
-                )
-                relative = relative_metrics(result, base)
-                times.append(relative["time"])
-                edps.append(relative["edp"])
-        gm = lambda xs: math.exp(sum(math.log(x) for x in xs) / len(xs))
-        return [(gm(times), gm(edps)) for times, edps in ratios.values()]
+        """DAE's and MANUAL's (time, EDP) geomeans, in that order."""
+        columns = zip(*(
+            [relative for _, _, relative in schedule_configs(run, cfg)[1:]]
+            for run in runs.values()
+        ))
+        return [
+            (_geomean([r["time"] for r in column]),
+             _geomean([r["edp"] for r in column]))
+            for column in columns
+        ]
 
     (auto_t_500, auto_d_500), (man_t_500, man_d_500) = geomean_ratios(config)
     (auto_t_0, auto_d_0), (man_t_0, man_d_0) = geomean_ratios(zero_latency)

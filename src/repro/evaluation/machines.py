@@ -37,7 +37,7 @@ from ..machines import (
 from ..obs.ledger import RunManifest, _utc_now
 from ..sim.config import MachineConfig
 from ..workloads import Workload
-from .experiments import manifest_schedules
+from .experiments import schedule_configs
 
 
 class MachineSweep:
@@ -98,8 +98,12 @@ def compare_machines(workloads: Sequence[Workload],
     for workload in workloads:
         sweep = MachineSweep(workload, scale)
         columns = {
-            name: {"source": "replay",
-                   "schedules": _schedule_machine(run, machine)}
+            name: {"source": "replay", "schedules": {
+                label: {"summary": result.summary(), "relative": relative}
+                for label, result, relative in schedule_configs(
+                    run, machine, record_timeline=True,
+                )
+            }}
             for name, machine, run in zip(names, machines,
                                           sweep.runs(machines))
         }
@@ -111,14 +115,6 @@ def compare_machines(workloads: Sequence[Workload],
             "machines": columns,
         }
     return report
-
-
-def _schedule_machine(run: WorkloadRun, machine: MachineModel) -> dict:
-    """The run-ledger schedule configurations on one machine."""
-    return {
-        label: {"summary": result.summary(), "relative": relative}
-        for label, result, relative in manifest_schedules(run, machine)
-    }
 
 
 def machines_manifest(report: dict, machine_name: str) -> dict:

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..obs.report import render_phase_breakdown
-from ..runtime.scheduler import ScheduleResult
 from .experiments import (
     FIGURE3_CONFIGS,
     Figure3Row,
@@ -14,12 +12,6 @@ from .experiments import (
     HeadlineNumbers,
     Table1Row,
 )
-
-
-def render_schedule_summary(label: str, result: ScheduleResult) -> str:
-    """One scheduled run's time/energy/EDP and Figure-4-style buckets,
-    rendered from ``ScheduleResult.summary()``."""
-    return render_phase_breakdown(label, result.summary())
 
 
 def render_table1(rows: Iterable[Table1Row]) -> str:

@@ -19,18 +19,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import obs
-from ..power.frequency import FrequencyPolicy
-from ..runtime.scheduler import DAEScheduler, ScheduleResult
 from ..sim.config import MachineConfig
 from ..transform.access_phase import AccessPhaseOptions
 from ..workloads import workload_by_name
-from .experiments import MANIFEST_CONFIGS, WorkloadRun, run_workload
-
-#: (label, profile stream, run scheme, policy name) — the headline
-#: pairing plus its baseline, traced by default.  Identical to the run
-#: ledger's schedule configurations, so traces and manifests describe
-#: the same runs.
-TRACE_CONFIGS = MANIFEST_CONFIGS
+from .experiments import WorkloadRun, run_workload, schedule_configs
 
 
 @dataclass
@@ -51,7 +43,10 @@ def trace_workload(name: str, scale: int = 1,
                    collector: Optional[obs.Collector] = None,
                    options: Optional[AccessPhaseOptions] = None,
                    ) -> TraceArtifacts:
-    """Run one workload end to end with the collector enabled.
+    """Run one workload end to end with the collector enabled, and
+    schedule it under the run ledger's configurations
+    (:data:`~repro.evaluation.experiments.MANIFEST_CONFIGS`), so traces
+    and manifests describe the same runs.
 
     Tracing never consults the profile cache: the explain report is
     built from the compile/profile events of a fresh run, which a cache
@@ -66,13 +61,9 @@ def trace_workload(name: str, scale: int = 1,
         artifacts.run = run_workload(
             workload_by_name(name), scale, config, options=options,
         )
-        for label, stream, scheme, policy in TRACE_CONFIGS:
-            scheduler = DAEScheduler(config)
-            result: ScheduleResult = scheduler.run(
-                artifacts.run.profiles[stream.value].tasks, scheme,
-                FrequencyPolicy.from_name(policy, config),
-                record_timeline=True,
-            )
+        for label, result, _ in schedule_configs(
+            artifacts.run, config, record_timeline=True,
+        ):
             artifacts.schedules[label] = result
     return artifacts
 

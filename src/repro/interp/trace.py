@@ -159,9 +159,9 @@ def pack_events(flat: list) -> Union[array, list]:
 class TaskTrace:
     """The recorded phases of one task under one scheme.
 
-    ``name`` is the task-instance name, kept so a pure replay (the
-    ablation sweeps) can rebuild a schedulable profile stream without
-    the original :class:`~repro.runtime.task.TaskInstance` objects.
+    ``name`` is the task's name, which each
+    :class:`~repro.runtime.task.TaskProfile` counted from these
+    records carries.
     """
 
     __slots__ = ("name", "access", "execute")

@@ -52,7 +52,7 @@ events, so any recording replays on any machine.
 from __future__ import annotations
 
 from ..interp.trace import TraceStore
-from ..runtime.task import StreamProfile, TaskProfile, TaskRef
+from ..runtime.task import StreamProfile, TaskProfile
 from ..sim.cache import AccessCounts, Cache, CoreCaches
 from ..sim.config import MachineConfig
 from ..sim.replay import replay_llc, replay_private, replay_recorded
@@ -202,8 +202,7 @@ def _llc_pass(phases, private: tuple, records: list,
             for phase_trace in (task_trace.access, task_trace.execute)
         ]
         stream.tasks.append(TaskProfile(
-            instance=TaskRef(name=task_trace.name),
-            execute=execute, access=access,
+            name=task_trace.name, execute=execute, access=access,
         ))
     return stream
 

@@ -97,8 +97,8 @@ class TaskStreamProfiler:
         when the caller passes none), and the scheme's records are then
         counted by :func:`~repro.machines.replay.machine_stream` on the
         profiler's machine; each returned
-        :class:`~repro.runtime.task.TaskProfile` carries its
-        :class:`TaskInstance`.  A store shared across a multi-scheme
+        :class:`~repro.runtime.task.TaskProfile` carries its task's
+        name.  A store shared across a multi-scheme
         matrix also lets the fast core skip interpretation: execute
         phases whose stream is already recorded by an earlier scheme
         alias that *donor* trace instead of re-interpreting.  Reuse is
@@ -189,8 +189,6 @@ class TaskStreamProfiler:
                 access=access_trace, execute=execute_trace,
             ))
         result = machine_stream(store, scheme, self.machine)
-        for task, instance in zip(result.tasks, tasks):
-            task.instance = instance
         if collector.enabled:
             # Post-hoc snapshots: the interpreter and caches run
             # uninstrumented, then each phase's counters are recorded

@@ -312,7 +312,7 @@ class DAEScheduler:
         coefficients, timing knobs)."""
         access_type, execute_type = self._run_placement
         buckets = result.buckets
-        task_name = profile.instance.name
+        task_name = profile.name
 
         # Dispatch overhead runs wherever the slot currently resides
         # (the execute type when cold), at its current point (or fmin).

@@ -13,13 +13,16 @@ tile offsets).
 * ``DAE``    — compiler-generated access version first, execute
   immediately after on the same core (warm caches);
 * ``MANUAL`` — like ``DAE`` but with the hand-written access version.
+
+A scheme names a profile *stream*; :attr:`Scheme.run_scheme` is the
+execution mode the scheduler runs that stream under.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ..ir import Function
 from ..sim.timing import PhaseProfile
@@ -37,6 +40,13 @@ class Scheme(str, enum.Enum):
     CAE = "cae"
     DAE = "dae"
     MANUAL = "manual"
+
+    @property
+    def run_scheme(self) -> "Scheme":
+        """The execution mode that schedules this scheme's stream: CAE
+        runs coupled, and DAE and MANUAL both run under the DAE runtime
+        (access phase, then execute phase, on one core)."""
+        return Scheme.CAE if self is Scheme.CAE else Scheme.DAE
 
     @classmethod
     def _missing_(cls, value):
@@ -75,28 +85,16 @@ class TaskInstance:
         return self.kind.name
 
 
-@dataclass(frozen=True)
-class TaskRef:
-    """Name-only stand-in for a :class:`TaskInstance`.
-
-    Profiles that round-trip through the evaluation engine's process
-    pool or on-disk cache drop the heavyweight IR-bearing instance and
-    keep only what the scheduler consumes: the task name.
-    """
-
-    name: str
-
-
 @dataclass
 class TaskProfile:
     """Measured phase profiles of one dynamic task.
 
-    ``instance`` is either the full :class:`TaskInstance` (fresh
-    profiling runs) or a :class:`TaskRef` (engine cache / pool
-    round-trips); both expose ``.name``.
+    ``name`` is the task's name, the one thing the scheduler and the
+    engine's payload read of the task itself, so a fresh profile and
+    one served by the engine's cache or pool have the same shape.
     """
 
-    instance: Union[TaskInstance, TaskRef]
+    name: str
     execute: PhaseProfile
     access: Optional[PhaseProfile] = None
 

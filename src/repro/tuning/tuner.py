@@ -207,47 +207,6 @@ class TuningResult:
             return None
         return 1.0 - self.best.value / self.phase_local.value
 
-    def manifest_entry(self) -> dict:
-        """This tuning run as one run-ledger workload entry.
-
-        The tuned pair, the phase-local baseline, and the pinned
-        reference policies each become a schedule configuration with a
-        ``summary`` in the shape ``compare_runs`` expects, so ledger
-        diffs cover tuning outcomes exactly like engine runs.
-        """
-        def entry(policy_label: str, candidate: TuningCandidate) -> dict:
-            return {
-                "summary": {
-                    "scheme": self.scheme,
-                    "policy": policy_label,
-                    "time_s": candidate.time_s,
-                    "energy_j": candidate.energy_j,
-                    "edp_js": candidate.edp_js,
-                },
-            }
-
-        schedules = {
-            "tuned": entry(self.best.label, self.best),
-            "phase-local": entry("phase-local", self.phase_local),
-        }
-        for label, candidate in sorted(self.references.items()):
-            schedules[label] = entry(label, candidate)
-        tuning = {
-            "objective": self.objective,
-            "strategy": self.strategy,
-            "best": self.best.label,
-            "installed": self.installed,
-            "improvement_over_phase_local":
-                self.improvement_over_phase_local(),
-        }
-        if self.machine is not None:
-            tuning["machine"] = self.machine
-            tuning["placement"] = self.placement
-        return {
-            "schedules": schedules,
-            "tuning": tuning,
-        }
-
     def as_dict(self) -> dict:
         """Deterministic JSON document (no wall-clock, no cache state —
         repeat runs of the same tuning problem byte-match)."""
@@ -459,8 +418,8 @@ class _CandidateEvaluator:
 
 
 def _candidate_material(profile_material: dict, workload_name: str,
-                        stream: Scheme, run_scheme: Scheme,
-                        machine: MachineModel, scale: int) -> dict:
+                        stream: Scheme, machine: MachineModel,
+                        scale: int) -> dict:
     """Everything a candidate's schedule is a function of except the
     point pair itself."""
     return {
@@ -469,7 +428,7 @@ def _candidate_material(profile_material: dict, workload_name: str,
         "profile_key": cache_key(profile_material),
         "workload": workload_name,
         "stream": stream.value,
-        "run_scheme": run_scheme.value,
+        "run_scheme": stream.run_scheme.value,
         "scale": int(scale),
         "machine": machine_material(machine),
         "scheduler": {
@@ -534,7 +493,8 @@ def tune_workload(workload: Union[Workload, str, type], *,
     machine_name = machine.name if named else None
     config = machine.config
     objective = resolve_objective(objective)
-    scheme = Scheme(scheme)
+    # The profile stream; it schedules under ``stream.run_scheme``.
+    stream = Scheme(scheme)
     if strategy != "all" and strategy not in STRATEGIES:
         raise ValueError(
             "unknown strategy %r; expected 'all' or one of %s"
@@ -549,15 +509,12 @@ def tune_workload(workload: Union[Workload, str, type], *,
     heterogeneous = machine.heterogeneous
     placements = _placements(machine)
 
-    # Profile stream vs execution mode, as in evaluation.schedule().
-    stream = Scheme.CAE if scheme is Scheme.CAE else scheme
-    run_scheme = Scheme.CAE if scheme is Scheme.CAE else Scheme.DAE
 
     collector = get_collector()
     stats = TuningStats()
     with collector.span("tuning.run", cat="tuning", args={
         "objective": objective.spec, "strategy": strategy,
-        "scheme": scheme.value, "scale": scale, "machine": machine.name,
+        "scheme": stream.value, "scale": scale, "machine": machine.name,
     }) as span:
         spec = ExperimentSpec(
             workloads=(workload,), schemes=(stream,), scale=scale,
@@ -587,11 +544,12 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 material_base = _candidate_material(
                     key_material(resolved, spec.scale, machine,
                                  spec.options, spec.schemes),
-                    resolved.name, stream, run_scheme, machine, scale,
+                    resolved.name, stream, machine, scale,
                 )
         evaluators = [
             _CandidateEvaluator(
-                stream=profiled, run_scheme=run_scheme, machine=machine,
+                stream=profiled, run_scheme=stream.run_scheme,
+                machine=machine,
                 placement=placed, objective=objective,
                 workload_name=resolved.name, stats=stats,
                 cache=(ProfileCache(cache_dir)
@@ -658,7 +616,7 @@ def tune_workload(workload: Union[Workload, str, type], *,
         span.args.update(stats.as_dict())
 
     return TuningResult(
-        workload=resolved.name, scheme=scheme.value, objective=objective.spec,
+        workload=resolved.name, scheme=stream.value, objective=objective.spec,
         strategy=strategy, scale=scale, best=best, phase_local=phase_local,
         strategies=summaries, candidates=pair_candidates,
         references=references, front=front, policy=policy,

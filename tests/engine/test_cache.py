@@ -52,7 +52,7 @@ class TestCacheRoundTrip:
             other = warm.profiles[scheme]
             assert len(other.tasks) == len(profile.tasks)
             for a, b in zip(profile.tasks, other.tasks):
-                assert a.instance.name == b.instance.name
+                assert a.name == b.name
                 assert a.execute.instructions == b.execute.instructions
         assert warm.compiled.affine_loops() == cold.compiled.affine_loops()
         assert warm.compiled.total_loops() == cold.compiled.total_loops()

@@ -38,6 +38,13 @@ class TestScheme:
             with pytest.raises(ValueError, match="unknown scheme"):
                 Scheme(bad)
 
+    def test_run_scheme_of_each_stream(self):
+        # CAE runs coupled; both decoupled streams run under the DAE
+        # runtime.
+        assert Scheme.CAE.run_scheme is Scheme.CAE
+        assert Scheme.DAE.run_scheme is Scheme.DAE
+        assert Scheme.MANUAL.run_scheme is Scheme.DAE
+
 
 class TestPolicyRegistry:
     def test_builtin_names(self):

@@ -28,7 +28,7 @@ from repro.sim import MachineConfig
 from ..engine.tinywork import TinyWorkload
 
 MACHINES = ["sandybridge", "biglittle", "ideal"]
-LABELS = [label for label, _, _, _ in MANIFEST_CONFIGS]
+LABELS = [label for label, _, _ in MANIFEST_CONFIGS]
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +76,10 @@ class TestReportShape:
         run = profile_workload(
             TinyWorkload(), 1, config, schemes=ALL_SCHEMES, interp="replay",
         )
-        for label, stream, run_scheme, policy_name in MANIFEST_CONFIGS:
+        for label, stream, policy_name in MANIFEST_CONFIGS:
             policy = FrequencyPolicy.from_name(policy_name, config)
             direct = DAEScheduler(config).run(
-                run.profiles[stream.value].tasks, run_scheme, policy,
+                run.profiles[stream.value].tasks, stream.run_scheme, policy,
             )
             column = report["workloads"]["tiny"]["machines"]["sandybridge"]
             assert column["schedules"][label]["summary"] == direct.summary()

@@ -247,34 +247,3 @@ class TestRunsCLI:
         assert list(doc["workloads"]) == ["cigar"]
         manifest = RunLedger(ledger_dir).load("latest")
         assert list(manifest.workloads) == ["cigar"]
-
-
-class TestTuningManifestEntry:
-    def test_manifest_entry_shape(self, tmp_path):
-        from repro.tuning import tune_workload
-        from repro.tuning.policy import _unregister_tuned_for_tests
-
-        result = tune_workload(
-            TinyWorkload(), strategy="descent", cache=False, install=False,
-        )
-        _unregister_tuned_for_tests()
-        entry = result.manifest_entry()
-        schedules = entry["schedules"]
-        assert {"tuned", "phase-local"} <= set(schedules)
-        assert "policy:minmax" in schedules
-        for doc in schedules.values():
-            summary = doc["summary"]
-            assert summary["time_s"] > 0.0
-            assert summary["energy_j"] > 0.0
-            assert summary["edp_js"] == pytest.approx(
-                summary["time_s"] * summary["energy_j"]
-            )
-        assert entry["tuning"]["strategy"] == "descent"
-        # A manifest built around this entry diffes like an engine one.
-        from repro.obs.ledger import RunManifest
-
-        manifest = RunManifest(kind="tune", workloads={"tiny": entry})
-        ledger = RunLedger(tmp_path)
-        ledger.record(manifest)
-        comparison = compare_runs(manifest, ledger.load("latest"))
-        assert comparison.ok

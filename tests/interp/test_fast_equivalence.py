@@ -110,16 +110,16 @@ def test_profiles_byte_identical(workload_cls):
         ).profiles[scheme]
         assert len(ref_stream.tasks) == len(fast_stream.tasks)
         for ref_task, fast_task in zip(ref_stream.tasks, fast_stream.tasks):
-            assert ref_task.instance.name == fast_task.instance.name
+            assert ref_task.name == fast_task.name
             assert phase_to_dict(ref_task.execute) == phase_to_dict(
                 fast_task.execute
-            ), (scheme, ref_task.instance.name)
+            ), (scheme, ref_task.name)
             if ref_task.access is None:
                 assert fast_task.access is None
             else:
                 assert phase_to_dict(ref_task.access) == phase_to_dict(
                     fast_task.access
-                ), (scheme, ref_task.instance.name)
+                ), (scheme, ref_task.name)
 
 
 @pytest.mark.parametrize("name", SMALL_WORKLOADS)

@@ -385,7 +385,7 @@ def test_single_type_machine_stream_reproduces_the_recorded_profiles():
         )
         assert len(rebuilt.tasks) == len(stream.tasks)
         for original, copy in zip(stream.tasks, rebuilt.tasks):
-            assert original.instance.name == copy.instance.name
+            assert original.name == copy.name
             assert phase_to_dict(original.execute) == phase_to_dict(
                 copy.execute
             )

@@ -30,7 +30,7 @@ from repro.machines import replay as machine_replay
 from repro.machines.replay import machine_stream
 from repro.power.frequency import FrequencyPolicy
 from repro.runtime import DAEScheduler, TaskProfile
-from repro.runtime.task import TaskInstance, TaskKind
+from repro.runtime.task import TaskInstance
 from repro.sim import AccessCounts, MachineConfig, PhaseProfile
 from repro.sim import replay as sim_replay
 
@@ -48,10 +48,9 @@ def _profile(slots, mem=0, pf_mem=0):
 
 
 def _tasks(n=10):
-    kind = TaskKind(name="k", execute=None)
     return [
         TaskProfile(
-            instance=TaskInstance(kind, []),
+            name="k",
             execute=_profile(slots=40_000, mem=60),
             access=_profile(slots=4_000, pf_mem=200),
         )

@@ -4,7 +4,6 @@ import pytest
 
 from repro.power import FixedPolicy, MinMaxPolicy
 from repro.runtime import DAEScheduler, TaskProfile
-from repro.runtime.task import TaskInstance, TaskKind
 from repro.sim import AccessCounts, MachineConfig, PhaseProfile
 
 
@@ -19,11 +18,10 @@ def profile(slots=4000, mem=0, pf_mem=0, instructions=None):
 
 
 def make_tasks(n, access=None, execute=None):
-    kind = TaskKind(name="k", execute=None)  # functions unused here
     tasks = []
     for _ in range(n):
         tasks.append(TaskProfile(
-            instance=TaskInstance(kind, []),
+            name="k",
             execute=execute or profile(slots=40_000),
             access=access,
         ))

@@ -3,7 +3,6 @@ steal victims, and byte-identical repeat runs."""
 
 from repro.power import FixedPolicy
 from repro.runtime import DAEScheduler, TaskProfile
-from repro.runtime.task import TaskInstance, TaskKind
 from repro.sim import AccessCounts, MachineConfig, PhaseProfile
 
 
@@ -14,10 +13,7 @@ def _profile(slots):
 
 
 def _task(name, slots):
-    kind = TaskKind(name=name, execute=None)
-    return TaskProfile(
-        instance=TaskInstance(kind, []), execute=_profile(slots),
-    )
+    return TaskProfile(name=name, execute=_profile(slots))
 
 
 def _timeline_tuples(result):

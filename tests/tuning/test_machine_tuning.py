@@ -87,9 +87,6 @@ class TestBigLittleTuning:
         doc = biglittle_result.as_dict()
         assert doc["machine"] == "biglittle"
         assert doc["placement"] == biglittle_result.placement
-        entry = biglittle_result.manifest_entry()
-        assert entry["tuning"]["machine"] == "biglittle"
-        assert entry["tuning"]["placement"] == biglittle_result.placement
 
     def test_unknown_machine_name_raises(self):
         with pytest.raises(KeyError, match="registered"):
