@@ -33,7 +33,12 @@ import json
 import math
 import time
 
-from repro.engine.products import ALL_SCHEMES, WorkloadRun, run_to_payload
+from repro.engine.products import (
+    ALL_SCHEMES,
+    CompiledSummary,
+    WorkloadRun,
+    run_to_payload,
+)
 from repro.interp.trace import TraceStore
 from repro.runtime.profiler import TaskStreamProfiler
 from repro.sim.config import MachineConfig
@@ -61,8 +66,8 @@ def _bench_leg(workload, replay: bool, scale: int,
         profiles[scheme] = stream
         task_count = len(tasks)
     run = WorkloadRun(
-        workload=workload, compiled=compiled, profiles=profiles,
-        task_count=task_count,
+        workload=workload, compiled=CompiledSummary.from_compiled(compiled),
+        profiles=profiles, task_count=task_count,
     )
     result = {
         "elapsed_s": round(elapsed, 4),

@@ -31,8 +31,8 @@ def main() -> None:
     run = run_workload(workload, scale=args.scale, config=config)
 
     print("tasks: %d" % run.task_count)
-    for name, result in run.compiled.results.items():
-        print("  %-16s -> %s access version" % (name, result.method))
+    for name, method in run.compiled.methods.items():
+        print("  %-16s -> %s access version" % (name, method))
 
     baseline = schedule(
         run, Scheme.CAE, FrequencyPolicy.from_name("fmax", config), config,

@@ -8,13 +8,14 @@ per-type cache hierarchy.  The result,
 evaluation layer.
 
 Because runs must cross process boundaries (the pool) and sessions (the
-on-disk cache), this module also defines the *slim* representation: a
-JSON-able payload holding a :class:`CompiledSummary` instead of the
-IR-bearing :class:`~repro.workloads.base.CompiledWorkload`.  A
+on-disk cache), a run is *slim* from the start: it holds a
+:class:`CompiledSummary` instead of the IR-bearing
+:class:`~repro.workloads.base.CompiledWorkload`, and a
 :class:`~repro.runtime.task.TaskProfile` holds only its task's name and
 :class:`~repro.sim.timing.PhaseProfile` numbers, all the scheduler and
-every report read, so the slim form is behaviourally identical to a
-fresh run — bit-identical schedules, by construction and by test.
+every report read.  So a fresh, a cached and a pooled run have one
+shape, and this module's JSON-able payload round-trips it exactly —
+bit-identical schedules, by construction and by test.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ class EngineError(RuntimeError):
 
 @dataclass
 class CompiledSummary:
-    """Slim stand-in for :class:`CompiledWorkload`.
+    """What a run keeps of its :class:`CompiledWorkload`.
 
     Keeps exactly what the reports read — the Table 1 loop counts and
-    the per-task generation method — and mirrors ``CompiledWorkload``'s
-    ``affine_loops()`` / ``total_loops()`` accessors so the two are
-    interchangeable downstream.
+    the per-task generation method — behind ``CompiledWorkload``'s
+    ``affine_loops()`` / ``total_loops()`` accessors.
     """
 
     name: str
@@ -61,11 +61,7 @@ class CompiledSummary:
         return self.total
 
     @staticmethod
-    def from_compiled(
-        compiled: Union[CompiledWorkload, "CompiledSummary"],
-    ) -> "CompiledSummary":
-        if isinstance(compiled, CompiledSummary):
-            return compiled
+    def from_compiled(compiled: CompiledWorkload) -> "CompiledSummary":
         return CompiledSummary(
             name=compiled.name,
             affine=compiled.affine_loops(),
@@ -81,13 +77,13 @@ class CompiledSummary:
 class WorkloadRun:
     """All simulation products for one workload at one scale.
 
-    ``compiled`` is a full :class:`CompiledWorkload` for fresh in-process
-    runs and a :class:`CompiledSummary` after a cache or pool round-trip;
-    ``from_cache`` records which.
+    ``compiled`` is the :class:`CompiledSummary` of the workload's
+    compilation, whether the run is fresh, cached or pooled;
+    ``from_cache`` records whether it came from the cache.
     """
 
     workload: Workload
-    compiled: Union[CompiledWorkload, CompiledSummary]
+    compiled: CompiledSummary
     profiles: dict[str, StreamProfile]
     task_count: int
     from_cache: bool = False
@@ -146,8 +142,8 @@ def profile_workload(workload: Workload, scale: int = 1,
         if trace_store is None:
             store.release(scheme.value)
     return WorkloadRun(
-        workload=workload, compiled=compiled, profiles=profiles,
-        task_count=len(tasks),
+        workload=workload, compiled=CompiledSummary.from_compiled(compiled),
+        profiles=profiles, task_count=len(tasks),
     )
 
 
@@ -192,7 +188,6 @@ def phase_from_dict(doc: dict) -> PhaseProfile:
 
 def run_to_payload(run: WorkloadRun) -> dict:
     """JSON-able dict carrying everything the evaluation layer reads."""
-    summary = CompiledSummary.from_compiled(run.compiled)
     profiles = {}
     for scheme, stream in run.profiles.items():
         profiles[str(scheme)] = [
@@ -211,10 +206,10 @@ def run_to_payload(run: WorkloadRun) -> dict:
         "workload": run.workload.name,
         "task_count": run.task_count,
         "compiled": {
-            "name": summary.name,
-            "affine": summary.affine,
-            "total": summary.total,
-            "methods": dict(summary.methods),
+            "name": run.compiled.name,
+            "affine": run.compiled.affine,
+            "total": run.compiled.total,
+            "methods": dict(run.compiled.methods),
         },
         "profiles": profiles,
     }

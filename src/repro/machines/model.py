@@ -29,9 +29,10 @@ The scheduler models a machine as *slots* in the style of big.LITTLE's
 in-kernel switcher: a slot pairs one core of each placed type, a
 task's phases hop between the pair, and the inactive sibling is
 power-gated (it burns nothing and keeps no clock).  Placed types that
-are *behaviourally identical* (equal configs) collapse to one type, so
-such a machine schedules exactly like the single-type machine — the
-``machine-invariance`` fuzz oracle pins that collapse bit-for-bit.
+are *behaviourally identical* (equal configs) collapse to one type in
+:meth:`MachineModel.placement`, so such a machine schedules and replays
+exactly like the single-type machine — the ``machine-invariance`` fuzz
+oracle pins that collapse bit-for-bit.
 
 Models are named and registered, mirroring
 :meth:`repro.power.frequency.FrequencyPolicy.register`, so CLI verbs
@@ -127,16 +128,10 @@ class MachineModel:
 
     @property
     def heterogeneous(self) -> bool:
-        """True when the placed types differ *behaviourally*.
-
-        Two types with equal configs are indistinguishable to the
-        timing, cache and power models, so a machine built from them
-        collapses to one type (and the ``machine-invariance`` oracle
-        holds by construction).
-        """
-        access = self.type_named(self.access_type)
-        execute = self.type_named(self.execute_type)
-        return access.config != execute.config
+        """True when decoupled phases run on two core types, that is
+        when :meth:`placement` does not collapse them."""
+        access, execute = self.placement("dae")
+        return access is not execute
 
     @property
     def config(self) -> MachineConfig:
@@ -153,34 +148,32 @@ class MachineModel:
                ", ".join(t.name for t in self.core_types))
         )
 
-    def placement(self, scheme: str,
-                  override: tuple[str, str] | None = None,
-                  ) -> tuple[CoreType, CoreType]:
+    def placement(self, scheme: str) -> tuple[CoreType, CoreType]:
         """(access type, execute type) for ``scheme``.
 
         Decoupled schemes (``dae``/``manual``) split phases across the
-        declared (or ``override``) placement; coupled schemes pin both
-        phases to the execute type.
+        declared placement; coupled schemes pin both phases to the
+        execute type.  This is where the collapse rule lives: placed
+        types with equal configs are indistinguishable to the timing,
+        cache and power models, so they come back as the execute type
+        twice and every caller compares the two by identity.
         """
-        access_name, execute_name = override or (
-            self.access_type, self.execute_type
-        )
-        execute = self.type_named(execute_name)
-        if str(scheme) in ("dae", "manual"):
-            return self.type_named(access_name), execute
-        return execute, execute
+        execute = self.type_named(self.execute_type)
+        if str(scheme) not in ("dae", "manual"):
+            return execute, execute
+        access = self.type_named(self.access_type)
+        if access.config == execute.config:
+            return execute, execute
+        return access, execute
 
-    def slots(self, scheme: str,
-              override: tuple[str, str] | None = None) -> int:
+    def slots(self, scheme: str) -> int:
         """Logical scheduling slots for ``scheme``.
 
         A slot pairs one core of each placed type (the in-kernel
         switcher model), so the machine offers as many slots as its
         *smallest* placed cluster; unused clusters are power-gated.
         """
-        access, execute = self.placement(scheme, override)
-        if access.name == execute.name:
-            return execute.count
+        access, execute = self.placement(scheme)
         return min(access.count, execute.count)
 
     # -- validation ------------------------------------------------------------

@@ -18,10 +18,11 @@ LLC but not the sibling's privates.  With a
 whenever a phase lands on the other cluster, modelling the in-kernel
 switcher's power-cycled inbound cluster.
 
-Placed types with equal configs collapse to one type once per call —
-the same rule the scheduler applies — so a single-type machine (or a
-degenerate two-cluster one) keeps one private hierarchy per slot and
-never flushes.
+Placed types with equal configs collapse to one type in
+:meth:`~repro.machines.model.MachineModel.placement` — the placement
+the scheduler runs too — so a single-type machine (or a degenerate
+two-cluster one) keeps one private hierarchy per slot and never
+flushes.
 
 Replay runs the two stages of :mod:`repro.sim.replay` as two passes
 over a scheme's records.  A count depends only on cache *geometry*,
@@ -88,15 +89,12 @@ def _private_geometry(config: MachineConfig) -> tuple:
     return (l1.sets, l1.ways, l1.line_bytes, l2.sets, l2.ways)
 
 
-def _layout(scheme: str, machine: MachineModel,
-            placement: tuple[str, str] | None) -> tuple:
-    """``scheme``'s (access, execute) core types on ``machine`` — equal
-    configs collapse to one type — its slot width and migration flush,
-    and the private pass's memo key they make."""
-    access_type, execute_type = machine.placement(scheme, placement)
-    if access_type.config == execute_type.config:
-        access_type = execute_type
-    width = machine.slots(scheme, placement)
+def _layout(scheme: str, machine: MachineModel) -> tuple:
+    """``scheme``'s (access, execute) core types on ``machine``, its
+    slot width and migration flush, and the private pass's memo key
+    they make."""
+    access_type, execute_type = machine.placement(scheme)
+    width = machine.slots(scheme)
     flush = machine.transition.kind == "migrate" and machine.transition.flush
     key = (scheme, width, flush, access_type is execute_type,
            _private_geometry(access_type.config),
@@ -105,20 +103,14 @@ def _layout(scheme: str, machine: MachineModel,
 
 
 def machine_stream(store: TraceStore, scheme: str,
-                   machine: MachineModel,
-                   placement: tuple[str, str] | None = None,
-                   ) -> StreamProfile:
+                   machine: MachineModel) -> StreamProfile:
     """Re-simulate one recorded scheme of ``store`` on ``machine``.
 
-    ``placement`` optionally overrides the machine's declared (access,
-    execute) core types (the tuner's placement search uses this).  The
-    result is exactly the :class:`StreamProfile` a full profiling run
-    on the machine would produce, with zero interpretation.
+    The result is exactly the :class:`StreamProfile` a full profiling
+    run on the machine would produce, with zero interpretation.
     """
     scheme = str(scheme)
-    access_type, execute_type, width, flush, key = _layout(
-        scheme, machine, placement,
-    )
+    access_type, execute_type, width, flush, key = _layout(scheme, machine)
     placed = ((execute_type,) if access_type is execute_type
               else (access_type, execute_type))
     records = store.schemes[scheme]
@@ -146,9 +138,9 @@ def machine_stream(store: TraceStore, scheme: str,
 
 def prune_private_passes(store: TraceStore, upcoming) -> None:
     """Drop every private pass memoized on ``store`` that no machine in
-    ``upcoming`` would reuse (placements as declared)."""
+    ``upcoming`` would reuse."""
     keep = {
-        _layout(scheme, machine, None)[-1]
+        _layout(scheme, machine)[-1]
         for machine in upcoming for scheme in store.schemes
     }
     for key in set(store.private_stages) - keep:
@@ -207,11 +199,10 @@ def _llc_pass(phases, private: tuple, records: list,
     return stream
 
 
-def machine_profiles(store: TraceStore, machine: MachineModel,
-                     placement: tuple[str, str] | None = None,
-                     ) -> dict[str, StreamProfile]:
+def machine_profiles(store: TraceStore,
+                     machine: MachineModel) -> dict[str, StreamProfile]:
     """Replay every recorded scheme in ``store`` on ``machine``."""
     return {
-        scheme: machine_stream(store, scheme, machine, placement)
+        scheme: machine_stream(store, scheme, machine)
         for scheme in store.schemes
     }

@@ -73,7 +73,9 @@ def render_loop_detail(events: Iterable[Event]) -> str:
 
 
 def render_pass_summary(events: Iterable[Event]) -> str:
-    """Aggregate wall-clock per optimization pass."""
+    """Aggregate wall-clock per optimization pass, one row per pass in
+    name order (wall times vary from run to run; the row order must
+    not)."""
     totals: Dict[str, List[float]] = {}   # name -> [runs, ns, changes]
     for event in events:
         if event.kind != "span" or not event.cat.startswith("compiler.pass"):
@@ -88,7 +90,7 @@ def render_pass_summary(events: Iterable[Event]) -> str:
     ]
     if not totals:
         lines.append("  (no pass spans recorded)")
-    for name in sorted(totals, key=lambda n: -totals[n][1]):
+    for name in sorted(totals):
         runs, ns, changes = totals[name]
         lines.append("  %-24s %6d %12.3f %10d" % (
             name, runs, ns / 1e6, changes,

@@ -13,7 +13,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "chernikova": ("convex_union", "double_description", "from_generators",
                    "generators"),
     "codegen": ("Bound", "CodegenError", "LoopSpec", "ScanNest",
-                "generate_scan_nest", "nests_mergeable"),
+                "generate_scan_nest"),
     "counting": ("EhrhartPolynomial", "count_polynomial", "counts_dominate",
                  "interpolate_count", "union_count_polynomial"),
     "polyhedron": ("Polyhedron", "union_count", "union_enumerate"),

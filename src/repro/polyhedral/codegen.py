@@ -130,30 +130,3 @@ def generate_scan_nest(poly: Polyhedron,
             raise CodegenError("dimension %r is unbounded" % dim)
         loops.append(spec)
     return ScanNest(loops=loops, params=list(poly.params))
-
-
-def nests_mergeable(a: ScanNest, b: ScanNest) -> bool:
-    """True when two nests have identical per-level iteration ranges.
-
-    This is the paper's merge condition for loop nests prefetching
-    different arrays/classes: "we merge these loop nests into one, only
-    if they have the same number of iterations".  We require the bound
-    expressions to coincide level by level (after normalization), which
-    is sufficient for identical trip counts.
-    """
-    if a.depth != b.depth:
-        return False
-    for la, lb in zip(a.loops, b.loops):
-        if not _bounds_equal(la.lowers, lb.lowers):
-            return False
-        if not _bounds_equal(la.uppers, lb.uppers):
-            return False
-    return True
-
-
-def _bounds_equal(xs: list[Bound], ys: list[Bound]) -> bool:
-    def key(bound: Bound):
-        expr = bound.expr * Fraction(1, bound.divisor)
-        return (frozenset(expr.coeffs.items()), expr.const)
-
-    return {key(b) for b in xs} == {key(b) for b in ys}

@@ -177,23 +177,14 @@ class DAEScheduler:
     #: Power of a sleeping core (deep C-state).
     sleep_power_w: float = 0.15
 
-    def __init__(self, machine: MachineLike = None,
-                 placement: Optional[tuple] = None):
+    def __init__(self, machine: MachineLike = None):
         """Schedule on ``machine``, resolved by
         :func:`~repro.machines.model.as_machine`: a registered name, a
         :class:`~repro.machines.model.MachineModel`, or a bare
         :class:`~repro.sim.config.MachineConfig`'s single-type machine
         (``None``: the default config's).
-
-        ``placement`` optionally overrides the machine's declared
-        (access, execute) core-type names — the tuner's placement
-        search uses it.  A name the machine lacks raises ``KeyError``
-        from :meth:`run`, listing the machine's types.
         """
         self.machine = as_machine(machine)
-        self._placement_override = (
-            tuple(placement) if placement is not None else None
-        )
         #: (access CoreType, execute CoreType) of the run in flight.
         self._run_placement = None
 
@@ -217,22 +208,18 @@ class DAEScheduler:
         guaranteed only implicitly (first match in list order), so the
         schedule is deterministic by contract, not by accident.
 
-        The collapse rule applies once per run: placed types with
-        equal configs are indistinguishable, so both phases use the
-        execute type and the run is a plain DVFS schedule.  After
-        that, core types compare by identity.
+        Core types compare by identity: the machine's
+        :meth:`~repro.machines.model.MachineModel.placement` returns
+        the execute type twice when the placed types have equal
+        configs, and the run is then a plain DVFS schedule.
         """
         scheme = Scheme(scheme).value
         collector = get_collector()
         if record_timeline is None:
             record_timeline = collector.enabled
-        access_type, execute_type = self.machine.placement(
-            scheme, self._placement_override
-        )
-        if access_type.config == execute_type.config:
-            access_type = execute_type
+        access_type, execute_type = self.machine.placement(scheme)
         self._run_placement = (access_type, execute_type)
-        width = self.machine.slots(scheme, self._placement_override)
+        width = self.machine.slots(scheme)
         cores = [_CoreState(index=i) for i in range(width)]
         for i, profile in enumerate(profiles):
             cores[i % width].queue.append(profile)

@@ -24,13 +24,11 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "objectives": ("DelayObjective", "DelayUnderPowerCap", "ED2PObjective",
                    "EDPObjective", "EnergyObjective", "EnergyUnderDeadline",
                    "Objective", "resolve_objective"),
-    "pareto": ("ParetoPoint", "dominates", "front_from_schedules",
-               "pareto_front"),
+    "pareto": ("ParetoPoint", "dominates", "pareto_front"),
     "policy": ("TunedPolicy", "install_tuned_policy"),
     "search": ("STRATEGIES", "CandidatePair", "SearchOutcome",
-               "coordinate_descent", "golden_section", "grid_search_pair",
-               "grid_search_point", "interpolate_point", "nearest_point",
-               "sorted_points"),
+               "coordinate_descent", "golden_section", "grid_search_point",
+               "interpolate_point", "sorted_points"),
     "tuner": ("StrategySummary", "TuningCandidate", "TuningResult",
               "TuningStats", "pair_label", "tune_workload"),
 })

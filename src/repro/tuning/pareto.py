@@ -11,9 +11,7 @@ lookup, not a new search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Tuple, Union
-
-from ..runtime.scheduler import ScheduleResult
+from typing import Iterable, List
 
 
 @dataclass(frozen=True)
@@ -54,17 +52,3 @@ def pareto_front(points: Iterable[ParetoPoint]) -> List[ParetoPoint]:
             front.append(point)
             best_energy = point.energy_j
     return front
-
-
-def front_from_schedules(
-    schedules: Union[Mapping[str, ScheduleResult],
-                     Iterable[Tuple[str, ScheduleResult]]],
-) -> List[ParetoPoint]:
-    """Pareto front of labelled :class:`ScheduleResult` candidates."""
-    if isinstance(schedules, Mapping):
-        schedules = schedules.items()
-    return pareto_front(
-        ParetoPoint(time_s=result.time_s, energy_j=result.energy_j,
-                    label=label)
-        for label, result in schedules
-    )

@@ -26,8 +26,8 @@ memoized, persistently cached evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..sim.config import MachineConfig, OperatingPoint
 
@@ -57,8 +57,7 @@ class SearchOutcome:
     """What a strategy found and what it cost.
 
     ``evaluations`` counts *distinct* evaluator calls (memoized repeats
-    are free by construction); ``history`` records every first-time
-    evaluation in order, for reports and regression tests.
+    are free by construction).
     """
 
     strategy: str
@@ -68,7 +67,6 @@ class SearchOutcome:
     best_pair: Optional[CandidatePair] = None
     #: Continuous argmin frequency (golden-section only).
     best_freq_ghz: Optional[float] = None
-    history: List[tuple] = field(default_factory=list)
 
 
 def sorted_points(
@@ -77,15 +75,6 @@ def sorted_points(
     """Operating points ascending by frequency (the canonical order
     every strategy scans in)."""
     return tuple(sorted(points, key=lambda p: p.freq_ghz))
-
-
-def nearest_point(freq_ghz: float,
-                  points: Sequence[OperatingPoint]) -> OperatingPoint:
-    """The discrete point nearest ``freq_ghz`` (ties resolve low)."""
-    return min(
-        sorted_points(points),
-        key=lambda p: (round(abs(p.freq_ghz - freq_ghz) * 1e6), p.freq_ghz),
-    )
 
 
 def interpolate_point(freq_ghz: float, config: MachineConfig) -> OperatingPoint:
@@ -126,37 +115,12 @@ def grid_search_point(evaluate: Callable[[OperatingPoint], float],
     for point in ordered:
         value = evaluate(point)
         outcome.evaluations += 1
-        outcome.history.append((point.freq_ghz, value))
         if value < outcome.best_value:
             outcome.best_value = value
             outcome.best_point = point
     if outcome.best_point is None:
         # Everything infeasible: fall back to the cheapest point.
         outcome.best_point = ordered[0]
-    return outcome
-
-
-def grid_search_pair(evaluate: Callable[[CandidatePair], float],
-                     points: Sequence[OperatingPoint]) -> SearchOutcome:
-    """Exhaustive scan of every (access, execute) pair, lexicographically
-    ascending, strict-improvement update (ties resolve to the lowest
-    access frequency, then the lowest execute frequency)."""
-    outcome = SearchOutcome(
-        strategy="exhaustive", best_value=float("inf"), evaluations=0
-    )
-    ordered = sorted_points(points)
-    for access in ordered:
-        for execute in ordered:
-            pair = CandidatePair(access=access, execute=execute)
-            value = evaluate(pair)
-            outcome.evaluations += 1
-            outcome.history.append((pair.key, value))
-            if value < outcome.best_value:
-                outcome.best_value = value
-                outcome.best_pair = pair
-    if outcome.best_pair is None:
-        # Everything infeasible: fall back to the cheapest pair.
-        outcome.best_pair = CandidatePair(ordered[0], ordered[0])
     return outcome
 
 
@@ -179,7 +143,6 @@ def golden_section(evaluate: Callable[[float], float], lo: float, hi: float,
     def probe(x: float) -> float:
         value = evaluate(x)
         outcome.evaluations += 1
-        outcome.history.append((x, value))
         if value < outcome.best_value:
             outcome.best_value = value
             outcome.best_freq_ghz = x
@@ -237,7 +200,6 @@ def coordinate_descent(evaluate: Callable[[CandidatePair], float],
         value = evaluate(pair)
         memo[pair.key] = value
         outcome.evaluations += 1
-        outcome.history.append((pair.key, value))
         return value
 
     current = seed

@@ -34,7 +34,7 @@ all-big and all-LITTLE placements (see :func:`tune_workload`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Union
 
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
@@ -57,12 +57,9 @@ from .policy import TunedPolicy, install_tuned_policy
 from .search import (
     STRATEGIES,
     CandidatePair,
-    SearchOutcome,
     coordinate_descent,
     golden_section,
-    grid_search_pair,
     grid_search_point,
-    nearest_point,
     interpolate_point,
     sorted_points,
 )
@@ -278,14 +275,15 @@ class _CandidateEvaluator:
     """Schedules candidate pairs on one placement of a machine, with
     memoization and persistent caching.
 
-    ``placement`` is an (access, execute) core-type name pair;
+    ``machine`` is the placement: the declared machine or a copy of it
+    that places both phases on one of its types (:func:`_placements`).
     ``prefix`` starts every candidate label (heterogeneous machines
     name the placement there, because the same point pair exists once
     per placement).
     """
 
     def __init__(self, stream: StreamProfile, run_scheme: Scheme,
-                 machine: MachineModel, placement: tuple[str, str],
+                 machine: MachineModel,
                  objective: Objective, workload_name: str,
                  stats: TuningStats,
                  cache: Optional[ProfileCache] = None,
@@ -294,10 +292,7 @@ class _CandidateEvaluator:
         self.stream = stream
         self.run_scheme = run_scheme
         self.machine = machine
-        self.placement = placement
-        access_type, execute_type = machine.placement(
-            run_scheme.value, placement
-        )
+        access_type, execute_type = machine.placement(run_scheme.value)
         self.access_config = access_type.config
         self.execute_config = execute_type.config
         self.objective = objective
@@ -308,7 +303,7 @@ class _CandidateEvaluator:
         self.prefix = prefix
         self.collector = get_collector()
         self._memo: dict = {}
-        self._scheduler = DAEScheduler(machine=machine, placement=placement)
+        self._scheduler = DAEScheduler(machine)
 
     # -- public API ------------------------------------------------------------
 
@@ -332,38 +327,34 @@ class _CandidateEvaluator:
         return self.evaluate(pair).value
 
     def evaluate(self, pair: CandidatePair) -> TuningCandidate:
-        self.prefetch([pair])
-        return self._memo[pair.key]
-
-    def prefetch(self, pairs: List[CandidatePair]) -> None:
-        """Ensure every pair is memoized: served from the persistent
-        cache, or scheduled in-process in request order."""
-        for pair in pairs:
-            if pair.key in self._memo:
-                continue
-            self.stats.requests += 1
-            args = {"workload": self.workload_name, "pair": pair_label(pair)}
-            payload = self._cache_load(pair)
-            if payload is not None:
-                self.stats.cache_hits += 1
-                self.collector.instant("tuning.cache.hit", cat="tuning.cache",
-                                       args=args)
-                self._memo[pair.key] = self._candidate(
-                    pair, payload, from_cache=True
-                )
-                continue
-            if self.cache is not None:
-                self.stats.cache_misses += 1
-                self.collector.instant("tuning.cache.miss",
-                                       cat="tuning.cache", args=args)
-            self.stats.schedule_evals += 1
-            payload = _result_payload(self.run(TunedPolicy.from_pair(pair)))
-            self._cache_store(pair, payload)
-            self._memo[pair.key] = self._candidate(pair, payload)
-            self.collector.instant(
-                "tuning.candidate", cat="tuning",
-                args={**args, "value": self._memo[pair.key].value},
-            )
+        """The pair's candidate: memoized, served from the persistent
+        cache, or scheduled in-process."""
+        if pair.key in self._memo:
+            return self._memo[pair.key]
+        self.stats.requests += 1
+        args = {"workload": self.workload_name, "pair": pair_label(pair)}
+        payload = self._cache_load(pair)
+        if payload is not None:
+            self.stats.cache_hits += 1
+            self.collector.instant("tuning.cache.hit", cat="tuning.cache",
+                                   args=args)
+            candidate = self._candidate(pair, payload, from_cache=True)
+            self._memo[pair.key] = candidate
+            return candidate
+        if self.cache is not None:
+            self.stats.cache_misses += 1
+            self.collector.instant("tuning.cache.miss",
+                                   cat="tuning.cache", args=args)
+        self.stats.schedule_evals += 1
+        payload = _result_payload(self.run(TunedPolicy.from_pair(pair)))
+        self._cache_store(pair, payload)
+        candidate = self._candidate(pair, payload)
+        self._memo[pair.key] = candidate
+        self.collector.instant(
+            "tuning.candidate", cat="tuning",
+            args={**args, "value": candidate.value},
+        )
+        return candidate
 
     def candidates(self) -> List[TuningCandidate]:
         """Every distinct evaluated candidate, sorted by pair key."""
@@ -509,7 +500,6 @@ def tune_workload(workload: Union[Workload, str, type], *,
     heterogeneous = machine.heterogeneous
     placements = _placements(machine)
 
-
     collector = get_collector()
     stats = TuningStats()
     with collector.span("tuning.run", cat="tuning", args={
@@ -532,7 +522,7 @@ def tune_workload(workload: Union[Workload, str, type], *,
                 schemes=(stream,), interp=interp, trace_store=store,
             )
             profiles = [run.profiles[stream.value]] + [
-                machine_stream(store, stream.value, machine, placed)
+                machine_stream(store, stream.value, placed)
                 for placed in placements[1:]
             ]
         else:
@@ -549,13 +539,13 @@ def tune_workload(workload: Union[Workload, str, type], *,
         evaluators = [
             _CandidateEvaluator(
                 stream=profiled, run_scheme=stream.run_scheme,
-                machine=machine,
-                placement=placed, objective=objective,
+                machine=placed, objective=objective,
                 workload_name=resolved.name, stats=stats,
                 cache=(ProfileCache(cache_dir)
                        if material_base is not None else None),
                 material_base=material_base,
-                prefix="%s->%s " % placed if heterogeneous else "",
+                prefix=_placement_name(placed) + " " if heterogeneous
+                else "",
             )
             for placed, profiled in zip(placements, profiles)
         ]
@@ -564,8 +554,10 @@ def tune_workload(workload: Union[Workload, str, type], *,
 
         if heterogeneous:
             seed = None
-            searches = [(evaluator, "placement:%s->%s" % evaluator.placement)
-                        for evaluator in evaluators]
+            searches = [
+                (evaluator, "placement:" + _placement_name(evaluator.machine))
+                for evaluator in evaluators
+            ]
         else:
             seed = _phase_local_seed(declared.stream, config, objective,
                                      stats)
@@ -592,8 +584,8 @@ def tune_workload(workload: Union[Workload, str, type], *,
         ))
         placement = None
         if heterogeneous:
-            access, execute = placements[rank]
-            placement = {"access": access, "execute": execute}
+            placement = {"access": placements[rank].access_type,
+                         "execute": placements[rank].execute_type}
         front = pareto_front(
             [ParetoPoint(c.time_s, c.energy_j, c.label)
              for c in pair_candidates]
@@ -628,19 +620,25 @@ def tune_workload(workload: Union[Workload, str, type], *,
 # -- tuning internals ----------------------------------------------------------
 
 
-def _placements(machine: MachineModel) -> List[tuple[str, str]]:
-    """The (access, execute) placements to search, declared first.
+def _placements(machine: MachineModel) -> List[MachineModel]:
+    """The placements to search, each a machine, declared first.
 
-    A heterogeneous machine adds execute→execute and access→access
-    (deduplicated); a single-type machine has only its own."""
-    declared = (machine.access_type, machine.execute_type)
-    placements = [declared]
+    A heterogeneous machine adds copies of itself that place both
+    phases on its execute type, then on its access type; a single-type
+    machine has only its own placement."""
+    placements = [machine]
     if machine.heterogeneous:
-        for candidate in ((machine.execute_type, machine.execute_type),
-                          (machine.access_type, machine.access_type)):
-            if candidate not in placements:
-                placements.append(candidate)
+        placements += [
+            replace(machine, access_type=name, execute_type=name).validate()
+            for name in (machine.execute_type, machine.access_type)
+        ]
     return placements
+
+
+def _placement_name(machine: MachineModel) -> str:
+    """``access->execute``: how labels and strategy rows name a
+    placement."""
+    return "%s->%s" % (machine.access_type, machine.execute_type)
 
 
 def _phase_local_candidate(evaluator: _CandidateEvaluator,
@@ -689,18 +687,17 @@ def _run_strategy(name: str, evaluator: _CandidateEvaluator,
             best_value=phase_local.value,
             detail="per-phase grid (Section 6.1 baseline)",
         )
-    if name == "exhaustive":
-        outcome = grid_search_pair(evaluator.value, config.operating_points)
-        return _summary_from_outcome(name, outcome)
-    if name.startswith("placement:"):
+    if name == "exhaustive" or name.startswith("placement:"):
+        # Ties and the all-infeasible fallback resolve to the lowest
+        # (access, execute) frequencies.
         pairs = evaluator.grid()
-        evaluator.prefetch(pairs)
-        best = min(evaluator.candidates(),
+        best = min((evaluator.evaluate(pair) for pair in pairs),
                    key=lambda c: (c.value, c.pair.key))
         return StrategySummary(
             name=name, evaluations=len(pairs), best_label=best.label,
             best_value=best.value,
-            detail="exhaustive over the placed types' tables",
+            detail="" if name == "exhaustive"
+            else "exhaustive over the placed types' tables",
         )
     if name == "golden":
         return _run_golden(evaluator, config, objective)
@@ -708,14 +705,20 @@ def _run_strategy(name: str, evaluator: _CandidateEvaluator,
         outcome = coordinate_descent(
             evaluator.value, config.operating_points, seed
         )
-        return _summary_from_outcome(name, outcome)
+        return StrategySummary(
+            name=name, evaluations=outcome.evaluations,
+            best_label=pair_label(outcome.best_pair),
+            best_value=outcome.best_value,
+        )
     raise ValueError("unknown strategy %r" % name)
 
 
 def _run_golden(evaluator: _CandidateEvaluator, config: MachineConfig,
                 objective: Objective) -> StrategySummary:
     """Golden-section on the continuous V/f line per aggregate phase,
-    snapped to discrete points and evaluated at schedule level."""
+    snapped to the nearest table points (:meth:`MachineConfig.point_for`;
+    the argmin never leaves ``[fmin, fmax]``) and evaluated at schedule
+    level."""
     access, execute = _phase_totals(evaluator.stream)
     lo = config.fmin.freq_ghz
     hi = config.fmax.freq_ghz
@@ -730,10 +733,8 @@ def _run_golden(evaluator: _CandidateEvaluator, config: MachineConfig,
     ]
     evaluator.stats.phase_evals += sum(o.evaluations for o in outcomes)
     pair = CandidatePair(
-        access=nearest_point(outcomes[0].best_freq_ghz,
-                             config.operating_points),
-        execute=nearest_point(outcomes[1].best_freq_ghz,
-                              config.operating_points),
+        access=config.point_for(outcomes[0].best_freq_ghz),
+        execute=config.point_for(outcomes[1].best_freq_ghz),
     )
     candidate = evaluator.evaluate(pair)
     return StrategySummary(
@@ -743,16 +744,6 @@ def _run_golden(evaluator: _CandidateEvaluator, config: MachineConfig,
         best_value=candidate.value,
         detail="continuous argmin A=%.3f/E=%.3f GHz, snapped"
         % (outcomes[0].best_freq_ghz, outcomes[1].best_freq_ghz),
-    )
-
-
-def _summary_from_outcome(name: str,
-                          outcome: SearchOutcome) -> StrategySummary:
-    return StrategySummary(
-        name=name,
-        evaluations=outcome.evaluations,
-        best_label=pair_label(outcome.best_pair),
-        best_value=outcome.best_value,
     )
 
 

@@ -163,14 +163,6 @@ class TestSchedulerEquivalence:
         )
         assert machined.summary() == plain.summary()
 
-    def test_placement_requires_a_machine(self):
-        # ...with the placed types: the default machine has one type.
-        scheduler = DAEScheduler(placement=("little", "big"))
-        with pytest.raises(KeyError,
-                           match=r"no core type 'big' \(types: core\)"):
-            scheduler.run(_tasks(), "dae",
-                          FrequencyPolicy.from_name("fmax", MachineConfig()))
-
 
 class TestProfilingEquivalence:
     def test_payloads_are_byte_identical(self):

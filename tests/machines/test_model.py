@@ -86,11 +86,6 @@ class TestShape:
         access, execute = machine.placement("cae")
         assert (access.name, execute.name) == ("big", "big")
 
-    def test_placement_override(self):
-        machine = biglittle_machine()
-        access, execute = machine.placement("dae", ("big", "big"))
-        assert (access.name, execute.name) == ("big", "big")
-
     def test_slots_pair_the_smallest_placed_cluster(self):
         machine = biglittle_machine()
         assert machine.slots("dae") == 4
@@ -110,6 +105,11 @@ class TestShape:
             CoreType(name="little", count=4, config=config),
         )).validate()
         assert not degenerate.heterogeneous
+        execute = degenerate.type_named("big")
+        for scheme in ("dae", "cae"):
+            access, placed = degenerate.placement(scheme)
+            assert access is placed is execute
+        assert degenerate.slots("dae") == execute.count
 
     def test_type_named_unknown_raises(self):
         with pytest.raises(KeyError, match="no core type"):

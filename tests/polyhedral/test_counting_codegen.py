@@ -11,7 +11,6 @@ from repro.polyhedral import (
     count_polynomial,
     counts_dominate,
     generate_scan_nest,
-    nests_mergeable,
     union_count_polynomial,
 )
 
@@ -108,19 +107,6 @@ class TestScanNest:
         # rename to compare level by level.
         b_renamed = b
         assert a.depth == b_renamed.depth
-
-    def test_not_mergeable_different_extents(self):
-        i, n = E.symbol("i"), E.symbol("N")
-        small = Polyhedron(["i"], [C.ge(i), C.le(i, n - 2)], ["N"])
-        large = Polyhedron(["i"], [C.ge(i), C.le(i, n - 1)], ["N"])
-        assert not nests_mergeable(
-            generate_scan_nest(small), generate_scan_nest(large)
-        )
-
-    def test_mergeable_identical(self):
-        a = generate_scan_nest(param_square())
-        b = generate_scan_nest(param_square())
-        assert nests_mergeable(a, b)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,9 +3,10 @@ heterogeneous placement × per-type point search."""
 
 import pytest
 
-from repro.machines import little_config
+from repro.machines import MachineModel, little_config
 from repro.sim import MachineConfig
 from repro.tuning import tune_workload
+from repro.tuning.tuner import _placements
 
 from ..engine.tinywork import TinyWorkload
 
@@ -59,6 +60,24 @@ class TestBigLittleTuning:
         assert set(result.placement) == {"access", "execute"}
         assert result.placement["access"] in ("big", "little")
         assert result.placement["execute"] in ("big", "little")
+        # The placement is the one whose label prefix the winner bears.
+        assert result.best.label.startswith(
+            "%(access)s->%(execute)s " % result.placement)
+
+    def test_placements_are_copies_of_the_machine(self):
+        machine = MachineModel.from_name("biglittle")
+        placements = _placements(machine)
+        assert placements[0] is machine
+        assert [(p.access_type, p.execute_type) for p in placements] == [
+            ("little", "big"), ("big", "big"), ("little", "little"),
+        ]
+        for placed in placements:
+            assert placed.validate() is placed
+            assert placed.name == machine.name
+            assert placed.core_types == machine.core_types
+            assert placed.transition == machine.transition
+        assert not placements[1].heterogeneous
+        assert not placements[2].heterogeneous
 
     def test_placement_search_covers_every_pairing(self, biglittle_result):
         labels = [c.label for c in biglittle_result.candidates]

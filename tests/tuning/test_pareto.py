@@ -1,15 +1,6 @@
 """Pareto-front extraction: dominance, filtering, determinism."""
 
-from repro.power.frequency import FrequencyPolicy
-from repro.runtime.scheduler import DAEScheduler
-from repro.runtime.task import Scheme
-from repro.sim.config import MachineConfig
-from repro.tuning import (
-    ParetoPoint,
-    dominates,
-    front_from_schedules,
-    pareto_front,
-)
+from repro.tuning import ParetoPoint, dominates, pareto_front
 
 
 class TestDominates:
@@ -77,22 +68,3 @@ class TestFront:
 
     def test_empty_input(self):
         assert pareto_front([]) == []
-
-
-class TestFrontFromSchedules:
-    def test_accepts_mapping_of_results(self, dae_runs):
-        config = MachineConfig()
-        tasks = dae_runs["cg"].profiles["dae"].tasks
-        scheduler = DAEScheduler(config)
-        schedules = {
-            name: scheduler.run(
-                tasks, Scheme.DAE, FrequencyPolicy.from_name(name, config)
-            )
-            for name in ("fmax", "fmin", "optimal")
-        }
-        front = front_from_schedules(schedules)
-        assert front
-        labels = {p.label for p in front}
-        assert labels <= set(schedules)
-        # fmax is the fastest policy, so it is never dominated.
-        assert "fmax" in labels

@@ -7,10 +7,8 @@ from repro.tuning import (
     CandidatePair,
     coordinate_descent,
     golden_section,
-    grid_search_pair,
     grid_search_point,
     interpolate_point,
-    nearest_point,
     sorted_points,
 )
 
@@ -37,33 +35,8 @@ class TestGrid:
         b = grid_search_point(lambda p: 1.0, reversed_points)
         assert a.best_point == b.best_point
 
-    def test_pair_scan_covers_all_pairs(self):
-        seen = []
-        outcome = grid_search_pair(
-            lambda pair: seen.append(pair.key) or 0.0, POINTS
-        )
-        assert outcome.evaluations == len(POINTS) ** 2
-        assert len(set(seen)) == len(POINTS) ** 2
-        # Ties resolve lexicographically low.
-        assert outcome.best_pair.key == (1.6, 1.6)
-
-    def test_pair_scan_finds_joint_minimum(self):
-        outcome = grid_search_pair(
-            lambda pair: (pair.access.freq_ghz - 2.0) ** 2
-            + (pair.execute.freq_ghz - 3.2) ** 2,
-            POINTS,
-        )
-        assert outcome.best_pair.key == (2.0, 3.2)
-
 
 class TestNearestAndInterpolate:
-    def test_exact_frequency_snaps_to_itself(self):
-        for point in POINTS:
-            assert nearest_point(point.freq_ghz, POINTS) == point
-
-    def test_midpoint_snaps_low(self):
-        assert nearest_point(2.2, POINTS).freq_ghz == 2.0
-
     def test_interpolate_is_exact_at_discrete_points(self):
         config = MachineConfig()
         for point in POINTS:

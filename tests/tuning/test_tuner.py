@@ -38,6 +38,24 @@ class TestTuneWorkload:
         result = _tune(tmp_path, strategy="exhaustive")
         points = len(MachineConfig().operating_points)
         assert len(result.candidates) == points ** 2
+        # The row names the joint minimum, ties to the lowest pair.
+        row = result.strategies[-1]
+        best = min(result.candidates, key=lambda c: (c.value, c.pair.key))
+        assert (row.name, row.evaluations) == ("exhaustive", points ** 2)
+        assert (row.best_label, row.best_value) == (best.label, best.value)
+
+    def test_all_infeasible_exhaustive_falls_back_to_the_lowest_pair(self):
+        # No schedule meets a femtosecond deadline.
+        result = tune_workload(
+            TinyWorkload(), objective="energy-under-deadline@1e-15",
+            strategy="exhaustive", cache=False, install=False,
+        )
+        assert not any(c.feasible for c in result.candidates)
+        row = {s.name: s for s in result.strategies}["exhaustive"]
+        assert row.evaluations == 36
+        assert row.best_label == result.best.label == "A1.6/E1.6"
+        assert row.as_dict()["value"] is None
+        assert not result.installed
 
     def test_unknown_strategy_rejected(self, tmp_path, monkeypatch):
         with pytest.raises(ValueError, match="unknown strategy"):
