@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-from ..ir import BasicBlock, Function
+from ..ir import BasicBlock, Function, predecessors_map
+
+__all__ = ["predecessors_map", "reachable_blocks", "remove_unreachable_blocks",
+           "reverse_postorder", "successors_map"]
 
 
 def successors_map(func: Function) -> dict[BasicBlock, list[BasicBlock]]:
     return {block: block.successors() for block in func.blocks}
-
-
-def predecessors_map(func: Function) -> dict[BasicBlock, list[BasicBlock]]:
-    preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
-    for block in func.blocks:
-        for succ in block.successors():
-            preds[succ].append(block)
-    return preds
 
 
 def reachable_blocks(func: Function) -> set[BasicBlock]:
@@ -63,11 +58,5 @@ def remove_unreachable_blocks(func: Function) -> int:
             if succ in reachable:
                 for phi in succ.phis():
                     phi.remove_incoming_block(block)
-        # Break operand links without touching other blocks' instructions.
-        for inst in list(block.instructions):
-            inst.drop_all_references()
-            inst.parent = None
-        block.instructions.clear()
-        func.blocks.remove(block)
-        block.parent = None
+        func.remove_block(block)
     return len(dead)

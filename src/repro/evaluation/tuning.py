@@ -98,11 +98,12 @@ def render_tuning_report(result: TuningResult) -> str:
         "",
         "## Reference policies",
         "",
-        "| policy | time (us) | energy (uJ) | EDP (Js) | objective |",
-        "|---|---|---|---|---|",
+        "| policy | pair | time (us) | energy (uJ) | EDP (Js) | objective |",
+        "|---|---|---|---|---|---|",
     ]
-    for label in sorted(result.references):
-        lines.append(_candidate_row(result.references[label]))
+    for name in sorted(result.references):
+        lines.append("| %s %s"
+                     % (name, _candidate_row(result.references[name])))
     lines += [
         "",
         "## Pareto front (time, energy)",

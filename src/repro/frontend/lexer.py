@@ -1,17 +1,22 @@
-"""Tokenizer for the task language."""
+"""Tokenizer for the task language.
+
+Outside comments the language is ASCII: digits and identifier characters
+are ASCII only, and any other character there is a :class:`LexError`.
+A number is digits with at most one ``.``, then optionally an exponent,
+which needs at least one digit (``1e`` and ``2.5e+`` are malformed).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import Iterator, NamedTuple
 
 
 class LexError(Exception):
     """Raised on input the tokenizer cannot classify."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'float' | 'punct' | 'keyword' | 'eof'
     text: str
     line: int
@@ -29,6 +34,19 @@ PUNCTUATION = [
     "(", ")", "{", "}", "[", "]", ",", ";", ":", "&", "|", "^",
 ]
 
+# One alternative per token class, tried in order at each position; the
+# last one takes any character no other alternative starts with.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open>/\*)"
+    r"|(?P<number>[0-9][0-9.]*(?:[eE][+-]?[0-9]*)?)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>%s)" % "|".join(re.escape(p) for p in PUNCTUATION)
+    + r"|(?P<other>.)",
+    re.DOTALL,
+)
+
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; returns tokens ending with an ``eof`` token."""
@@ -36,62 +54,25 @@ def tokenize(source: str) -> list[Token]:
 
 
 def _scan(source: str) -> Iterator[Token]:
-    i = 0
     line = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError("unterminated block comment at line %d" % line)
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch.isdigit():
-            j = i
-            is_float = False
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                if source[j] == ".":
-                    if is_float:
-                        raise LexError("malformed number at line %d" % line)
-                    is_float = True
-                j += 1
-            if j < n and source[j] in "eE":
-                is_float = True
-                j += 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            yield Token("float" if is_float else "int", source[i:j], line)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            yield Token(kind, text, line)
-            i = j
-            continue
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                yield Token("punct", punct, line)
-                i += len(punct)
-                break
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "punct":
+            yield Token("punct", text, line)
+        elif kind == "word":
+            yield Token("keyword" if text in KEYWORDS else "ident", text, line)
+        elif kind == "space" or kind == "comment":
+            line += text.count("\n")
+        elif kind == "number":
+            if text.isdigit():
+                yield Token("int", text, line)
+            elif text.count(".") > 1 or text[-1] in "eE+-":
+                raise LexError("malformed number at line %d" % line)
+            else:
+                yield Token("float", text, line)
+        elif kind == "open":
+            raise LexError("unterminated block comment at line %d" % line)
         else:
-            raise LexError("unexpected character %r at line %d" % (ch, line))
+            raise LexError("unexpected character %r at line %d" % (text, line))
     yield Token("eof", "", line)

@@ -7,7 +7,7 @@ an IRBuilder, a verifier and a textual printer.
 
 from .basicblock import BasicBlock
 from .builder import IRBuilder
-from .function import Function, Module
+from .function import Function, Module, predecessors_map
 from .instructions import (
     BINARY_OPS,
     CMP_PREDICATES,
@@ -50,7 +50,7 @@ from .values import Argument, Constant, GlobalVariable, Undef, Value
 from .verifier import VerificationError, verify_function, verify_module
 
 __all__ = [
-    "BasicBlock", "IRBuilder", "Function", "Module",
+    "BasicBlock", "IRBuilder", "Function", "Module", "predecessors_map",
     "BINARY_OPS", "CMP_PREDICATES", "GEP", "Alloca", "BinOp", "Call", "Cast",
     "Cmp", "CondBr", "Instruction", "Jump", "Load", "Phi", "Prefetch", "Ret",
     "Select", "Store", "Terminator", "int_constant",

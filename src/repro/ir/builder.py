@@ -92,12 +92,10 @@ class IRBuilder:
             inst.name = self.function.unique_name(name)
         # Allocas live in the entry block so dominance holds everywhere.
         entry = self.function.entry
-        inst.parent = entry
         term_safe_index = len(entry.instructions)
         if entry.terminator is not None:
             term_safe_index -= 1
-        entry.instructions.insert(term_safe_index, inst)
-        return inst
+        return entry.insert(term_safe_index, inst)
 
     def gep(self, base: Value, index: Value, name: str = "") -> Value:
         return self._insert(GEP(base, index), name or "addr")

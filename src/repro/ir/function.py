@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional
 
-from .basicblock import BasicBlock
+from .basicblock import BasicBlock, count_name, uncount_name
 from .instructions import Instruction
 from .types import Type, VOID
 from .values import Argument, GlobalVariable
@@ -17,6 +17,11 @@ class Function:
     Functions marked ``is_task`` are the unit the DAE transformation
     operates on (Section 3.1: a task is a well-defined section of code
     operating on a small working set).
+
+    ``_names`` counts each live name: the name of every block in
+    ``blocks`` and of every named instruction in them.  Only this module
+    and :mod:`.basicblock` update it, as blocks and instructions come and
+    go; :func:`~.verifier.verify_function` checks it against a recount.
     """
 
     def __init__(
@@ -36,6 +41,7 @@ class Function:
         ]
         self.blocks: list[BasicBlock] = []
         self.parent: Optional["Module"] = None
+        self._names: dict[str, int] = {}
         self._name_counter = itertools.count()
 
     # -- blocks -----------------------------------------------------------------
@@ -47,14 +53,28 @@ class Function:
         return self.blocks[0]
 
     def add_block(self, name: str = "") -> BasicBlock:
-        block = BasicBlock(self.unique_name(name or "bb"), parent=self)
+        return self.append_block(BasicBlock(self.unique_name(name or "bb")))
+
+    def append_block(self, block: BasicBlock) -> BasicBlock:
+        """Make a detached ``block`` (and its instructions) the last block."""
+        block.parent = self
         self.blocks.append(block)
+        count_name(self._names, block.name)
+        for inst in block.instructions:
+            if inst.name:
+                count_name(self._names, inst.name)
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
-        for inst in list(block.instructions):
-            inst.erase_from_parent()
+        """Delete ``block`` and its instructions, each dropping its operand uses."""
+        for inst in block.instructions:
+            inst.drop_all_references()
+            inst.parent = None
+            if inst.name:
+                uncount_name(self._names, inst.name)
+        block.instructions.clear()
         self.blocks.remove(block)
+        uncount_name(self._names, block.name)
         block.parent = None
 
     def block_named(self, name: str) -> BasicBlock:
@@ -66,13 +86,14 @@ class Function:
     # -- naming -----------------------------------------------------------------
 
     def unique_name(self, base: str) -> str:
-        existing = {b.name for b in self.blocks}
-        existing.update(i.name for b in self.blocks for i in b.instructions if i.name)
-        if base and base not in existing:
+        """``base`` if no live block or instruction bears it, else the
+        first ``base.N`` not live, ``N`` drawn from one counter per function."""
+        names = self._names
+        if base and base not in names:
             return base
         while True:
             candidate = "%s.%d" % (base, next(self._name_counter))
-            if candidate not in existing:
+            if candidate not in names:
                 return candidate
 
     # -- iteration ----------------------------------------------------------------
@@ -89,6 +110,23 @@ class Function:
 
     def __repr__(self) -> str:
         return "<Function @%s (%d blocks)>" % (self.name, len(self.blocks))
+
+
+def predecessors_map(func: Function) -> dict[BasicBlock, list[BasicBlock]]:
+    """Each block's distinct predecessors, in block order.
+
+    The IR's one predecessor query: a walk builds the map once and
+    rebuilds or patches it where it edits edges.  Branches to blocks
+    outside ``func.blocks`` are left out (the verifier reports them).
+    """
+    preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
+    for block in func.blocks:
+        for succ in block.successors():
+            into = preds.get(succ)
+            # Both arms of a branch to one target name the block once.
+            if into is not None and (not into or into[-1] is not block):
+                into.append(block)
+    return preds
 
 
 class Module:

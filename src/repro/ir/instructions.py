@@ -61,8 +61,7 @@ class Instruction(Value):
     def erase_from_parent(self) -> None:
         """Remove from the containing block and drop operand uses."""
         if self.parent is not None:
-            self.parent.instructions.remove(self)
-            self.parent = None
+            self.parent.remove(self)
         self.drop_all_references()
 
     # -- convenience -------------------------------------------------------------

@@ -7,7 +7,7 @@ of findings on failure.
 
 from __future__ import annotations
 
-from .function import Function, Module
+from .function import Function, Module, predecessors_map
 from .instructions import Instruction, Phi
 from .values import Argument, Constant, GlobalVariable, Undef, Value
 
@@ -31,6 +31,7 @@ def verify_function(func: Function) -> None:
         term = block.terminator
         if term is None:
             problems.append("block %s lacks a terminator" % block.name)
+        n_phis = len(block.phis())
         for i, inst in enumerate(block.instructions):
             if inst.parent is not block:
                 problems.append(
@@ -38,7 +39,7 @@ def verify_function(func: Function) -> None:
                 )
             if inst.is_terminator and inst is not block.instructions[-1]:
                 problems.append("terminator mid-block in %s" % block.name)
-            if isinstance(inst, Phi) and i >= len(block.phis()):
+            if isinstance(inst, Phi) and i >= n_phis:
                 problems.append("phi after non-phi in %s" % block.name)
             _check_operands(inst, func, problems)
         if term is not None:
@@ -48,11 +49,12 @@ def verify_function(func: Function) -> None:
                         "block %s branches to foreign block %s" % (block.name, succ.name)
                     )
 
+    preds_of = predecessors_map(func)
     for block in func.blocks:
-        preds = block.predecessors()
+        preds = preds_of[block]
+        actual = {id(b) for b in preds}
         for phi in block.phis():
             phi_preds = {id(b) for b in phi.incoming_blocks}
-            actual = {id(b) for b in preds}
             if phi_preds != actual:
                 problems.append(
                     "phi %s in %s has incoming {%s} but preds {%s}"
@@ -64,8 +66,27 @@ def verify_function(func: Function) -> None:
                     )
                 )
 
+    _check_name_count(func, problems)
     if problems:
         raise VerificationError(problems)
+
+
+def _check_name_count(func: Function, problems: list[str]) -> None:
+    """The function's live-name count must equal a recount."""
+    recount: dict[str, int] = {}
+    for block in func.blocks:
+        recount[block.name] = recount.get(block.name, 0) + 1
+        for inst in block.instructions:
+            if inst.name:
+                recount[inst.name] = recount.get(inst.name, 0) + 1
+    kept = func._names
+    if kept != recount:
+        for name in sorted(set(kept) | set(recount)):
+            if kept.get(name, 0) != recount.get(name, 0):
+                problems.append(
+                    "name %r counted %d times but borne %d times"
+                    % (name, kept.get(name, 0), recount.get(name, 0))
+                )
 
 
 def _check_operands(inst: Instruction, func: Function, problems: list[str]) -> None:

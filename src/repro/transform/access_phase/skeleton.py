@@ -31,6 +31,7 @@ from ...ir import (
     Prefetch,
     Store,
     Undef,
+    predecessors_map,
 )
 from ..dce import dead_code_elimination
 from ..simplify_cfg import simplify_cfg
@@ -198,9 +199,7 @@ def _remove_body_conditionals(func: Function, loop_info: LoopInfo,
                 for phi in succ.phis():
                     phi.remove_incoming_block(block)
         term.erase_from_parent()
-        jump = Jump(target)
-        jump.parent = block
-        block.instructions.append(jump)
+        block.append(Jump(target))
         removed += 1
     return removed, hot_taken
 
@@ -235,8 +234,9 @@ def _repair_phis(func: Function) -> None:
     from ...analysis.cfg import remove_unreachable_blocks
 
     remove_unreachable_blocks(func)
+    preds_of = predecessors_map(func)  # phi repair edits no edge
     for block in func.blocks:
-        preds = block.predecessors()
+        preds = preds_of[block]
         for phi in block.phis():
             for incoming_block in list(phi.incoming_blocks):
                 if incoming_block not in preds:

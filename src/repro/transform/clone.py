@@ -28,18 +28,14 @@ def clone_function(func: Function, new_name: str,
 
     block_map: dict[int, BasicBlock] = {}
     for block in func.blocks:
-        new_block = BasicBlock(block.name, parent=clone)
-        clone.blocks.append(new_block)
-        block_map[id(block)] = new_block
+        block_map[id(block)] = clone.append_block(BasicBlock(block.name))
 
     for block in func.blocks:
         new_block = block_map[id(block)]
         for inst in block.instructions:
             new_inst = inst.clone()
-            new_inst.name = inst.name
             value_map[id(inst)] = new_inst
-            new_inst.parent = new_block
-            new_block.instructions.append(new_inst)
+            new_block.append(new_inst)
 
     for block in func.blocks:
         new_block = block_map[id(block)]

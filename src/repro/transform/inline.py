@@ -61,11 +61,7 @@ def inline_call(call: Call) -> None:
     # Split the containing block after the call.
     call_index = call_block.instructions.index(call)
     after_block = caller.add_block(call_block.name + ".cont")
-    trailing = call_block.instructions[call_index + 1:]
-    del call_block.instructions[call_index + 1:]
-    for inst in trailing:
-        inst.parent = after_block
-        after_block.instructions.append(inst)
+    after_block.take_tail(call_block, call_index + 1)
     # Successors' phis must see the new block as predecessor.
     for succ in after_block.successors():
         for phi in succ.phis():
@@ -90,15 +86,12 @@ def inline_call(call: Call) -> None:
                     return_values.append((inst.value, clone_block))
                 else:
                     return_values.append((None, clone_block))  # type: ignore[arg-type]
-                jump = Jump(after_block)
-                jump.parent = clone_block
-                clone_block.instructions.append(jump)
+                clone_block.append(Jump(after_block))
                 continue
             clone = inst.clone()
-            clone.name = caller.unique_name(inst.name or "t") if inst.name else ""
+            clone.name = caller.unique_name(inst.name) if inst.name else ""
             value_map[id(inst)] = clone
-            clone.parent = clone_block
-            clone_block.instructions.append(clone)
+            clone_block.append(clone)
 
     # Remap operands, branch targets and phi incoming blocks in the clones.
     for block in callee.blocks:
@@ -121,9 +114,7 @@ def inline_call(call: Call) -> None:
     # Wire control flow: call block jumps into the cloned entry.
     entry_clone = block_map[id(callee.entry)]
     call.erase_from_parent()
-    jump = Jump(entry_clone)
-    jump.parent = call_block
-    call_block.instructions.append(jump)
+    call_block.append(Jump(entry_clone))
 
     # The call's value becomes a phi over cloned return values.
     if not call.type.is_void() and call.uses:

@@ -9,7 +9,18 @@ merging collapse the task body to plain loop control flow.
 from __future__ import annotations
 
 from ..analysis.cfg import remove_unreachable_blocks
-from ..ir import BinOp, Cast, Cmp, CondBr, Constant, Function, Jump, Select
+from ..ir import (
+    BasicBlock,
+    BinOp,
+    Cast,
+    Cmp,
+    CondBr,
+    Constant,
+    Function,
+    Jump,
+    Select,
+    predecessors_map,
+)
 
 
 def simplify_cfg(func: Function) -> int:
@@ -87,10 +98,21 @@ def _fold_constant_branches(func: Function) -> int:
     return count
 
 
+def _repoint(preds_of: dict, order: dict, dest: BasicBlock,
+             gone: BasicBlock, added: list[BasicBlock]) -> None:
+    """Patch ``preds_of[dest]`` after the edge ``gone -> dest`` became
+    edges from ``added``: distinct, in block order, like a fresh map."""
+    preds = [p for p in preds_of[dest] if p is not gone]
+    preds += [p for p in added if p not in preds]
+    preds.sort(key=order.__getitem__)
+    preds_of[dest] = preds
+
+
 def _fold_single_pred_phis(func: Function) -> int:
     count = 0
+    preds_of = predecessors_map(func)  # folding phis edits no edge
     for block in func.blocks:
-        preds = block.predecessors()
+        preds = preds_of[block]
         if len(preds) != 1:
             continue
         for phi in block.phis():
@@ -105,6 +127,8 @@ def _fold_single_pred_phis(func: Function) -> int:
 def _merge_straightline_blocks(func: Function) -> int:
     """Merge B into A when A->B is the only edge in and out."""
     count = 0
+    preds_of = predecessors_map(func)
+    order = {block: i for i, block in enumerate(func.blocks)}
     for block in list(func.blocks):
         term = block.terminator
         if not isinstance(term, Jump):
@@ -112,23 +136,21 @@ def _merge_straightline_blocks(func: Function) -> int:
         succ = term.target
         if succ is block or succ is func.entry:
             continue
-        if len(succ.predecessors()) != 1:
+        if len(preds_of[succ]) != 1:
             continue
         if succ.phis():
             continue  # single-pred phis are folded first
         term.erase_from_parent()
-        for inst in list(succ.instructions):
-            succ.remove(inst)
-            inst.parent = block
-            block.instructions.append(inst)
-        # Phis in successors of succ must now name `block` as predecessor.
+        block.take_tail(succ)
+        # Successors of succ must now name `block` as predecessor.
         for after in block.successors():
             for phi in after.phis():
                 for i, pred in enumerate(phi.incoming_blocks):
                     if pred is succ:
                         phi.incoming_blocks[i] = block
-        func.blocks.remove(succ)
-        succ.parent = None
+            _repoint(preds_of, order, after, succ, [block])
+        del preds_of[succ]
+        func.remove_block(succ)
         count += 1
     return count
 
@@ -136,6 +158,8 @@ def _merge_straightline_blocks(func: Function) -> int:
 def _skip_forwarding_blocks(func: Function) -> int:
     """Route edges around blocks that only contain an unconditional jump."""
     count = 0
+    preds_of = predecessors_map(func)
+    order = {block: i for i, block in enumerate(func.blocks)}
     for block in list(func.blocks):
         if block is func.entry or len(block.instructions) != 1:
             continue
@@ -148,12 +172,14 @@ def _skip_forwarding_blocks(func: Function) -> int:
             # that can collide when a predecessor already branches there;
             # leave those to block merging.
             continue
-        preds = block.predecessors()
+        preds = preds_of[block]
         if not preds:
             continue
         for pred in preds:
             pred_term = pred.terminator
             pred_term.replace_successor(block, target)  # type: ignore[union-attr]
+        _repoint(preds_of, order, target, block, preds)
+        del preds_of[block]
         func.remove_block(block)
         count += 1
     return count

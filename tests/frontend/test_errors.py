@@ -36,6 +36,22 @@ class TestLexErrors:
         with pytest.raises(LexError):
             compile_source(VALID + "/* dangling", name="t")
 
+    @pytest.mark.parametrize("number", ["1e", "2.5e+", "3E-"])
+    def test_exponent_without_digit(self, number):
+        with pytest.raises(LexError, match="^malformed number at line 5$"):
+            compile_source(VALID.replace("2.0", number), name="t")
+
+    @pytest.mark.parametrize("text", ["²", "٣", "é"])
+    def test_non_ascii_outside_comments(self, text):
+        # A superscript digit, an Arabic-Indic digit and a letter: digits
+        # and identifier characters are ASCII only.
+        with pytest.raises(LexError, match="^unexpected character .* at line 5$"):
+            compile_source(VALID.replace("2.0", text), name="t")
+
+    def test_non_ascii_inside_comments_is_skipped(self):
+        source = "// — line\n/* é² block */" + VALID
+        compile_source(source, name="t")
+
 
 class TestParseErrors:
     def test_unterminated_loop_body(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend.lexer import LexError, tokenize
+from repro.frontend.lexer import LexError, Token, tokenize
 
 
 def kinds(source):
@@ -72,3 +72,13 @@ class TestErrors:
     def test_malformed_number_raises(self):
         with pytest.raises(LexError):
             tokenize("1.2.3")
+
+
+class TestToken:
+    def test_fields_repr_and_equality(self):
+        token = Token("ident", "x", 3)
+        assert (token.kind, token.text, token.line) == ("ident", "x", 3)
+        assert repr(token) == "Token(kind='ident', text='x', line=3)"
+        assert token == Token("ident", "x", 3)
+        assert token != Token("ident", "x", 4)
+        assert tokenize("x")[0] == Token("ident", "x", 1)

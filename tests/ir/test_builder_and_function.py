@@ -16,6 +16,7 @@ from repro.ir import (
     format_function,
     format_module,
     pointer_to,
+    predecessors_map,
     verify_function,
     verify_module,
 )
@@ -90,8 +91,8 @@ class TestFunctionStructure:
     def test_predecessors_and_successors(self):
         func = simple_function()
         header = func.block_named("header")
-        preds = {b.name for b in header.predecessors()}
-        assert preds == {"entry", "body"}
+        preds = [b.name for b in predecessors_map(func)[header]]
+        assert preds == ["entry", "body"]
         succs = {b.name for b in header.successors()}
         assert succs == {"body", "exit"}
 

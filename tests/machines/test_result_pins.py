@@ -33,9 +33,9 @@ PINS = {
     "machines": "42230c04adf268f8675a9f34bb5adca74d9a473e063e42d462c2fcdbcaa87cab",
     "ablate": "9bc867d4686a7077bd5fa3ba9cf8d8ef88f62dc59e85feff2cabcee35c9ea8fe",
     "tune": "d6513379303d2b80da53ef62f7a918e94cd1a385e49980bb8f3df1bd59526443",
-    "tune-report": "f04d008d55a843d18aa9abaa833b981a946c9cf709a28e0e02b70c5928c7beda",
+    "tune-report": "762578f1bf8eaaaa1c153e75141681a225910ba17255a806ab08b2fdd50b7e86",
     "tune-biglittle": "ef0ca583ac1e0c29d8253c5c20663d1258ce473cd5834e0da23f1bf74409d19e",
-    "tune-biglittle-report": "f18a90834b3ed704f10b8edf5910cc02a7bc8c764c113a4dce62ad912da918b6",
+    "tune-biglittle-report": "8d5f62dba1b437b128f409e8dbf2c7d0d4082da6d9954c990fd08d129dfb631a",
     "tuned-on-sandybridge": "3be87c70ed0f1cba3ca7c23d7dd821a02b66c82b5bf26f28c19c6d72738495f2",
 }
 

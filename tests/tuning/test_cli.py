@@ -48,6 +48,22 @@ class TestReportRendering:
         )
         assert render_tuning_report(result) == render_tuning_report(result)
 
+    def test_reference_rows_name_their_policy(self, tuning_cache_dir,
+                                              dae_runs):
+        result = tune_workload("cg", cache_dir=tuning_cache_dir,
+                               install=False)
+        report = render_tuning_report(result)
+        table = report.split("## Reference policies")[1].split("\n## ")[0]
+        rows = [line for line in table.splitlines()
+                if line.startswith("| policy:")]
+        assert [row.split(" | ")[0] for row in rows] == [
+            "| policy:fmax", "| policy:fmin", "| policy:minmax",
+        ]
+        for row in rows:
+            pair = row.split(" | ")[1]
+            assert pair.startswith("A") and "/E" in pair
+        assert "| policy | pair |" in table
+
     def test_report_marks_infeasible_runs(self, tmp_path,
                                           tuning_cache_dir, dae_runs):
         result = tune_workload(
