@@ -135,10 +135,13 @@ def schedule_configs(run: WorkloadRun, machine: MachineLike,
     Each entry is (label, result, metrics relative to the first
     configuration's result).  One scheduler serves every configuration,
     and each policy is resolved against its machine's config (a bare
-    config is that same object, so the profiles' phase terms, keyed by
-    config identity, are shared).  With ``record_timeline`` every
-    result records a timeline that passes validation and the exact
-    energy roll-up check.
+    config is that same object).  The profiles' phase terms, EDP points
+    and winners' energies are keyed by the config's
+    :attr:`~repro.sim.config.MachineConfig.terms_key`, so they are
+    shared here and with any call under a config that differs only in
+    how a DVFS switch is priced.  With ``record_timeline`` every result
+    records a timeline that passes validation and the exact energy
+    roll-up check.
     """
     scheduler = DAEScheduler(machine)
     config = scheduler.machine.config

@@ -34,21 +34,29 @@ def optimal_edp_point(profile: PhaseProfile,
     voltage), and the scan runs over the points sorted by frequency, so
     the choice is deterministic regardless of how
     ``config.operating_points`` happens to be ordered.  The search runs
-    once per (phase, config): its choice is kept on the phase's terms.
+    once per phase and timing-and-power model: its choice and the
+    choice's energy are kept on the phase's terms, which every config
+    of that model shares.  The point returned is always one of
+    ``config``'s own table.
     """
     terms = profile.terms(config)
+    table = terms.config.operating_points
     if terms.edp_point is None:
         best: Optional[OperatingPoint] = None
+        best_energy = None
         best_edp = float("inf")
-        for point in sorted(config.operating_points,
-                            key=lambda p: p.freq_ghz):
-            value = phase_edp_at(profile, point, config)
+        for point in sorted(table, key=lambda p: p.freq_ghz):
+            breakdown = phase_energy_at(terms, point)
+            value = edp(breakdown.time_ns, breakdown.energy_nj)
             if value < best_edp:
-                best_edp = value
-                best = point
+                best_edp, best, best_energy = value, point, breakdown
         assert best is not None
-        terms.edp_point = best
-    return terms.edp_point
+        terms.edp_point, terms.edp_energy = best, best_energy
+    if config.operating_points is table:
+        return terms.edp_point
+    # The terms were built under an equal config made on its own: the
+    # same point, from this config's table.
+    return config.operating_points[table.index(terms.edp_point)]
 
 
 #: name -> factory(config) for :meth:`FrequencyPolicy.from_name`.

@@ -119,8 +119,13 @@ def phase_energy_at(terms: PhaseTerms,
     """One phase at ``point`` on one core, from its frequency terms.
 
     The scheduler, the optimal-EDP policy and the tuner's phase-local
-    searches all cost a phase here, so they agree bit for bit.
+    searches all cost a phase here, so they agree bit for bit.  The
+    EDP-optimal point is costed once, by the scan that picked it: its
+    breakdown is served from the terms, so callers must not mutate a
+    returned breakdown.
     """
+    if point is terms.edp_point:
+        return terms.edp_energy
     time_ns = terms.time_ns(point)
     return phase_energy(time_ns, point, terms.ipc(point, time_ns),
                         terms.config)

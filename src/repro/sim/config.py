@@ -10,7 +10,8 @@ and ~65 ns DRAM.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 
 class MachineConfigError(ValueError):
@@ -111,6 +112,12 @@ def sandybridge_operating_points() -> tuple[OperatingPoint, ...]:
     )
 
 
+#: The fields that only price a DVFS switch (its latency, and whether
+#: it overlaps memory-bound work): :attr:`MachineConfig.terms_key`
+#: leaves them out.
+_TRANSITION_FIELDS = frozenset({"dvfs_transition_ns", "dvfs_overlap"})
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Everything the timing, cache and power models need.
@@ -181,6 +188,19 @@ class MachineConfig:
     #: a switch hides behind DRAM-bound phases).  False reproduces the
     #: pessimistic stall-for-500ns model as an ablation.
     dvfs_overlap: bool = True
+
+    @cached_property
+    def terms_key(self) -> tuple:
+        """Every field but the two that price a DVFS switch.
+
+        A phase's frequency terms, its energy at any point and its
+        EDP-optimal point read neither of those two, so configs with
+        equal keys share one :class:`~repro.sim.timing.PhaseTerms`.
+        Computed once per object; it is not a dataclass field, so
+        equality, ``repr`` and every cache key ignore it.
+        """
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.name not in _TRANSITION_FIELDS)
 
     @property
     def fmin(self) -> OperatingPoint:

@@ -19,9 +19,10 @@ scale with frequency, DRAM time does not.  A phase is summarized as
 IPC(f) = instructions / (T(f) · f) feeds the power model.
 
 The four terms depend only on the phase and its config, never on f, so
-each (phase, config) computes them once: :meth:`PhaseProfile.terms`
-returns a :class:`PhaseTerms`, and every per-point time and IPC comes
-from it.
+each phase computes them once per timing-and-power model
+(:attr:`~repro.sim.config.MachineConfig.terms_key`):
+:meth:`PhaseProfile.terms` returns a :class:`PhaseTerms`, and every
+per-point time and IPC comes from it.
 """
 
 from __future__ import annotations
@@ -52,15 +53,17 @@ def issue_slots(trace: ExecutionTrace) -> int:
 
 class PhaseTerms:
     """One phase's frequency terms under one config: C, M_pf, M_demand
-    and M_store, plus the EDP-optimal point once it has been picked.
+    and M_store, plus the EDP-optimal point and its energy once the
+    point has been picked.
 
     It is the only place that turns a phase into time and IPC at an
     operating point; a point off the config's table (an interpolated
-    V/f point) works like any other.
+    V/f point) works like any other.  Every config with ``config``'s
+    :attr:`~repro.sim.config.MachineConfig.terms_key` shares it.
     """
 
     __slots__ = ("config", "instructions", "core_cycles", "prefetch_ns",
-                 "demand_ns", "store_ns", "edp_point")
+                 "demand_ns", "store_ns", "edp_point", "edp_energy")
 
     def __init__(self, profile: "PhaseProfile", config: MachineConfig):
         counts = profile.counts
@@ -89,8 +92,12 @@ class PhaseTerms:
         self.prefetch_ns = (
             prefetches * config.mem_latency_ns / config.mlp_prefetch
         )
-        #: Set by :func:`repro.power.frequency.optimal_edp_point`.
+        #: Set by :func:`repro.power.frequency.optimal_edp_point`: the
+        #: point from ``config``'s table, and its
+        #: :class:`~repro.power.model.EnergyBreakdown`, which
+        #: :func:`~repro.power.model.phase_energy_at` serves for it.
         self.edp_point = None
+        self.edp_energy = None
 
     def time_ns(self, point: OperatingPoint) -> float:
         core_ns = self.core_cycles / point.freq_ghz
@@ -136,19 +143,22 @@ class PhaseProfile:
 
     # -- timing -------------------------------------------------------------------
 
-    #: The terms under the config asked for last (see :meth:`terms`).
+    #: The terms under the model asked for last (see :meth:`terms`).
     #: Not a dataclass field: equality and payloads ignore it.
     _terms = None
 
     def terms(self, config: MachineConfig) -> PhaseTerms:
         """This phase's frequency terms under ``config``, computed once.
 
-        One slot holds the terms of the config asked for last, keyed by
-        identity: another config object, even an equal one such as a
-        ``dataclasses.replace`` copy, gets terms of its own.
+        One slot holds the terms of the model asked for last.  The same
+        config object is served at once; another one is served the same
+        terms when its :attr:`~repro.sim.config.MachineConfig.terms_key`
+        equals theirs (a copy that differs only in how a DVFS switch is
+        priced, say), and gets terms of its own otherwise.
         """
         terms = self._terms
-        if terms is None or terms.config is not config:
+        if terms is None or (terms.config is not config
+                             and terms.config.terms_key != config.terms_key):
             terms = self._terms = PhaseTerms(self, config)
         return terms
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ...analysis.memory_access import AccessAnalysis
-from ...ir import Function, Module, verify_function
+from ...ir import Function, Module
 from ...obs.events import get_collector
 from ..clone import clone_function
 from ..inline import InlineError, inline_all_calls
@@ -186,9 +186,10 @@ def _generate(task: Function, module: Optional[Module],
         skeleton_options = replace(
             skeleton_options, hot_path_profile=options.profiler(work)
         )
-    stats = generate_skeleton(work, skeleton_options)
+    # Nothing has edited ``work`` since it was analysed (the affine
+    # attempt and the branch profiler only read it).
+    stats = generate_skeleton(work, analysis, skeleton_options)
     optimize_function(work)
-    verify_function(work)
     if module is not None:
         module.add_function(work)
     _emit_loops(collector, task, analysis, "skeleton")

@@ -71,15 +71,18 @@ class SkeletonStats:
     warnings: list[str] = field(default_factory=list)
 
 
-def generate_skeleton(clone: Function,
+def generate_skeleton(clone: Function, analysis: AccessAnalysis,
                       options: SkeletonOptions | None = None) -> SkeletonStats:
-    """Transform ``clone`` (already inlined + optimized) in place."""
+    """Transform ``clone`` (already inlined + optimized) in place.
+
+    ``analysis`` is the driver's :class:`AccessAnalysis` of ``clone``,
+    taken after the optimization and before any edit.
+    """
     options = options or SkeletonOptions()
     stats = SkeletonStats()
 
     before = sum(len(b) for b in clone.blocks)
 
-    analysis = AccessAnalysis(clone)
     _check_legality(analysis, stats)
 
     # Step 3 (Section 5.2.2): identify external reads, insert prefetches.

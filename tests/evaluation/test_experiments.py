@@ -21,11 +21,16 @@ from repro.evaluation import (
     render_headline,
     render_table1,
     run_workload,
+    schedule_configs,
     table1_rows,
 )
+from repro.obs import energy_attribution
+from repro.power import frequency
+from repro.power.model import phase_energy, phase_energy_at
 from repro.runtime import DAEScheduler
 from repro.runtime.task import Scheme
 from repro.sim import MachineConfig
+from repro.sim.timing import PhaseTerms
 from repro.workloads import CGWorkload, CigarWorkload
 
 
@@ -146,6 +151,49 @@ class TestHeadline:
         # config the baseline, then the DAE and the MANUAL stream.
         assert len(schemes) == 3 * 2 * len(runs)
         assert schemes.count(Scheme.CAE) == 2 * len(runs)
+
+    def test_after_figure3_builds_no_terms_and_scans_nothing(
+            self, runs, monkeypatch):
+        # Figure 3 terms and scans every phase under ``config``.  The
+        # headline's zero-latency copy prices a DVFS switch differently,
+        # but it times and powers every phase alike, so it shares them.
+        config = MachineConfig()
+        figure3_rows(runs, config)
+        built, scanned = [], []
+        init = PhaseTerms.__init__
+
+        def counting_init(self, profile, cfg):
+            built.append(cfg)
+            init(self, profile, cfg)
+
+        def counting_cost(terms, point):
+            scanned.append(point)
+            return phase_energy_at(terms, point)
+
+        monkeypatch.setattr(PhaseTerms, "__init__", counting_init)
+        monkeypatch.setattr(frequency, "phase_energy_at", counting_cost)
+        headline_numbers(runs, config)
+        assert built == []
+        assert scanned == []
+
+    def test_kept_winner_energies_survive_recorded_schedules(self, runs):
+        # Each timeline segment of a winning point holds the very
+        # breakdown its terms keep; timelines and their roll-ups only
+        # read it.
+        config = MachineConfig()
+        run = runs["cigar"]
+        for _, result, _ in schedule_configs(run, config,
+                                             record_timeline=True):
+            energy_attribution(result.timeline)
+        for stream in ("dae", "manual"):
+            for task in run.profiles[stream].tasks:
+                for phase in filter(None, (task.access, task.execute)):
+                    terms = phase.terms(config)
+                    point = terms.edp_point
+                    time_ns = terms.time_ns(point)
+                    assert terms.edp_energy == phase_energy(
+                        time_ns, point, terms.ipc(point, time_ns), config
+                    )
 
 
 class TestAnalysisDemos:

@@ -137,6 +137,11 @@ class TestTableMatchesReference:
         rng = random.Random(name)
         edp = Objective.from_name("edp")
         for profile in profiles():
+            # The scan first, so the winner's kept energy is checked too.
+            winner = optimal_edp_point(profile, config)
+            assert phase_energy_at(profile.terms(config), winner) is (
+                profile.terms(config).edp_energy
+            )
             for point in points(config, rng):
                 time = ref_time(profile, point, config)
                 energy = ref_energy(profile, point, config)
@@ -186,16 +191,93 @@ class TestKeyedByConfig:
                 )
                 assert profile.terms(config).config is config
 
-    def test_equal_configs_are_distinct_keys(self):
-        # Equal by value, different objects: headline's zero-latency
-        # config and a plain copy each get terms of their own.
+    def test_configs_differing_only_in_transitions_share_terms(self):
+        # Headline's zero-latency copy, the stall-for-the-ramp ablation
+        # and a plain copy price a DVFS switch differently (or not at
+        # all) but time and power every phase alike.
         config = MachineConfig()
         profile = profiles()[3]
+        terms = profile.terms(config)
         for other in (replace(config, dvfs_transition_ns=0.0),
+                      replace(config, dvfs_overlap=False),
                       replace(config)):
-            assert profile.terms(config).config is config
-            assert profile.terms(other).config is other
-            assert profile.terms(config).config is config
+            assert profile.terms(other) is terms
+            assert profile.terms(config) is terms
+            assert optimal_edp_point(profile, other) is ref_optimal(
+                profile, other
+            )
+
+    def test_terms_never_read_the_transition_fields(self):
+        # Terms built first under a config whose transition fields hold
+        # no number still give the reference values to the real one.
+        config = MachineConfig()
+        poisoned = replace(config, dvfs_transition_ns=float("nan"),
+                           dvfs_overlap=None)
+        for profile in profiles():
+            terms = profile.terms(poisoned)
+            assert optimal_edp_point(profile, poisoned) is ref_optimal(
+                profile, config
+            )
+            assert profile.terms(config) is terms
+            for point in config.operating_points:
+                assert profile.time_ns(point, config) == ref_time(
+                    profile, point, config
+                )
+                assert phase_energy_at(terms, point).energy_nj == (
+                    ref_energy(profile, point, config)
+                )
+
+    def test_equal_config_built_on_its_own_gets_its_own_points(self):
+        # Equal by value with a table of its own: the terms are shared,
+        # but each config is answered with a point of its own table.
+        first, second = MachineConfig(), MachineConfig()
+        assert first.operating_points is not second.operating_points
+        for profile in profiles():
+            terms = profile.terms(first)
+            assert profile.terms(second) is terms
+            for config in (first, second, first):
+                winner = optimal_edp_point(profile, config)
+                assert winner is ref_optimal(profile, config)
+                breakdown = phase_energy_at(terms, winner)
+                assert breakdown.energy_nj == ref_energy(
+                    profile, winner, config
+                )
+
+    @pytest.mark.parametrize("change", [
+        "issue_width", "mem_latency_ns", "mlp_demand", "mlp_prefetch",
+        "mlp_hw_stream", "mlp_store", "l2_hidden", "llc.latency_cycles",
+        "ceff_base", "static_fv_w", "voltage",
+    ])
+    def test_a_model_field_gets_terms_of_its_own(self, change):
+        config = MachineConfig()
+        if change == "llc.latency_cycles":
+            other = replace(config, llc=replace(config.llc,
+                                                latency_cycles=45))
+        elif change == "voltage":
+            table = list(config.operating_points)
+            table[2] = replace(table[2], voltage=table[2].voltage + 0.08)
+            other = replace(config, operating_points=tuple(table))
+        else:
+            value = getattr(config, change)
+            other = replace(config, **{change: value * 2})
+        assert other != config
+        for profile in profiles():
+            terms = profile.terms(config)
+            assert optimal_edp_point(profile, config) is ref_optimal(
+                profile, config
+            )
+            assert profile.terms(other) is not terms
+            assert optimal_edp_point(profile, other) is ref_optimal(
+                profile, other
+            )
+            for point in other.operating_points:
+                assert profile.time_ns(point, other) == ref_time(
+                    profile, point, other
+                )
+                breakdown = phase_energy_at(profile.terms(other), point)
+                assert breakdown.energy_nj == ref_energy(
+                    profile, point, other
+                )
 
     def test_terms_are_computed_once_per_config(self):
         config = MachineConfig()
